@@ -17,7 +17,7 @@ from .scheme import (CellSolution, FanDescriptor, SchemeParameters,
                      project_node, run, select_M, solve_front)
 from .diagnostics import (EnergyMonitor, EnergyReport, RecurrenceAudit,
                           RecurrenceAuditor, audit_recurrence, correction_R,
-                          monitor, total_energy_nodes, total_energy_trace,
+                          total_energy_nodes, total_energy_trace,
                           total_mass_nodes)
 from .errors import CellBuildError, ConfigError, FrontSolveError
 

@@ -560,30 +560,20 @@ def riemann_sample_k(rsol, xi, theta):
     return rsol[2], rsol[3]
 
 
-# geometry bundle index helpers: geo = (ax, ac, iac, bx, bc, Bx, Bc, A0)
+# geometry bundle index helpers: geo = (ax, ac, bx, bc, Bx, Bc)
 @njit
 def geo_a(geo, x):
     return ppoly_eval(geo[0], geo[1], x)
 
 
 @njit
-def geo_IA(geo, x):
-    return ppoly_eval(geo[0], geo[2], x)
-
-
-@njit
 def geo_b(geo, x):
-    return ppoly_eval(geo[3], geo[4], x)
+    return ppoly_eval(geo[2], geo[3], x)
 
 
 @njit
 def geo_B(geo, x):
-    return ppoly_eval(geo[5], geo[6], x)
-
-
-@njit
-def geo_A(geo, x):
-    return geo[7][0] * math.exp(-geo_IA(geo, x))
+    return ppoly_eval(geo[4], geo[5], x)
 
 
 # ---------------------------------------------------------------------------
@@ -1668,17 +1658,3 @@ def _gauss5_piece(kind, q, a, b, tau, geo, gamma, theta):
         acc_m += _G5W[g] * m
     return acc_r * half, acc_m * half
 
-
-@njit
-def int_A_k(geo, a, b):
-    """Integral of the cross-section A over [a, b] (4 Gauss-5 panels)."""
-    total = 0.0
-    step = (b - a) / 4.0
-    for p in range(4):
-        aa = a + p * step
-        xm = aa + 0.5 * step
-        half = 0.5 * step
-        for g in range(5):
-            x = xm + half * _G5X[g]
-            total += _G5W[g] * geo_A(geo, x) * half
-    return total

@@ -6,7 +6,7 @@ numba (the optional ``jit`` extra) is installed the decorator is numba's
 ``njit(cache=True)``; without it, or with the environment variable
 ``NOZZLEFLOW_NUMBA=0``, the very same functions run as ordinary Python.
 Both paths are supported; ``NOZZLEFLOW_NUMBA=1`` makes a missing numba an
-error.  ``benchmarks/bench_kernels.py`` compares the two paths.
+error.  ``perfbench/run.py`` measures whichever path is active.
 """
 
 import os

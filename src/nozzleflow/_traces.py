@@ -1,10 +1,12 @@
-"""Whole-array evaluation of a step's cell traces: averaging and the
-diagnostics.
+"""Whole-array evaluation of a step's cell traces: averaging, the invariant
+envelope and projection, node areas and the diagnostics.
 
 The cell averages and the diagnostics integrate the in-cell solutions of a
 step at thousands of quadrature nodes.  Here all nodes of all cells are
 evaluated at once with NumPy, grouped by piece kind, instead of one scalar
-kernel call per node.  The formulas, their order of operations and the
+kernel call per node; the envelope, the projection and the node areas are
+the package's only implementations of those quantities, and scalar callers
+pass one-element arrays.  The formulas, their order of operations and the
 order of every sum are those of the scalar kernels in
 :mod:`nozzleflow._kernels` (``eval_piece``, ``eta_q_k``, ``flux_k``,
 ``invariants_k``, ``state_k``), and ``exp`` and ``log`` are ``math``'s,
@@ -40,8 +42,9 @@ def ppoly_values(table, x):
     return acc
 
 
-def _exp(x):
-    # element by element: NumPy's vectorized exp may round differently
+def exp(x):
+    """``math.exp`` of a 1-D array, element by element: NumPy's vectorized
+    exp may round differently from the scalar kernels'."""
     return np.fromiter(map(math.exp, x.tolist()), float, x.size)
 
 
@@ -51,7 +54,7 @@ def _pow(x, e):
     pos = np.nonzero(x > 0.0)[0]
     if pos.size:
         logs = np.fromiter(map(math.log, x[pos].tolist()), float, pos.size)
-        out[pos] = _exp(e * logs)
+        out[pos] = exp(e * logs)
     return out
 
 
@@ -103,8 +106,8 @@ def pieces_at(kinds, q, x, tau, tables, theta, Bd=None):
 
 def _profiles_at(q, Bd, x, tau, tables, theta):
     dB = ppoly_values(tables["B"], x) - Bd
-    zb = q[:, 1] * _exp(q[:, 3] * dB)
-    wb = q[:, 2] * _exp(q[:, 4] * dB)
+    zb = q[:, 1] * exp(q[:, 3] * dB)
+    wb = q[:, 2] * exp(q[:, 4] * dB)
     rb, mb = _state(zb, wb, theta)
     corr = np.nonzero((q[:, 5] != 0.0) & (tau > 0.0) & (rb >= _k.RHO_FLOOR))[0]
     if corr.size:
@@ -140,7 +143,8 @@ def energy_flux(rho, m, gamma):
     return np.where(ok, q, 0.0)
 
 
-def _flux(rho, m, gamma):
+def flux(rho, m, gamma):
+    """The flux (m, m^2/rho + p(rho)), zero at vacuum."""
     ok = rho >= _k.RHO_FLOOR
     r = np.where(ok, rho, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -176,15 +180,30 @@ class _Pieces:
         return a, b
 
 
-def average_project(jcells, offs, ncount, kinds, pars, spds, params, c,
-                    tables):
-    """End-of-step cell averages and the invariant projection.
+def envelope(M, B, x):
+    """Invariant-region bounds (-M e^{-B(x)}, M e^{B(x)}) at the points x;
+    ``B`` is the PPoly data of B.  The package's one envelope: the
+    projection clamps to it and every check and snapshot reads it."""
+    Bx = ppoly_values(B, x)
+    return -M * exp(-Bx), M * exp(Bx)
 
-    Returns (rho, m, z, w, stats) per cell with stats = (clamp events,
-    lossy vacuum-threshold events, max pre-projection envelope violation,
-    clamp-inversion fallbacks).
-    """
-    dx, dt, M = params.dx, params.dt, params.M
+
+def invariants(rho, m, theta):
+    """Riemann invariants (z, w) of the states (rho, m), (0, 0) below the
+    vacuum floor, as ``_kernels.invariants_k``."""
+    live = rho >= _k.RHO_FLOOR
+    r = np.where(live, rho, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = m / r
+    k = _pow(r, theta) / theta
+    return np.where(live, v - k, 0.0), np.where(live, v + k, 0.0)
+
+
+def cell_averages(jcells, offs, ncount, kinds, pars, spds, params, c,
+                  tables):
+    """End-of-step averages (rho, m) of the cells' in-cell solutions, before
+    the projection; pieces are summed in order within each cell."""
+    dx, dt = params.dx, params.dt
     pcs = _Pieces(jcells, offs, ncount, dx)
     C = jcells.size
     # piece extents relative to the cell centre (exact 2*dx total)
@@ -214,22 +233,23 @@ def average_project(jcells, offs, ncount, kinds, pars, spds, params, c,
     sum_m = np.zeros(C)
     np.add.at(sum_r, cell, ir)
     np.add.at(sum_m, cell, im)
-    e_r = sum_r / (2.0 * dx)
-    e_m = sum_m / (2.0 * dx)
+    return sum_r / (2.0 * dx), sum_m / (2.0 * dx)
 
+
+def project(e_r, e_m, lo, up, params, c):
+    """The invariant projection of the averages (e_r, e_m) at nodes with
+    envelope bounds [lo, up]: vacuum below the density threshold dx^delta,
+    otherwise z and w clamped into the bounds, vacuum where the clamp
+    inverts them (w < z).
+
+    Returns (rho, m, z, w, stats) with stats = (clamp events, lossy
+    vacuum-threshold events, max pre-projection envelope violation,
+    clamp-inversion fallbacks).
+    """
     stats = np.zeros(4)
-    vac = e_r < _k.pow_g(dx, params.delta)
+    vac = e_r < _k.pow_g(params.dx, params.delta)
     stats[1] = np.count_nonzero(vac & (e_r > 0.0))
-    live = ~vac & (e_r >= _k.RHO_FLOOR)
-    r = np.where(live, e_r, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = e_m / r
-    k = _pow(r, c.theta) / c.theta
-    z = np.where(live, v - k, 0.0)
-    w = np.where(live, v + k, 0.0)
-    Bx = ppoly_values(tables["B"], jcells * dx)
-    lo = -M * _exp(-Bx)
-    up = M * _exp(Bx)
+    z, w = invariants(e_r, e_m, c.theta)
     viol = np.maximum(np.maximum(lo - z, w - up), 0.0)[~vac]
     stats[2] = viol.max() if viol.size else 0.0
     clamped = ~vac & ((z < lo) | (w > up))
@@ -241,7 +261,7 @@ def average_project(jcells, offs, ncount, kinds, pars, spds, params, c,
     rho2, m2 = _state(z2, w2, c.theta)
     rebuilt = clamped & ~inverted & (rho2 >= _k.RHO_FLOOR)
     keep = ~vac & ~clamped
-    # unclamped cells keep the averaged state bit-exact
+    # unclamped nodes keep the averaged state bit-exact
     out = (np.where(keep, e_r, np.where(rebuilt, rho2, 0.0)),
            np.where(keep, e_m, np.where(rebuilt, m2, 0.0)),
            np.where(keep, z, np.where(rebuilt, z2, 0.0)),
@@ -249,8 +269,36 @@ def average_project(jcells, offs, ncount, kinds, pars, spds, params, c,
     return out + (stats,)
 
 
-def _sequential_sum(terms):
-    # the order of the scalar loops: cell, piece, node
+def average_project(jcells, offs, ncount, kinds, pars, spds, params, c,
+                    tables):
+    """End-of-step cell averages, projected onto the envelope at the cell
+    centres: :func:`cell_averages`, then :func:`project`."""
+    e_r, e_m = cell_averages(jcells, offs, ncount, kinds, pars, spds, params,
+                             c, tables)
+    lo, up = envelope(params.M, tables["B"], jcells * params.dx)
+    return project(e_r, e_m, lo, up, params, c)
+
+
+def node_areas(js, dx, A0, tables):
+    """Integrals of the cross section A = A0 exp(-IA) over the node
+    intervals [(j-1) dx, (j+1) dx]: four Gauss-5 panels, added panel by
+    panel and node by node."""
+    a = (js - 1) * dx
+    step = ((js + 1) * dx - a) / 4.0
+    half = 0.5 * step
+    total = np.zeros(js.shape)
+    for p in range(4):
+        xm = (a + p * step) + half
+        for g in range(5):
+            x = xm + half * _G5X[g]
+            area = A0 * exp(-ppoly_values(tables["IA"], x))
+            total = total + _G5W[g] * area * half
+    return total
+
+
+def sequential_sum(terms):
+    """Sum of all terms, added one by one in order (the order of the scalar
+    loops: cell, piece, node)."""
     return float(np.cumsum(terms.ravel())[-1]) if terms.size else 0.0
 
 
@@ -317,7 +365,7 @@ def jump_integral(record, new_z, new_w):
         m1 = np.where(vac, 0.0, m1)
         d = (r0 - r1) * (r0 - r1) + (m0 - m1) * (m0 - m1)
         terms[:, g] = _G3W[g] * d * half
-    return _sequential_sum(terms)
+    return sequential_sum(terms)
 
 
 def energy_trace(record, tau):
@@ -338,9 +386,9 @@ def energy_trace(record, tau):
         x = xm + half * _G5X[g]
         rho, m = pieces_at(kinds, q, x, tau, tables, c.theta, Bd)
         eta, _q = eta_q(rho, m, c.gamma)
-        area = A0 * _exp(-ppoly_values(tables["IA"], x))
+        area = A0 * exp(-ppoly_values(tables["IA"], x))
         terms[:, g] = _G5W[g] * area * eta * half
-    return _sequential_sum(terms)
+    return sequential_sum(terms)
 
 
 def max_rh_residual(jcells, offs, ncount, kinds, pars, spds, fflag, dx, dt,
@@ -356,8 +404,8 @@ def max_rh_residual(jcells, offs, ncount, kinds, pars, spds, fflag, dx, dt,
     xf = pcs.xc[front] + s * tau
     rl, ml = pieces_at(kinds[i], pars[i], xf, tau, tables, c.theta)
     rr, mr = pieces_at(kinds[i + 1], pars[i + 1], xf, tau, tables, c.theta)
-    f1l, f2l = _flux(rl, ml, c.gamma)
-    f1r, f2r = _flux(rr, mr, c.gamma)
+    f1l, f2l = flux(rl, ml, c.gamma)
+    f1r, f2r = flux(rr, mr, c.gamma)
     res = np.abs(np.concatenate([f1r - f1l - s * (rr - rl),
                                  f2r - f2l - s * (mr - ml)]))
     res = res[res > 0.0]

@@ -10,10 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .diagnostics import _AreaCache
+from . import _traces
+from .diagnostics import node_areas
 from .gas import GasConstants
 from .nozzle import BoundFunction, NozzleGeometry, get_bundle
-from .scheme import Mesh, SchemeParameters, _window_bounds
+from .scheme import (SchemeParameters, StaggeredState, _window_bounds,
+                     gather_neighbors, initial_averages)
 
 
 @dataclass
@@ -32,86 +34,52 @@ def run_baseline(u0, params: SchemeParameters, geom: NozzleGeometry,
     dx, dt = params.dx, params.dt
     g = c.gamma
     bundle = get_bundle(geom, b)
-    cache = _AreaCache(bundle, dx)
-    X = geom.X
-    extent = max(X, getattr(u0, "extent", X))
-    W0 = int(np.ceil(extent / dx))
+    js, rho, m, mesh = initial_averages(u0, params, geom, cutoff)
+    # the baseline carries no invariants
+    state = StaggeredState(n=0, j0=int(js[0]), rho=rho, m=m, z=None, w=None)
     neg = 0
 
-    def avg_state(j):
-        a_edge, b_edge = (j - 1) * dx, (j + 1) * dx
-        cut = X if cutoff else np.inf
-        hi = min(b_edge, cut)
-        if hi <= a_edge:
-            return 0.0, 0.0
-        er, em = u0.average(a_edge, hi)
-        f = (hi - a_edge) / (b_edge - a_edge)
-        return er * f, em * f
+    def totals(state):
+        r = np.maximum(state.rho, 0.0)
+        eta, _q = _traces.eta_q(r, state.m, g)
+        areas = node_areas(state, params, bundle)
+        return (_traces.sequential_sum(eta * areas),
+                _traces.sequential_sum(r * areas))
 
-    j_lo, j_hi = _window_bounds(0, W0)
-    js = np.arange(j_lo, j_hi + 1, 2)
-    rho = np.empty(js.size)
-    m = np.empty(js.size)
-    for i, j in enumerate(js):
-        rho[i], m[i] = avg_state(int(j))
-    amb_l = u0.ambient_left
-    amb_r_rho, amb_r_m = (0.0, 0.0) if cutoff else (u0.ambient_right.rho,
-                                                    u0.ambient_right.m)
-    mesh = Mesh(W0=W0, ambient_left=amb_l,
-                ambient_right=type(amb_l)(amb_r_rho, amb_r_m))
-
-    def totals(js_, rho_, m_):
-        e = 0.0
-        ms = 0.0
-        for i, j in enumerate(js_):
-            eta, _ = _k.eta_q_k(max(rho_[i], 0.0), m_[i], g)
-            ai = cache(int(j))
-            e += eta * ai
-            ms += max(rho_[i], 0.0) * ai
-        return e, ms
+    def source(a, rho, m):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (np.where(rho > 0, a * m, 0.0),
+                    np.where(rho > 0, a * m * m / rho, 0.0))
 
     N = params.n_steps
     ns = [0]
     ts = [0.0]
-    e0, m0 = totals(js, rho, m)
+    e0, m0 = totals(state)
     energy = [e0]
     mass = [m0]
     if snapshot_cb is not None:
         snapshot_cb(0, js * dx, rho, m)
     for n in range(N):
-        j_lo, j_hi = _window_bounds(n + 1, W0)
-        njs = np.arange(j_lo, j_hi + 1, 2)
-        nrho = np.empty(njs.size)
-        nm = np.empty(njs.size)
-        for i, j in enumerate(njs):
-            il = (j - 1 - js[0]) // 2
-            if 0 <= il < js.size:
-                rl, ml = rho[il], m[il]
-            else:
-                rl, ml = amb_l.rho, amb_l.m
-            ir = (j + 1 - js[0]) // 2
-            if 0 <= ir < js.size:
-                rr, mr = rho[ir], m[ir]
-            else:
-                rr, mr = amb_r_rho, amb_r_m
-            f1l, f2l = _k.flux_k(rl, ml, g)
-            f1r, f2r = _k.flux_k(rr, mr, g)
-            al = float(geom.a((j - 1) * dx))
-            ar = float(geom.a((j + 1) * dx))
-            s1l, s2l = (al * ml, al * ml * ml / rl) if rl > 0 else (0.0, 0.0)
-            s1r, s2r = (ar * mr, ar * mr * mr / rr) if rr > 0 else (0.0, 0.0)
-            r_new = 0.5 * (rl + rr) - 0.5 * dt / dx * (f1r - f1l) \
-                + 0.5 * dt * (s1l + s1r)
-            m_new = 0.5 * (ml + mr) - 0.5 * dt / dx * (f2r - f2l) \
-                + 0.5 * dt * (s2l + s2r)
-            if r_new <= _k.RHO_FLOOR:
-                if r_new < 0.0:
-                    neg += 1
-                r_new, m_new = 0.0, 0.0
-            nrho[i] = r_new
-            nm[i] = m_new
-        js, rho, m = njs, nrho, nm
-        e, ms = totals(js, rho, m)
+        j_lo, j_hi = _window_bounds(n + 1, mesh.W0)
+        js = np.arange(j_lo, j_hi + 1, 2)
+        rl, ml, rr, mr = gather_neighbors(state, js, mesh)
+        f1l, f2l = _traces.flux(rl, ml, g)
+        f1r, f2r = _traces.flux(rr, mr, g)
+        # a at the old nodes (j - 1) dx and (j + 1) dx of every new node j
+        a = geom.a(np.arange(j_lo - 1, j_hi + 2, 2) * dx)
+        s1l, s2l = source(a[:-1], rl, ml)
+        s1r, s2r = source(a[1:], rr, mr)
+        rho = 0.5 * (rl + rr) - 0.5 * dt / dx * (f1r - f1l) \
+            + 0.5 * dt * (s1l + s1r)
+        m = 0.5 * (ml + mr) - 0.5 * dt / dx * (f2r - f2l) \
+            + 0.5 * dt * (s2l + s2r)
+        floor = rho <= _k.RHO_FLOOR
+        neg += int(np.count_nonzero(rho < 0.0))
+        rho = np.where(floor, 0.0, rho)
+        m = np.where(floor, 0.0, m)
+        state = StaggeredState(n=n + 1, j0=int(js[0]), rho=rho, m=m, z=None,
+                               w=None)
+        e, ms = totals(state)
         ns.append(n + 1)
         ts.append((n + 1) * dt)
         energy.append(e)

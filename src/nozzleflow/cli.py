@@ -7,14 +7,13 @@ JSON audit summary; identical configs produce byte-identical files.
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as _k
+from ._traces import invariants
 from .baseline import run_baseline
 from .diagnostics import EnergyMonitor, RecurrenceAuditor
 from .errors import ConfigError
@@ -22,7 +21,7 @@ from .gas import GasConstants, GasState
 from .initialdata import (GaussianBumpData, RiemannStepData,
                           load_initial_table)
 from .nozzle import (BoundFunction, NozzleGeometry, admissibility_constants,
-                     get_bundle, load_geometry_table, validate_condition)
+                     envelope, load_geometry_table, validate_condition)
 from .riemann import sample, solve_riemann, wave_breakpoints
 from .scheme import SchemeParameters, run, select_M
 
@@ -205,47 +204,47 @@ def parse_config(path, overrides=None) -> RunConfig:
 
 
 class SnapshotWriter:
-    """Observer writing per-node CSV snapshots every `stride` steps."""
+    """Per-node CSV snapshots every `stride` steps, in both modes: an
+    observer of the modified scheme and the baseline's snapshot callback."""
 
-    def __init__(self, out_dir, stride, mode_tag):
-        self.out_dir = out_dir
-        self.stride = stride
+    def __init__(self, cfg: RunConfig, mode_tag):
+        self.cfg = cfg
         self.mode_tag = mode_tag
         self.files = []
 
-    def _write(self, n, t, xs, rho, m, z, w, lo, up):
-        path = os.path.join(self.out_dir,
+    def write(self, n, xs, rho, m, z, w):
+        """One snapshot: a row per node, with the envelope bounds at x."""
+        cfg = self.cfg
+        lo, up = envelope(cfg.params.M, cfg.bound, xs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.where(rho > 0, m / rho, 0.0)
+        t = n * cfg.params.dt
+        path = os.path.join(cfg.out_dir,
                             f"snapshot_{self.mode_tag}_{n:05d}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,x,rho,m,v,z,w,lower,upper\n")
-            for i in range(xs.size):
-                v = m[i] / rho[i] if rho[i] > 0 else 0.0
-                fh.write(",".join(_fmt(val) for val in
-                                  (t, xs[i], rho[i], m[i], v, z[i], w[i],
-                                   lo[i], up[i])) + "\n")
+            for row in zip(*(col.tolist() for col in
+                             (xs, rho, m, v, z, w, lo, up))):
+                fh.write(",".join(map(_fmt, (t,) + row)) + "\n")
         self.files.append(path)
 
     def on_start(self, state, ctx):
-        self._ctx = ctx
         self._emit(state)
 
     def on_step(self, prev, new, record):
-        if new.n % self.stride == 0:
+        if new.n % self.cfg.stride == 0:
             self._emit(new)
 
     def _emit(self, state):
-        ctx = self._ctx
-        params, b = ctx["params"], ctx["bound"]
-        bundle = get_bundle(ctx["geom"], b)
-        xs = state.js * params.dx
-        lo = np.empty(xs.size)
-        up = np.empty(xs.size)
-        for i, x in enumerate(xs):
-            Bx = _k.geo_B(bundle.geo, float(x))
-            lo[i] = -params.M * math.exp(-Bx)
-            up[i] = params.M * math.exp(Bx)
-        self._write(state.n, state.n * params.dt, xs, state.rho, state.m,
-                    state.z, state.w, lo, up)
+        self.write(state.n, state.js * self.cfg.params.dx, state.rho,
+                   state.m, state.z, state.w)
+
+    def __call__(self, n, xs, rho, m):
+        """``run_baseline``'s snapshot callback."""
+        if n % self.cfg.stride == 0:
+            z, w = invariants(np.maximum(rho, 0.0), m,
+                              self.cfg.constants.theta)
+            self.write(n, xs, rho, m, z, w)
 
 
 def _write_energy_series(path, rows):
@@ -292,33 +291,9 @@ def cmd_run(cfg: RunConfig, quiet=False):
         return 1
 
     if cfg.mode == "baseline-lf":
-        snaps = []
-
-        bundle = get_bundle(cfg.geometry, cfg.bound)
-
-        def cb(n, xs, rho, m):
-            if n % cfg.stride:
-                return
-            path = os.path.join(cfg.out_dir,
-                                f"snapshot_baseline-lf_{n:05d}.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("t,x,rho,m,v,z,w,lower,upper\n")
-                th = cfg.constants.theta
-                for i in range(xs.size):
-                    z, w = _k.invariants_k(float(max(rho[i], 0.0)),
-                                           float(m[i]), th)
-                    v = m[i] / rho[i] if rho[i] > 0 else 0.0
-                    Bx = _k.geo_B(bundle.geo, float(xs[i]))
-                    lo = -cfg.M * math.exp(-Bx)
-                    up = cfg.M * math.exp(Bx)
-                    fh.write(",".join(_fmt(val) for val in
-                             (n * cfg.params.dt, xs[i], rho[i], m[i], v,
-                              z, w, lo, up)) + "\n")
-            snaps.append(path)
-
         _xs, _rho, _m, series = run_baseline(
             cfg.initial, cfg.params, cfg.geometry, cfg.bound, cfg.constants,
-            cutoff=cfg.cutoff, snapshot_cb=cb)
+            cutoff=cfg.cutoff, snapshot_cb=SnapshotWriter(cfg, "baseline-lf"))
         path = os.path.join(cfg.out_dir, "energy_baseline-lf.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("n,t,total_energy,total_mass\n")
@@ -346,7 +321,7 @@ def cmd_run(cfg: RunConfig, quiet=False):
 
     monitor = EnergyMonitor()
     auditor = RecurrenceAuditor(slack_coeff=cfg.audit_slack)
-    writer = SnapshotWriter(cfg.out_dir, cfg.stride, "modified")
+    writer = SnapshotWriter(cfg, "modified")
     state, mesh = run(cfg.initial, cfg.params, cfg.geometry, cfg.bound,
                       cfg.constants, observers=(monitor, auditor, writer),
                       cutoff=cfg.cutoff)

@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels as _k
 from . import _traces
 from .gas import GasConstants, GasState
-from .nozzle import BoundFunction, NozzleGeometry, get_bundle
+from .nozzle import BoundFunction, NozzleGeometry, envelope, get_bundle
 from .scheme import (Mesh, SchemeParameters, StaggeredState, StepRecord,
                      gather_neighbors)
 
@@ -45,10 +45,6 @@ class EnergyReport:
     jump_sum: float            # accumulated int |u(t_k-0) - u(t_k+0)|^2 dx
     jump_ceiling: float
     jump_flag: bool
-
-    @property
-    def energy_ok(self):
-        return self.slack >= -1e-10
 
 
 @dataclass
@@ -93,50 +89,31 @@ def correction_R(x, u: GasState, params: SchemeParameters,
     return t1 + t2 + t3
 
 
-class _AreaCache:
-    """Memoized integrals of A over the staggered intervals I_j."""
-
-    def __init__(self, bundle, dx):
-        self.bundle = bundle
-        self.dx = dx
-        self._vals = {}
-
-    def __call__(self, j):
-        got = self._vals.get(j)
-        if got is None:
-            got = float(_k.int_A_k(self.bundle.geo, (j - 1) * self.dx,
-                                   (j + 1) * self.dx))
-            self._vals[j] = got
-        return got
+def node_areas(state: StaggeredState, params: SchemeParameters, bundle):
+    """int_{I_j} A dx for every node j of the state."""
+    return _traces.node_areas(state.js, params.dx, bundle.geom.A0,
+                              bundle.tables)
 
 
 def total_energy_nodes(state: StaggeredState, geom: NozzleGeometry,
                        b: BoundFunction, c: GasConstants,
-                       params: SchemeParameters, _cache=None):
-    """sum_j eta*(u_j^n) int_{I_j} A dx over the window (node variant)."""
-    bundle = get_bundle(geom, b)
-    cache = _cache or _AreaCache(bundle, params.dx)
-    total = 0.0
-    for i, j in enumerate(state.js):
-        if state.rho[i] <= 0.0:
-            continue
-        eta, _q = _k.eta_q_k(state.rho[i], state.m[i], c.gamma)
-        total += eta * cache(int(j))
-    return total
+                       params: SchemeParameters, areas=None):
+    """sum_j eta*(u_j^n) int_{I_j} A dx over the window (node variant);
+    ``areas`` defaults to :func:`node_areas`."""
+    if areas is None:
+        areas = node_areas(state, params, get_bundle(geom, b))
+    eta, _q = _traces.eta_q(state.rho, state.m, c.gamma)
+    return _traces.sequential_sum((eta * areas)[state.rho > 0.0])
 
 
 def total_mass_nodes(state: StaggeredState, geom: NozzleGeometry,
                      b: BoundFunction, c: GasConstants,
-                     params: SchemeParameters, j_range=None, _cache=None):
-    """sum_j rho_j^n int_{I_j} A dx, optionally over a fixed index range."""
-    bundle = get_bundle(geom, b)
-    cache = _cache or _AreaCache(bundle, params.dx)
-    total = 0.0
-    for i, j in enumerate(state.js):
-        if j_range is not None and not (j_range[0] <= j <= j_range[1]):
-            continue
-        total += state.rho[i] * cache(int(j))
-    return total
+                     params: SchemeParameters, areas=None):
+    """sum_j rho_j^n int_{I_j} A dx over the window; ``areas`` defaults to
+    :func:`node_areas`."""
+    if areas is None:
+        areas = node_areas(state, params, get_bundle(geom, b))
+    return _traces.sequential_sum(state.rho * areas)
 
 
 def total_energy_trace(record: StepRecord, t_offset):
@@ -146,17 +123,11 @@ def total_energy_trace(record: StepRecord, t_offset):
 
 def envelope_violation(state: StaggeredState, params: SchemeParameters,
                        bundle, c: GasConstants):
-    """Worst post-projection envelope violation over the stored invariants."""
-    worst = 0.0
-    M = params.M
-    for i, j in enumerate(state.js):
-        if state.rho[i] <= 0.0:
-            continue
-        Bx = _k.geo_B(bundle.geo, j * params.dx)
-        lo = -M * math.exp(-Bx)
-        up = M * math.exp(Bx)
-        worst = max(worst, lo - state.z[i], state.w[i] - up)
-    return max(worst, 0.0)
+    """Worst post-projection envelope violation over the stored invariants
+    of the non-vacuum nodes."""
+    lo, up = envelope(params.M, bundle.bound, state.js * params.dx)
+    viol = np.maximum(lo - state.z, state.w - up)[state.rho > 0.0]
+    return max(0.0, float(viol.max())) if viol.size else 0.0
 
 
 def audit_recurrence(record: StepRecord, state_n: StaggeredState,
@@ -198,7 +169,6 @@ class EnergyMonitor:
     def __init__(self, ceiling_factor=10.0):
         self.ceiling_factor = ceiling_factor
         self.reports = []
-        self._cache = None
         self._jump_sum = 0.0
         self._j5 = None
 
@@ -207,9 +177,9 @@ class EnergyMonitor:
         geom, b, c = ctx["geom"], ctx["bound"], ctx["constants"]
         bundle = get_bundle(geom, b)
         self._ctx = ctx
-        self._cache = _AreaCache(bundle, params.dx)
-        e0 = total_energy_nodes(state, geom, b, c, params, self._cache)
-        m0 = total_mass_nodes(state, geom, b, c, params, _cache=self._cache)
+        areas = node_areas(state, params, bundle)
+        e0 = total_energy_nodes(state, geom, b, c, params, areas)
+        m0 = total_mass_nodes(state, geom, b, c, params, areas)
         self.energy_bound = e0
         self.reports.append(EnergyReport(
             n=0, t=0.0, total_energy=e0, total_mass=m0, energy_bound=e0,
@@ -223,8 +193,9 @@ class EnergyMonitor:
         params, geom, b, c = (ctx["params"], ctx["geom"], ctx["bound"],
                               ctx["constants"])
         bundle = record.bundle
-        e = total_energy_nodes(new, geom, b, c, params, self._cache)
-        mass = total_mass_nodes(new, geom, b, c, params, _cache=self._cache)
+        areas = node_areas(new, params, bundle)
+        e = total_energy_nodes(new, geom, b, c, params, areas)
+        mass = total_mass_nodes(new, geom, b, c, params, areas)
         jump = _traces.jump_integral(record, new.z, new.w)
         self._jump_sum += jump
         n = new.n
@@ -272,21 +243,3 @@ class RecurrenceAuditor:
     @property
     def worst_slacked(self):
         return max((a.worst_slacked for a in self.audits), default=0.0)
-
-
-def monitor(state: StaggeredState, record, geom, b, c, params, energy0,
-            jump_sum=0.0, jump_ceiling=math.inf) -> EnergyReport:
-    """One-shot report for a state/step pair (observer-free variant)."""
-    bundle = get_bundle(geom, b)
-    e = total_energy_nodes(state, geom, b, c, params)
-    mass = total_mass_nodes(state, geom, b, c, params)
-    return EnergyReport(
-        n=state.n, t=state.n * params.dt, total_energy=e, total_mass=mass,
-        energy_bound=energy0, slack=energy0 - e,
-        clamp_count=record.clamp_count if record is not None else 0,
-        vacuum_count=record.vacuum_count if record is not None else 0,
-        max_rh_residual=record.max_rh_residual() if record is not None else 0.0,
-        max_envelope_violation=envelope_violation(state, params, bundle, c),
-        max_pre_violation=record.max_pre_violation if record is not None else 0.0,
-        jump_sum=jump_sum, jump_ceiling=jump_ceiling,
-        jump_flag=jump_sum > jump_ceiling)

@@ -129,6 +129,3 @@ def characteristic_speeds(u: GasState, c: GasConstants):
     """(lam1, lam2) = (v - rho^theta, v + rho^theta); vacuum gives (0, 0)."""
     return _k.lambdas_k(u.rho, u.m, c.theta)
 
-
-def sound_speed(u: GasState, c: GasConstants):
-    return _k.sound_k(u.rho, c.theta)

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator, PPoly
 
 from . import _kernels as _k
+from . import _traces
 from .gas import GasConstants, GasState, from_invariants, to_invariants, InvariantPair
 
 
@@ -117,9 +118,6 @@ class NozzleGeometry:
 
     def a(self, x):
         return self.a_pp(np.asarray(x, dtype=float))
-
-    def A_prime(self, x):
-        return -self.a(x) * self.A(x)
 
     @classmethod
     def constant(cls, A0=1.0, X=1.0):
@@ -307,11 +305,13 @@ class BoundFunction:
 
 
 def envelope(M, b: BoundFunction, x):
-    """(-M e^{-B(x)}, M e^{B(x)}) for the invariant-region bounds."""
+    """(-M e^{-B(x)}, M e^{B(x)}) for the invariant-region bounds, in the
+    shape of x (scalars for a scalar x)."""
     if M < 0.0:
         raise ValueError("M must be nonnegative")
-    Bx = b.B(x)
-    return -M * np.exp(-Bx), M * np.exp(Bx)
+    x = np.asarray(x, dtype=float)
+    lo, up = _traces.envelope(M, _ppoly_arrays(b.B_pp), x.ravel())
+    return lo.reshape(x.shape)[()], up.reshape(x.shape)[()]
 
 
 @dataclass
@@ -366,20 +366,13 @@ def validate_condition(geom: NozzleGeometry, b: BoundFunction,
 # kernel bundle: geometry + bound packed for the jitted kernels
 # ---------------------------------------------------------------------------
 
-def _pack_geo(a_pp, IA_pp, b_pp, B_pp, A0):
-    """Kernel geometry tuple (ax, ac, iac, bx, bc, Bx, Bc, A0); a and IA
-    share breakpoints, IA's coefficients padded to one degree above a's."""
-    ax, ac = _ppoly_arrays(a_pp)
-    _, iac = _ppoly_arrays(IA_pp)
-    if iac.shape[1] != ac.shape[1]:
-        raise ValueError("a and IA must share breakpoints")
-    if iac.shape[0] < ac.shape[0] + 1:
-        pad = np.zeros((ac.shape[0] + 1 - iac.shape[0], iac.shape[1]))
-        iac = np.vstack([pad, iac])
-    (pax, pac), (_, piac) = _k.pack_ppoly(ax, ac), _k.pack_ppoly(ax, iac)
+def _pack_geo(a_pp, b_pp, B_pp):
+    """Kernel geometry tuple (ax, ac, bx, bc, Bx, Bc): the PPoly data of a,
+    b and B as packed by ``_kernels.pack_ppoly``."""
+    ax, ac = _k.pack_ppoly(*_ppoly_arrays(a_pp))
     bx, bc = _k.pack_ppoly(*_ppoly_arrays(b_pp))
     Bx, Bc = _k.pack_ppoly(*_ppoly_arrays(B_pp))
-    return (pax, pac, piac, bx, bc, Bx, Bc, _k.kernel_view(np.array([A0])))
+    return ax, ac, bx, bc, Bx, Bc
 
 
 class KernelBundle:
@@ -394,22 +387,24 @@ class KernelBundle:
                        "IA": _ppoly_arrays(geom.IA_pp),
                        "b": _ppoly_arrays(bound.b_pp),
                        "B": _ppoly_arrays(bound.B_pp)}
-        self.geo = _pack_geo(geom.a_pp, geom.IA_pp, bound.b_pp, bound.B_pp,
-                             geom.A0)
-        self.geo_reflected = _pack_geo(
-            reflect_ppoly(geom.a_pp, -1.0), reflect_ppoly(geom.IA_pp, 1.0),
-            reflect_ppoly(bound.b_pp, 1.0), reflect_ppoly(bound.B_pp, -1.0),
-            geom.A0)
+        self.geo = _pack_geo(geom.a_pp, bound.b_pp, bound.B_pp)
+        self.geo_reflected = _pack_geo(reflect_ppoly(geom.a_pp, -1.0),
+                                       reflect_ppoly(bound.b_pp, 1.0),
+                                       reflect_ppoly(bound.B_pp, -1.0))
 
 
+# the bundle of the latest (geometry, bound) pair, keyed by their ids
 _BUNDLE_MEMO = {}
 
 
 def get_bundle(geom: NozzleGeometry, bound: BoundFunction) -> KernelBundle:
+    """The kernel bundle of (geom, bound); only the latest pair's bundle is
+    kept, so a long process does not hold every geometry it has seen."""
     key = (id(geom), id(bound))
     got = _BUNDLE_MEMO.get(key)
-    if got is None or got.geom is not geom or got.bound is not bound:
+    if got is None:
         got = KernelBundle(geom, bound)
+        _BUNDLE_MEMO.clear()
         _BUNDLE_MEMO[key] = got
     return got
 

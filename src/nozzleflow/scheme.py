@@ -115,14 +115,6 @@ class StaggeredState:
             raise KeyError(f"node {j} not in step-{self.n} window")
         return i
 
-    def node(self, j) -> GasState:
-        i = self.index_of(j)
-        return GasState(self.rho[i], self.m[i])
-
-    def nodes(self):
-        for i, j in enumerate(self.js):
-            yield int(j), GasState(self.rho[i], self.m[i])
-
 
 @dataclass(frozen=True)
 class FanDescriptor:
@@ -198,18 +190,12 @@ def solve_front(left_profile: SteadyProfile, z_target, sigma_prev, j,
 def project_node(E: GasState, j, params: SchemeParameters, b: BoundFunction,
                  c: GasConstants) -> GasState:
     """Vacuum threshold (rho average below dx^delta) plus the invariant
-    clamp onto the x-dependent envelope at the node position."""
-    if E.rho < params.dx ** params.delta:
-        return GasState(0.0, 0.0)
-    iv = to_invariants(E, c)
-    lo, up = envelope(params.M, b, j * params.dx)
-    z = max(iv.z, float(lo))
-    w = min(iv.w, float(up))
-    if z == iv.z and w == iv.w:
-        return E
-    if w < z:
-        return GasState(0.0, 0.0)
-    return from_invariants(InvariantPair(z, w), c)
+    clamp onto the x-dependent envelope at the node position: the step's
+    projection (``_traces.project``) at one node."""
+    lo, up = envelope(params.M, b, np.array([j * params.dx]))
+    rho, m, _z, _w, _stats = _traces.project(
+        np.array([E.rho]), np.array([E.m]), lo, up, params, c)
+    return GasState(rho[0], m[0])
 
 
 # ---------------------------------------------------------------------------
@@ -271,45 +257,29 @@ class CellSolution:
                               self.constants.gamma, self.constants.theta)
         return GasState(rho, m)
 
-    def front_states(self, i, t_offset=None):
-        if t_offset is None:
-            t_offset = 0.5 * self.params.dt
-        s = float(self.speeds[i])
-        xf = self.xc + s * t_offset
-        g, th = self.constants.gamma, self.constants.theta
-        rl, ml, _ = _k.eval_piece(self.kinds[i], self.pars[i], xf,
-                                  float(t_offset), self.bundle.geo, g, th)
-        rr, mr, _ = _k.eval_piece(self.kinds[i + 1], self.pars[i + 1], xf,
-                                  float(t_offset), self.bundle.geo, g, th)
-        return GasState(rl, ml), GasState(rr, mr)
+    def _packed(self):
+        """(jcells, offs, ncount) of this cell as a one-cell step record."""
+        nn = self.kinds.size
+        return (np.array([self.j], dtype=np.int64),
+                np.array([0, nn], dtype=np.int64),
+                np.array([nn], dtype=np.int64))
 
     def max_rh_residual(self):
         """Worst half-time RH residual over the solved fronts."""
-        jc = np.array([self.j], dtype=np.int64)
-        offs = np.array([0, self.kinds.size], dtype=np.int64)
-        ncount = np.array([self.kinds.size], dtype=np.int64)
         return _traces.max_rh_residual(
-            jc, offs, ncount, self.kinds, self.pars, self.speeds,
+            *self._packed(), self.kinds, self.pars, self.speeds,
             self.is_front, self.params.dx, self.params.dt, self.constants,
             self.bundle.tables)
 
     def average(self) -> GasState:
-        """End-of-step cell average (pre-projection)."""
-        dx, dt = self.params.dx, self.params.dt
-        g, th = self.constants.gamma, self.constants.theta
-        xl, xr = self.xc - dx, self.xc + dx
-        acc_r = acc_m = 0.0
-        npieces = self.kinds.size
-        for p in range(npieces):
-            a = xl if p == 0 else min(max(self.xc + self.speeds[p - 1] * dt, xl), xr)
-            bb = xr if p == npieces - 1 else min(max(self.xc + self.speeds[p] * dt, xl), xr)
-            if bb <= a:
-                continue
-            ir, im = _k._gauss5_piece(int(self.kinds[p]), self.pars[p], a, bb,
-                                      dt, self.bundle.geo, g, th)
-            acc_r += ir
-            acc_m += im
-        return GasState(max(acc_r / (2 * dx), 0.0), acc_m / (2 * dx))
+        """End-of-step cell average (pre-projection), as the step computes
+        it.  Step arrays hold a ray-speed slot per piece, the last one
+        unused, hence the padded speeds."""
+        e_r, e_m = _traces.cell_averages(
+            *self._packed(), self.kinds, self.pars,
+            np.append(self.speeds, 0.0), self.params, self.constants,
+            self.bundle.tables)
+        return GasState(max(e_r[0], 0.0), e_m[0])
 
 
 def cell_average(cell: CellSolution) -> GasState:
@@ -417,51 +387,51 @@ def initialize(u0, params: SchemeParameters, geom: NozzleGeometry,
     invariant-envelope bounds beyond the safety tolerance.
     """
     dx = params.dx
-    X = geom.X
-    extent = max(X, getattr(u0, "extent", X))
-    W0 = int(math.ceil(extent / dx))
+    extent = max(geom.X, getattr(u0, "extent", geom.X))
     # envelope check on a sample grid
     xs = np.linspace(-extent - 2 * dx, extent + 2 * dx, 2001)
     rho, m = u0.eval(xs)
-    worst = -1.0
-    worst_x = 0.0
-    for i in range(xs.size):
-        z, w = _k.invariants_k(float(rho[i]), float(m[i]), c.theta)
-        lo, up = envelope(params.M, b, xs[i])
-        v = max(float(lo) - z, w - float(up))
-        if v > worst:
-            worst = v
-            worst_x = xs[i]
-    if worst > safety * params.M:
+    z, w = _traces.invariants(rho, m, c.theta)
+    lo, up = envelope(params.M, b, xs)
+    viol = np.maximum(lo - z, w - up)
+    i = int(np.argmax(viol))
+    if viol[i] > safety * params.M:
         raise ConfigError(
-            f"initial data violate the invariant-envelope bounds by {worst:.3e} "
-            f"at x={worst_x:.6g}; increase M or rescale the data")
+            f"initial data violate the invariant-envelope bounds by "
+            f"{viol[i]:.3e} at x={xs[i]:.6g}; increase M or rescale the data")
 
+    js, er, em, mesh = initial_averages(u0, params, geom, cutoff)
+    r, mm, zz, ww, _stats = _traces.project(
+        np.maximum(er, 0.0), em, *envelope(params.M, b, js * dx), params, c)
+    return StaggeredState(n=0, j0=int(js[0]), rho=r, m=mm, z=zz, w=ww), mesh
+
+
+def initial_averages(u0, params: SchemeParameters, geom: NozzleGeometry,
+                     cutoff=True):
+    """Step-0 window: node indices js, the averages (rho, m) of the
+    (cut-off) initial data over [(j-1) dx, (j+1) dx], not projected, and
+    the mesh with its frozen ambient states."""
+    dx = params.dx
+    X = geom.X
+    extent = max(X, getattr(u0, "extent", X))
+    W0 = int(math.ceil(extent / dx))
     j_lo, j_hi = _window_bounds(0, W0)
     js = np.arange(j_lo, j_hi + 1, 2)
-    N = js.size
-    r = np.zeros(N)
-    mm = np.zeros(N)
-    zz = np.zeros(N)
-    ww = np.zeros(N)
+    er = np.zeros(js.size)
+    em = np.zeros(js.size)
     cut = X if cutoff else math.inf
     for i, j in enumerate(js):
         a_edge = (j - 1) * dx
         b_edge = (j + 1) * dx
         hi = min(b_edge, cut)
-        if hi <= a_edge:
-            er, em = 0.0, 0.0
-        else:
-            er, em = u0.average(a_edge, hi)
+        if hi > a_edge:
+            er[i], em[i] = u0.average(a_edge, hi)
             f = (hi - a_edge) / (b_edge - a_edge)
-            er *= f
-            em *= f
-        st = project_node(GasState(max(er, 0.0), em), int(j), params, b, c)
-        iv = to_invariants(st, c)
-        r[i], mm[i], zz[i], ww[i] = st.rho, st.m, iv.z, iv.w
+            er[i] *= f
+            em[i] *= f
     amb_r = GasState(0.0, 0.0) if cutoff else u0.ambient_right
     mesh = Mesh(W0=W0, ambient_left=u0.ambient_left, ambient_right=amb_r)
-    return StaggeredState(n=0, j0=int(js[0]), rho=r, m=mm, z=zz, w=ww), mesh
+    return js, er, em, mesh
 
 
 def select_M(u0, b: BoundFunction, c: GasConstants, safety=1.01,
@@ -472,11 +442,9 @@ def select_M(u0, b: BoundFunction, c: GasConstants, safety=1.01,
     xs = np.linspace(-extent - 1.0, extent + 1.0, n_samples)
     rho, m = u0.eval(xs)
     B = b.B(xs)
-    worst = 0.0
-    for i in range(xs.size):
-        z, w = _k.invariants_k(float(rho[i]), float(m[i]), c.theta)
-        worst = max(worst, -z * math.exp(float(B[i])),
-                    w * math.exp(-float(B[i])))
+    z, w = _traces.invariants(rho, m, c.theta)
+    worst = max(0.0, float(np.max(-z * _traces.exp(B))),
+                float(np.max(w * _traces.exp(-B))))
     if worst <= 0.0:
         worst = 1.0
     return safety * worst
@@ -499,22 +467,16 @@ def gather_neighbors(state: StaggeredState, jcells, mesh: Mesh):
     return lrho, lm, rrho, rm
 
 
-def advance(state: StaggeredState, params: SchemeParameters,
-            geom: NozzleGeometry, b: BoundFunction, c: GasConstants,
-            mesh: Mesh):
-    """One staggered step: build all cells, average, project.
+def _build_cells(jcells, neighbors, n, params: SchemeParameters,
+                 bundle: KernelBundle, c: GasConstants):
+    """Pass A (the cell Riemann solves and piece capacities), allocation of
+    the packed record, pass B (the cell constructions).
 
-    Returns (new_state, StepRecord).  Deterministic: cells are independent
-    and assembled in index order.
+    ``neighbors`` are the (lrho, lm, rrho, rm) arrays of the cells centred
+    at jcells.  Returns (offs, kinds, pars, spds, fflag, ncount, ccase,
+    csub, cclamp); raises CellBuildError for the first cell that failed.
     """
-    bundle = get_bundle(geom, b)
-    n = state.n
-    j_lo, j_hi = _window_bounds(n + 1, mesh.W0)
-    jcells = np.arange(j_lo, j_hi + 1, 2, dtype=np.int64)
     C = jcells.size
-
-    neighbors = gather_neighbors(state, jcells, mesh)
-
     par = params.par_array(c)
     rsols = np.empty((C, _k.RSOL_LEN))
     caps = np.empty(C, dtype=np.int64)
@@ -540,7 +502,24 @@ def advance(state: StaggeredState, params: SchemeParameters,
         code = int(cerr[ci])
         raise CellBuildError(int(jcells[ci]), n, code,
                              _ERR_MSG.get(code, "cell construction failed"))
+    return offs, kinds, pars, spds, fflag, ncount, ccase, csub, cclamp
 
+
+def advance(state: StaggeredState, params: SchemeParameters,
+            geom: NozzleGeometry, b: BoundFunction, c: GasConstants,
+            mesh: Mesh):
+    """One staggered step: build all cells, average, project.
+
+    Returns (new_state, StepRecord).  Deterministic: cells are independent
+    and assembled in index order.
+    """
+    bundle = get_bundle(geom, b)
+    n = state.n
+    j_lo, j_hi = _window_bounds(n + 1, mesh.W0)
+    jcells = np.arange(j_lo, j_hi + 1, 2, dtype=np.int64)
+    (offs, kinds, pars, spds, fflag, ncount, ccase, csub,
+     cclamp) = _build_cells(jcells, gather_neighbors(state, jcells, mesh), n,
+                            params, bundle, c)
     out_rho, out_m, out_z, out_w, stats = _traces.average_project(
         jcells, offs, ncount, kinds, pars, spds, params, c, bundle.tables)
     new_state = StaggeredState(n=n + 1, j0=int(jcells[0]), rho=out_rho,
@@ -554,43 +533,19 @@ def advance(state: StaggeredState, params: SchemeParameters,
     return new_state, record
 
 
-def _build_single(u_left: GasState, u_right: GasState, j, n,
-                  params: SchemeParameters, geom, b, c) -> CellSolution:
+def build_cell(u_left, u_right, j, n, params, geom, b, c) -> CellSolution:
+    """Construct one cell, dispatching on rho_M vs dx^beta automatically."""
     bundle = get_bundle(geom, b)
-    par = params.par_array(c)
-    jcells = np.array([j], dtype=np.int64)
-    rsols = np.empty((1, _k.RSOL_LEN))
-    caps = np.empty(1, dtype=np.int64)
-    _k.build_step_pass_a(jcells, np.array([u_left.rho]), np.array([u_left.m]),
-                         np.array([u_right.rho]), np.array([u_right.m]),
-                         par, rsols, caps)
-    total = int(caps[0])
-    kinds = np.zeros(total, dtype=np.int64)
-    pars = np.zeros((total, 6))
-    spds = np.zeros(total)
-    fflag = np.zeros(total, dtype=np.int64)
-    ncount = np.zeros(1, dtype=np.int64)
-    ccase = np.zeros(1, dtype=np.int64)
-    csub = np.zeros(1, dtype=np.int64)
-    cclamp = np.zeros(1, dtype=np.int64)
-    cerr = np.zeros(1, dtype=np.int64)
-    offs = np.array([0, total], dtype=np.int64)
-    _k.build_step_pass_b(jcells, rsols, offs, par, bundle.geo,
-                         bundle.geo_reflected, kinds, pars, spds, fflag,
-                         ncount, ccase, csub, cclamp, cerr)
-    if cerr[0] != 0:
-        code = int(cerr[0])
-        raise CellBuildError(j, n, code, _ERR_MSG.get(code, "build failed"))
+    neighbors = tuple(np.array([v]) for v in (u_left.rho, u_left.m,
+                                              u_right.rho, u_right.m))
+    (_offs, kinds, pars, spds, fflag, ncount, ccase, csub,
+     _cclamp) = _build_cells(np.array([j], dtype=np.int64), neighbors, n,
+                             params, bundle, c)
     nn = int(ncount[0])
     return CellSolution(j=j, n=n, params=params, constants=c, bundle=bundle,
                         kinds=kinds[:nn], pars=pars[:nn], speeds=spds[:nn - 1],
                         is_front=fflag[:nn - 1], case=int(ccase[0]),
                         subcase=int(csub[0]))
-
-
-def build_cell(u_left, u_right, j, n, params, geom, b, c) -> CellSolution:
-    """Construct one cell, dispatching on rho_M vs dx^beta automatically."""
-    return _build_single(u_left, u_right, j, n, params, geom, b, c)
 
 
 def build_cell_vacuum(u_left, u_right, j, n, params, geom, b, c) -> CellSolution:
@@ -601,7 +556,7 @@ def build_cell_vacuum(u_left, u_right, j, n, params, geom, b, c) -> CellSolution
         raise ValueError(
             f"middle density {packed[4]} above the vacuum threshold "
             f"{params.dx ** params.beta}")
-    return _build_single(u_left, u_right, j, n, params, geom, b, c)
+    return build_cell(u_left, u_right, j, n, params, geom, b, c)
 
 
 def run(u0, params: SchemeParameters, geom: NozzleGeometry, b: BoundFunction,

@@ -10,12 +10,12 @@ from nozzleflow import (EnergyMonitor, GasConstants, GasState,
                         RecurrenceAuditor, advance, correction_R,
                         initialize, mechanical_pair, run, select_M,
                         total_energy_nodes, total_energy_trace)
-from nozzleflow.diagnostics import envelope_violation
+from nozzleflow.diagnostics import envelope_violation, node_areas
 from nozzleflow.initialdata import (GaussianBumpData, RiemannStepData,
                                     TableData)
 from nozzleflow.nozzle import (BoundFunction, NozzleGeometry,
                                admissibility_constants, get_bundle)
-from nozzleflow.scheme import SchemeParameters
+from nozzleflow.scheme import SchemeParameters, StaggeredState
 
 C14 = GasConstants.for_gamma(1.4)
 
@@ -149,6 +149,48 @@ class TestTotalEnergy:
             return r
         want = quad(rho_of, a, bb, limit=100, epsabs=1e-13)[0]
         assert got[0] == pytest.approx(want, abs=1e-9)
+
+
+class TestNodeAreas:
+    @pytest.mark.parametrize("geom", [
+        NozzleGeometry.bump(0.15), NozzleGeometry.laval(0.3),
+        NozzleGeometry.from_table([-1.0, -0.3, 0.2, 1.0],
+                                  [1.0, 0.8, 0.7, 1.1])],
+        ids=["bump", "laval", "table"])
+    def test_match_adaptive_quadrature(self, geom):
+        dx = 0.02
+        b = BoundFunction.zero()
+        params = SchemeParameters.create(dx=dx, M=6.0, b=b, T=0.0, c=C14)
+        js = np.arange(-131, 132, 2)
+        st = StaggeredState(n=1, j0=int(js[0]), rho=np.zeros(js.size),
+                            m=np.zeros(js.size), z=None, w=None)
+        got = node_areas(st, params, get_bundle(geom, b))
+        for j, area in zip(js.tolist(), got.tolist()):
+            lo, hi = (j - 1) * dx, (j + 1) * dx
+            pts = [p for p in geom.IA_pp.x if lo < p < hi] or None
+            want = quad(lambda x: float(geom.A(x)), lo, hi, points=pts,
+                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            assert area == pytest.approx(want, rel=1e-12)
+
+    def test_equal_to_panel_loop(self):
+        # the per-node scalar loop the whole-array areas replaced, bit for bit
+        geom, dx = NozzleGeometry.laval(0.3), 0.02
+        tables = get_bundle(geom, BoundFunction.zero()).tables
+        xs, c = _k.pack_ppoly(*tables["IA"])
+        js = np.arange(-131, 132, 2)
+        got = _traces.node_areas(js, dx, geom.A0, tables)
+        for j, area in zip(js.tolist(), got.tolist()):
+            a = (j - 1) * dx
+            step = ((j + 1) * dx - a) / 4.0
+            half = 0.5 * step
+            want = 0.0
+            for p in range(4):
+                xm = a + p * step + half
+                for g in range(5):
+                    x = xm + half * _k._G5X[g]
+                    A = geom.A0 * math.exp(-_k.ppoly_eval(xs, c, x))
+                    want += _k._G5W[g] * A * half
+            assert area == want
 
 
 def _run_monitored(u0, geom, b, steps, dx, M=None, slack_coeff=1.0,

@@ -6,12 +6,15 @@ from scipy.integrate import quad
 from scipy.interpolate import PPoly
 
 import nozzleflow._kernels as _k
+import nozzleflow._traces as _traces
+from nozzleflow import nozzle
 from nozzleflow import (GasConstants, GasState, admissibility_constants,
                         envelope, steady_profile, time_correct,
                         vacuum_decay_profile, validate_condition)
 from nozzleflow.gas import from_invariants, to_invariants, InvariantPair
-from nozzleflow.nozzle import (BoundFunction, NozzleGeometry,
+from nozzleflow.nozzle import (BoundFunction, NozzleGeometry, get_bundle,
                                load_geometry_table, reflect_ppoly)
+from nozzleflow.scheme import SchemeParameters
 
 C14 = GasConstants.for_gamma(1.4)
 
@@ -408,3 +411,63 @@ class TestKernelLookup:
                                   rng.uniform(xs[0] - 1, xs[-1] + 1, 200)])
             for x in pts.tolist():
                 assert _k.ppoly_eval(pxs, pc, x) == _ppoly_reference(xs, c, x)
+
+
+class TestOneEnvelope:
+    @pytest.mark.parametrize("geom", [NozzleGeometry.bump(0.11),
+                                      NozzleGeometry.laval(0.09)],
+                             ids=["bump", "laval"])
+    def test_envelope_is_the_step_clamp(self, geom):
+        # every cell holds a state outside both bounds, so the step's
+        # projection returns the bounds it clamps to as the invariants
+        dx, M = 0.005, 2.0
+        b = BoundFunction.auto_for(geom, admissibility_constants(C14), dx=dx)
+        params = SchemeParameters.create(dx=dx, M=M, b=b, T=0.0, c=C14)
+        jcells = np.arange(-600, 601, 2, dtype=np.int64)
+        C = jcells.size
+        pars = np.zeros((C, 6))
+        pars[:, 0] = 1.0
+        rho, m, z, w, stats = _traces.average_project(
+            jcells, np.arange(C + 1), np.ones(C, dtype=np.int64),
+            np.full(C, _k.K_CONST), pars, np.zeros(C), params, C14,
+            get_bundle(geom, b).tables)
+        assert stats[0] == C and stats[3] == 0 and np.all(rho > 0.0)
+        lo, up = envelope(M, b, jcells * dx)
+        assert np.array_equal(z, lo)
+        assert np.array_equal(w, up)
+
+    @pytest.mark.parametrize("geom", [NozzleGeometry.bump(0.11),
+                                      NozzleGeometry.laval(0.09)],
+                             ids=["bump", "laval"])
+    def test_near_vacuum_floor_is_the_lower_bound(self, geom):
+        # pass B's near-vacuum construction floors z at -M e^{-B(x)},
+        # evaluated in the scalar kernel: it must equal the envelope
+        M = 2.0
+        b = BoundFunction.auto_for(geom, admissibility_constants(C14),
+                                   dx=0.005)
+        geo = get_bundle(geom, b).geo
+        xs = np.arange(-601, 602, 2) * 0.005
+        lo, _up = envelope(M, b, xs)
+        assert [-M * math.exp(-_k.geo_B(geo, x)) for x in xs.tolist()] \
+            == lo.tolist()
+
+    def test_scalar_and_array_agree(self):
+        geom = NozzleGeometry.laval(0.09)
+        b = BoundFunction.auto_for(geom, admissibility_constants(C14),
+                                   dx=0.02)
+        xs = np.linspace(-1.5, 1.5, 31)
+        lo, up = envelope(1.5, b, xs)
+        for i, x in enumerate(xs.tolist()):
+            assert envelope(1.5, b, x) == (lo[i], up[i])
+
+
+class TestBundleMemo:
+    def test_keeps_latest_bundle_only(self):
+        b = BoundFunction.zero()
+        g1, g2 = NozzleGeometry.bump(0.1), NozzleGeometry.laval(0.1)
+        first = get_bundle(g1, b)
+        assert get_bundle(g1, b) is first
+        second = get_bundle(g2, b)
+        assert len(nozzle._BUNDLE_MEMO) == 1
+        assert second.geom is g2
+        assert get_bundle(g2, b) is second

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import nozzleflow._kernels as _k
+import nozzleflow._traces as _traces
 from nozzleflow import (ConfigError, GasConstants, GasState, advance,
                         build_cell, build_cell_vacuum, build_fan,
                         cell_average, entropy_admissible, initialize,
@@ -16,7 +17,7 @@ from nozzleflow.initialdata import (GaussianBumpData, RiemannStepData,
                                     TableData)
 from nozzleflow.nozzle import (BoundFunction, NozzleGeometry,
                                admissibility_constants, envelope,
-                               steady_profile)
+                               get_bundle, steady_profile)
 from nozzleflow.scheme import SchemeParameters
 
 C14 = GasConstants.for_gamma(1.4)
@@ -158,6 +159,33 @@ class TestProjectNode:
         thr = params.dx ** params.delta
         got = project_node(GasState(thr / 2, 0.0), 0, params, b, C14)
         assert got.is_vacuum
+
+    def test_matches_step_projection(self):
+        # one constant cell per outcome: unclamped, w clamped, inverted by
+        # the clamp (z above the upper bound), below dx^delta
+        geom = NozzleGeometry.bump(0.15, X=1.0)
+        b = BoundFunction.auto_for(geom, admissibility_constants(C14),
+                                   dx=0.02)
+        params = SchemeParameters.create(dx=0.02, M=6.0, b=b, T=0.0, c=C14)
+        states = [GasState.from_primitive(1.0, 0.2),
+                  GasState.from_primitive(1.0, 1.5),
+                  GasState.from_primitive(0.01, 12.0),
+                  GasState(0.5 * params.dx ** params.delta, 0.0)]
+        jcells = np.array([-10, -4, 0, 6], dtype=np.int64)
+        C = jcells.size
+        pars = np.zeros((C, 6))
+        pars[:, 0] = [u.rho for u in states]
+        pars[:, 1] = [u.m for u in states]
+        packed = (jcells, np.arange(C + 1), np.ones(C, dtype=np.int64),
+                  np.full(C, _k.K_CONST), pars, np.zeros(C), params, C14,
+                  get_bundle(geom, b).tables)
+        e_r, e_m = _traces.cell_averages(*packed)
+        rho, m, _z, _w, stats = _traces.average_project(*packed)
+        assert list(stats[[0, 1, 3]]) == [2, 1, 1]
+        assert rho[0] == e_r[0] and rho[2] == 0.0 and rho[3] == 0.0
+        for i, j in enumerate(jcells.tolist()):
+            got = project_node(GasState(e_r[i], e_m[i]), j, params, b, C14)
+            assert (got.rho, got.m) == (rho[i], m[i])
 
 
 class TestInitialize:
