@@ -525,20 +525,6 @@ def raref2_state_k(xi, z0, theta):
 
 
 @njit
-def z_of(rho, m, theta):
-    if rho < RHO_FLOOR:
-        return 0.0
-    return m / rho - kfun(rho, theta)
-
-
-@njit
-def w_of(rho, m, theta):
-    if rho < RHO_FLOOR:
-        return 0.0
-    return m / rho + kfun(rho, theta)
-
-
-@njit
 def riemann_sample_k(rsol, xi, theta):
     """Sample the packed Riemann solution at similarity coordinate xi.
 
@@ -550,12 +536,12 @@ def riemann_sample_k(rsol, xi, theta):
     if xi < rsol[8]:
         return rsol[0], rsol[1]
     if k1 == W_RAREF and xi < rsol[9]:
-        w0 = w_of(rsol[0], rsol[1], theta)
+        w0 = invariants_k(rsol[0], rsol[1], theta)[1]
         return raref1_state_k(xi, w0, theta)
     if xi < rsol[10]:
         return rsol[4], rsol[4] * rsol[5]
     if k2 == W_RAREF and xi < rsol[11]:
-        z0 = z_of(rsol[2], rsol[3], theta)
+        z0 = invariants_k(rsol[2], rsol[3], theta)[0]
         return raref2_state_k(xi, z0, theta)
     return rsol[2], rsol[3]
 
@@ -1151,7 +1137,7 @@ def flatten_riemann_k(rsol, xc, clip_lo, clip_hi, theta,
         nb += 1
         segk[ns] = K_RAREF1
         segp[ns, 0] = xc
-        segp[ns, 1] = w_of(rl, ml, theta)
+        segp[ns, 1] = invariants_k(rl, ml, theta)[1]
         ns += 1
         bspd[nb] = rsol[9]
         bfr[nb] = 0
@@ -1174,7 +1160,7 @@ def flatten_riemann_k(rsol, xc, clip_lo, clip_hi, theta,
         nb += 1
         segk[ns] = K_RAREF2
         segp[ns, 0] = xc
-        segp[ns, 1] = z_of(rr, mr, theta)
+        segp[ns, 1] = invariants_k(rr, mr, theta)[0]
         ns += 1
         bspd[nb] = rsol[11]
         bfr[nb] = 0

@@ -1,5 +1,6 @@
 """Whole-array evaluation of a step's cell traces: averaging, the invariant
-envelope and projection, node areas and the diagnostics.
+envelope and projection, node areas, the recurrence correction R and the
+diagnostics.
 
 The cell averages and the diagnostics integrate the in-cell solutions of a
 step at thousands of quadrature nodes.  Here all nodes of all cells are
@@ -9,9 +10,9 @@ the package's only implementations of those quantities, and scalar callers
 pass one-element arrays.  The formulas, their order of operations and the
 order of every sum are those of the scalar kernels in
 :mod:`nozzleflow._kernels` (``eval_piece``, ``eta_q_k``, ``flux_k``,
-``invariants_k``, ``state_k``), and ``exp`` and ``log`` are ``math``'s,
-applied element by element, so the results equal the scalar kernels' bit
-for bit.
+``invariants_k``, ``state_k``), and ``exp``, ``log`` and integer powers are
+``math``'s and Python's, applied element by element, so the results equal
+the scalar kernels' bit for bit.
 """
 
 import math
@@ -56,6 +57,12 @@ def _pow(x, e):
         logs = np.fromiter(map(math.log, x[pos].tolist()), float, pos.size)
         out[pos] = exp(e * logs)
     return out
+
+
+def _ipow(x, k):
+    """Python's ``x ** k`` of a 1-D array, element by element: NumPy's
+    integer powers may round differently (``x**2`` included)."""
+    return np.fromiter((v ** k for v in x.tolist()), float, x.size)
 
 
 def _state(z, w, theta):
@@ -329,6 +336,33 @@ def cell_aq_integrals(record):
             acc = (acc + _G3W[g] * ppoly_values(tables["a"], x)
                    * energy_flux(rho, m, c.gamma))
         np.add.at(out, pcs.cell[sel], wt * acc * half)
+    return out
+
+
+def correction_R(x, rho, m, params, c, tables):
+    """The three-term correction R(x, u) of the energy recurrence at the
+    states (rho, m) and points x; zero at vacuum (rho = 0).  Every b-term
+    is odd in m, the a-term is even (it cancels pairwise in the
+    straight-duct recurrence)."""
+    g, th = c.gamma, c.theta
+    dx, dt = params.dx, params.dt
+    out = np.zeros(x.shape)
+    live = np.nonzero(rho != 0.0)[0]
+    x, rho, m = x[live], rho[live], m[live]
+    bx = ppoly_values(tables["b"], x)
+    ax = ppoly_values(tables["a"], x)
+    rt = _pow(rho, th)
+    m3 = _ipow(m, 3)
+    t1 = -(dx / (4.0 * dt)) * bx * (
+        3.0 / (g - 1.0) * rt * m + m3 / (2.0 * _pow(rho, th + 2.0)))
+    t2 = (dt / (4.0 * dx)) * ax * (
+        g / (g - 1.0) * _pow(rho, 2.0 * th) * m * m / rho
+        + 0.5 * _ipow(m, 4) / _ipow(rho, 3))
+    t3 = -(dt / (4.0 * dx)) * bx * (
+        (g + th + 1.0) / ((g - 1.0) * th) * m * _pow(rho, 3.0 * th)
+        + (g + 3.0 * th + 4.0) / (2.0 * th) * m3 * rt / _ipow(rho, 2)
+        + _ipow(m, 5) / (2.0 * _pow(rho, th + 4.0)))
+    out[live] = t1 + t2 + t3
     return out
 
 

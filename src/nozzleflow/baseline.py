@@ -11,7 +11,7 @@ import numpy as np
 
 from . import _kernels as _k
 from . import _traces
-from .diagnostics import node_areas
+from .diagnostics import node_areas, total_energy_nodes, total_mass_nodes
 from .gas import GasConstants
 from .nozzle import BoundFunction, NozzleGeometry, get_bundle
 from .scheme import (SchemeParameters, StaggeredState, _window_bounds,
@@ -38,27 +38,25 @@ def run_baseline(u0, params: SchemeParameters, geom: NozzleGeometry,
     # the baseline carries no invariants
     state = StaggeredState(n=0, j0=int(js[0]), rho=rho, m=m, z=None, w=None)
     neg = 0
-
-    def totals(state):
-        r = np.maximum(state.rho, 0.0)
-        eta, _q = _traces.eta_q(r, state.m, g)
-        areas = node_areas(state, params, bundle)
-        return (_traces.sequential_sum(eta * areas),
-                _traces.sequential_sum(r * areas))
+    energy = []
+    mass = []
 
     def source(a, rho, m):
         with np.errstate(divide="ignore", invalid="ignore"):
             return (np.where(rho > 0, a * m, 0.0),
                     np.where(rho > 0, a * m * m / rho, 0.0))
 
+    def record(state):
+        """Append the node totals of a state; pass it to the snapshot
+        callback."""
+        areas = node_areas(state, params, bundle)
+        energy.append(total_energy_nodes(state, geom, b, c, params, areas))
+        mass.append(total_mass_nodes(state, geom, b, c, params, areas))
+        if snapshot_cb is not None:
+            snapshot_cb(state.n, state.js * dx, state.rho, state.m)
+
     N = params.n_steps
-    ns = [0]
-    ts = [0.0]
-    e0, m0 = totals(state)
-    energy = [e0]
-    mass = [m0]
-    if snapshot_cb is not None:
-        snapshot_cb(0, js * dx, rho, m)
+    record(state)
     for n in range(N):
         j_lo, j_hi = _window_bounds(n + 1, mesh.W0)
         js = np.arange(j_lo, j_hi + 1, 2)
@@ -79,13 +77,8 @@ def run_baseline(u0, params: SchemeParameters, geom: NozzleGeometry,
         m = np.where(floor, 0.0, m)
         state = StaggeredState(n=n + 1, j0=int(js[0]), rho=rho, m=m, z=None,
                                w=None)
-        e, ms = totals(state)
-        ns.append(n + 1)
-        ts.append((n + 1) * dt)
-        energy.append(e)
-        mass.append(ms)
-        if snapshot_cb is not None:
-            snapshot_cb(n + 1, js * dx, rho, m)
-    series = BaselineSeries(np.array(ns), np.array(ts), np.array(energy),
-                            np.array(mass), neg)
+        record(state)
+    ns = np.arange(N + 1)
+    series = BaselineSeries(ns, ns * dt, np.array(energy), np.array(mass),
+                            neg)
     return js * dx, rho, m, series

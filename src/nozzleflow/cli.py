@@ -10,6 +10,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -207,10 +209,8 @@ class SnapshotWriter:
     """Per-node CSV snapshots every `stride` steps, in both modes: an
     observer of the modified scheme and the baseline's snapshot callback."""
 
-    def __init__(self, cfg: RunConfig, mode_tag):
+    def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.mode_tag = mode_tag
-        self.files = []
 
     def write(self, n, xs, rho, m, z, w):
         """One snapshot: a row per node, with the envelope bounds at x."""
@@ -218,15 +218,11 @@ class SnapshotWriter:
         lo, up = envelope(cfg.params.M, cfg.bound, xs)
         with np.errstate(divide="ignore", invalid="ignore"):
             v = np.where(rho > 0, m / rho, 0.0)
-        t = n * cfg.params.dt
-        path = os.path.join(cfg.out_dir,
-                            f"snapshot_{self.mode_tag}_{n:05d}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,x,rho,m,v,z,w,lower,upper\n")
-            for row in zip(*(col.tolist() for col in
-                             (xs, rho, m, v, z, w, lo, up))):
-                fh.write(",".join(map(_fmt, (t,) + row)) + "\n")
-        self.files.append(path)
+        path = os.path.join(cfg.out_dir, f"snapshot_{cfg.mode}_{n:05d}.csv")
+        cols = (col.tolist() for col in (xs, rho, m, v, z, w, lo, up))
+        _write_csv(path, "t,x,rho,m,v,z,w,lower,upper",
+                   ",".join(["%.17g"] * 9),
+                   zip(repeat(n * cfg.params.dt), *cols))
 
     def on_start(self, state, ctx):
         self._emit(state)
@@ -247,17 +243,19 @@ class SnapshotWriter:
             self.write(n, xs, rho, m, z, w)
 
 
-def _write_energy_series(path, rows):
+# the columns of energy_modified.csv: EnergyReport fields
+_ENERGY_COLUMNS = ("n", "t", "total_energy", "total_mass", "energy_bound",
+                   "slack", "clamp_count", "vacuum_count", "max_rh_residual",
+                   "max_envelope_violation", "max_pre_violation", "jump_sum")
+
+
+def _write_csv(path, header, row_fmt, rows):
+    """The package's one CSV writer: the header line, then ``row_fmt % row``
+    for every row (floats as ``%.17g``, step numbers as ``%d``)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,t,total_energy,total_mass,energy_bound,slack,"
-                 "clamp_count,vacuum_count,max_rh_residual,"
-                 "max_envelope_violation,max_pre_violation,jump_sum\n")
-        for r in rows:
-            fh.write(",".join([str(r.n)] + [_fmt(v) for v in
-                     (r.t, r.total_energy, r.total_mass, r.energy_bound,
-                      r.slack, r.clamp_count, r.vacuum_count,
-                      r.max_rh_residual, r.max_envelope_violation,
-                      r.max_pre_violation, r.jump_sum)]) + "\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row_fmt % row + "\n")
 
 
 def _maybe_write_comparison(out_dir):
@@ -268,15 +266,13 @@ def _maybe_write_comparison(out_dir):
     rows_m = np.genfromtxt(pm, delimiter=",", names=True)
     rows_b = np.genfromtxt(pb, delimiter=",", names=True)
     n = min(rows_m.shape[0], rows_b.shape[0])
+    e_m = rows_m["total_energy"][:n]
+    e_b = rows_b["total_energy"][:n]
     path = os.path.join(out_dir, "energy_comparison.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,t,energy_modified,energy_baseline,difference\n")
-        for i in range(n):
-            fh.write(",".join([str(int(rows_m["n"][i]))] + [_fmt(v) for v in
-                     (rows_m["t"][i], rows_m["total_energy"][i],
-                      rows_b["total_energy"][i],
-                      rows_m["total_energy"][i] - rows_b["total_energy"][i])])
-                     + "\n")
+    _write_csv(path, "n,t,energy_modified,energy_baseline,difference",
+               "%d" + ",%.17g" * 4,
+               zip(*(col.tolist() for col in (rows_m["n"][:n], rows_m["t"][:n],
+                                              e_m, e_b, e_m - e_b))))
     return path
 
 
@@ -290,17 +286,14 @@ def cmd_run(cfg: RunConfig, quiet=False):
         print("admissibility condition failed; aborting", file=sys.stderr)
         return 1
 
+    writer = SnapshotWriter(cfg)
     if cfg.mode == "baseline-lf":
         _xs, _rho, _m, series = run_baseline(
             cfg.initial, cfg.params, cfg.geometry, cfg.bound, cfg.constants,
-            cutoff=cfg.cutoff, snapshot_cb=SnapshotWriter(cfg, "baseline-lf"))
-        path = os.path.join(cfg.out_dir, "energy_baseline-lf.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("n,t,total_energy,total_mass\n")
-            for i in range(series.ns.size):
-                fh.write(",".join([str(int(series.ns[i]))] + [_fmt(v) for v in
-                         (series.ts[i], series.energy[i], series.mass[i])])
-                         + "\n")
+            cutoff=cfg.cutoff, snapshot_cb=writer)
+        columns = ("n", "t", "total_energy", "total_mass")
+        rows = zip(*(col.tolist() for col in
+                     (series.ns, series.ts, series.energy, series.mass)))
         summary = {
             "mode": "baseline-lf",
             "note": "plain staggered Lax-Friedrichs comparison baseline; "
@@ -310,53 +303,50 @@ def cmd_run(cfg: RunConfig, quiet=False):
             "final_energy": series.energy[-1],
             "initial_energy": series.energy[0],
         }
-        with open(os.path.join(cfg.out_dir, "audit_baseline-lf.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-        _maybe_write_comparison(cfg.out_dir)
-        if not quiet:
-            print(f"baseline-lf run complete: {series.ns[-1]} steps, "
-                  f"energy {series.energy[0]:.6g} -> {series.energy[-1]:.6g}")
-        return 0
-
-    monitor = EnergyMonitor()
-    auditor = RecurrenceAuditor(slack_coeff=cfg.audit_slack)
-    writer = SnapshotWriter(cfg, "modified")
-    state, mesh = run(cfg.initial, cfg.params, cfg.geometry, cfg.bound,
-                      cfg.constants, observers=(monitor, auditor, writer),
-                      cutoff=cfg.cutoff)
-    _write_energy_series(os.path.join(cfg.out_dir, "energy_modified.csv"),
-                         monitor.reports)
-    worst_env = max(r.max_envelope_violation for r in monitor.reports)
-    worst_rh = max(r.max_rh_residual for r in monitor.reports)
-    summary = {
-        "mode": "modified",
-        "steps": cfg.params.n_steps,
-        "dx": cfg.params.dx,
-        "dt": cfg.params.dt,
-        "M": cfg.M,
-        "min_energy_slack": monitor.min_slack,
-        "max_envelope_violation": worst_env,
-        "max_rh_residual": worst_rh,
-        "max_pre_projection_violation":
-            max(r.max_pre_violation for r in monitor.reports),
-        "clamp_events": sum(r.clamp_count for r in monitor.reports),
-        "vacuum_events": sum(r.vacuum_count for r in monitor.reports),
-        "worst_recurrence_violation_raw": auditor.worst_raw,
-        "worst_recurrence_violation_slacked": auditor.worst_slacked,
-        "jump_sum": monitor.reports[-1].jump_sum,
-        "jump_flag": bool(any(r.jump_flag for r in monitor.reports)),
-    }
-    with open(os.path.join(cfg.out_dir, "audit_modified.json"), "w",
+        hard_fail = False
+        message = (f"baseline-lf run complete: {series.ns[-1]} steps, "
+                   f"energy {series.energy[0]:.6g} -> "
+                   f"{series.energy[-1]:.6g}")
+    else:
+        monitor = EnergyMonitor()
+        auditor = RecurrenceAuditor(slack_coeff=cfg.audit_slack)
+        run(cfg.initial, cfg.params, cfg.geometry, cfg.bound, cfg.constants,
+            observers=(monitor, auditor, writer), cutoff=cfg.cutoff)
+        columns = _ENERGY_COLUMNS
+        rows = map(attrgetter(*columns), monitor.reports)
+        worst_env = max(r.max_envelope_violation for r in monitor.reports)
+        worst_rh = max(r.max_rh_residual for r in monitor.reports)
+        summary = {
+            "mode": "modified",
+            "steps": cfg.params.n_steps,
+            "dx": cfg.params.dx,
+            "dt": cfg.params.dt,
+            "M": cfg.M,
+            "min_energy_slack": monitor.min_slack,
+            "max_envelope_violation": worst_env,
+            "max_rh_residual": worst_rh,
+            "max_pre_projection_violation":
+                max(r.max_pre_violation for r in monitor.reports),
+            "clamp_events": sum(r.clamp_count for r in monitor.reports),
+            "vacuum_events": sum(r.vacuum_count for r in monitor.reports),
+            "worst_recurrence_violation_raw": auditor.worst_raw,
+            "worst_recurrence_violation_slacked": auditor.worst_slacked,
+            "jump_sum": monitor.reports[-1].jump_sum,
+            "jump_flag": bool(any(r.jump_flag for r in monitor.reports)),
+        }
+        hard_fail = worst_env > 0.0 or worst_rh > RH_HARD_THRESHOLD
+        message = (f"modified run complete: {cfg.params.n_steps} steps, "
+                   f"min slack {monitor.min_slack:.3e}, "
+                   f"max RH residual {worst_rh:.3e}, "
+                   f"envelope violation {worst_env:.3e}")
+    _write_csv(os.path.join(cfg.out_dir, f"energy_{cfg.mode}.csv"),
+               ",".join(columns), "%d" + ",%.17g" * (len(columns) - 1), rows)
+    with open(os.path.join(cfg.out_dir, f"audit_{cfg.mode}.json"), "w",
               encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     _maybe_write_comparison(cfg.out_dir)
-    hard_fail = worst_env > 0.0 or worst_rh > RH_HARD_THRESHOLD
     if not quiet:
-        print(f"modified run complete: {cfg.params.n_steps} steps, "
-              f"min slack {monitor.min_slack:.3e}, "
-              f"max RH residual {worst_rh:.3e}, "
-              f"envelope violation {worst_env:.3e}")
+        print(message)
         if hard_fail:
             print("AUDIT HARD FAILURE", file=sys.stderr)
     return 2 if hard_fail else 0

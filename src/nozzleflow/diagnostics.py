@@ -12,6 +12,11 @@ int A(x) rho dx (node and trace variants), the per-node recurrence
 and bookkeeping counters (projection clamps, vacuum-threshold events,
 half-time Rankine-Hugoniot residuals, the accumulated squared time jumps
 of the traces).
+
+The monitors read what the step built: the neighbour states, the cell
+records, the parameters and the geometry bundle of its ``StepRecord``.  The
+quantities themselves (R, the area term, node areas, the envelope) are
+whole-array code in :mod:`nozzleflow._traces`.
 """
 
 import math
@@ -19,12 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as _k
 from . import _traces
 from .gas import GasConstants, GasState
 from .nozzle import BoundFunction, NozzleGeometry, envelope, get_bundle
-from .scheme import (Mesh, SchemeParameters, StaggeredState, StepRecord,
-                     gather_neighbors)
+from .scheme import SchemeParameters, StaggeredState, StepRecord
 
 
 @dataclass
@@ -63,30 +66,15 @@ class RecurrenceAudit:
 
 def correction_R(x, u: GasState, params: SchemeParameters,
                  geom: NozzleGeometry, b: BoundFunction, c: GasConstants):
-    """The three-term correction entering the energy recurrence.
+    """The three-term correction entering the energy recurrence at one
+    point: :func:`nozzleflow._traces.correction_R` of one-element arrays.
 
     Vacuum states contribute zero; every b-term is odd in m, the a-term is
     even (it cancels pairwise in the straight-duct recurrence).
     """
-    if u.is_vacuum:
-        return 0.0
-    g = c.gamma
-    th = c.theta
-    rho, m = u.rho, u.m
-    geo = get_bundle(geom, b).geo
-    bx = _k.geo_b(geo, x)
-    ax = _k.geo_a(geo, x)
-    rt = _k.pow_g(rho, th)
-    t1 = -(params.dx / (4.0 * params.dt)) * bx * (
-        3.0 / (g - 1.0) * rt * m + m ** 3 / (2.0 * _k.pow_g(rho, th + 2.0)))
-    t2 = (params.dt / (4.0 * params.dx)) * ax * (
-        g / (g - 1.0) * _k.pow_g(rho, 2.0 * th) * m * m / rho
-        + 0.5 * m ** 4 / rho ** 3)
-    t3 = -(params.dt / (4.0 * params.dx)) * bx * (
-        (g + th + 1.0) / ((g - 1.0) * th) * m * _k.pow_g(rho, 3.0 * th)
-        + (g + 3.0 * th + 4.0) / (2.0 * th) * m ** 3 * rt / rho ** 2
-        + m ** 5 / (2.0 * _k.pow_g(rho, th + 4.0)))
-    return t1 + t2 + t3
+    x, rho, m = (np.array([v], dtype=float) for v in (x, u.rho, u.m))
+    return float(_traces.correction_R(x, rho, m, params, c,
+                                      get_bundle(geom, b).tables)[0])
 
 
 def node_areas(state: StaggeredState, params: SchemeParameters, bundle):
@@ -130,29 +118,23 @@ def envelope_violation(state: StaggeredState, params: SchemeParameters,
     return max(0.0, float(viol.max())) if viol.size else 0.0
 
 
-def audit_recurrence(record: StepRecord, state_n: StaggeredState,
-                     state_np1: StaggeredState, geom: NozzleGeometry,
-                     b: BoundFunction, c: GasConstants, mesh: Mesh,
+def audit_recurrence(record: StepRecord, state_np1: StaggeredState,
                      slack_coeff=1.0) -> RecurrenceAudit:
-    """Evaluate both sides of the energy recurrence at every new node."""
-    params = record.params
+    """Evaluate both sides of the energy recurrence at every new node (the
+    record's cells, in order), from the neighbour states the step used."""
+    params, c = record.params, record.constants
     dx, dt = params.dx, params.dt
     jc = record.jcells
-    lrho, lm, rrho, rm = gather_neighbors(state_n, jc, mesh)
-    i_new = np.array([state_np1.index_of(j) for j in jc.tolist()], dtype=int)
-    lhs, _q = _traces.eta_q(state_np1.rho[i_new], state_np1.m[i_new], c.gamma)
+    tables = record.bundle.tables
+    lrho, lm, rrho, rm = record.neighbors
+    lhs, _q = _traces.eta_q(state_np1.rho, state_np1.m, c.gamma)
     eta_l, q_l = _traces.eta_q(lrho, lm, c.gamma)
     eta_r, q_r = _traces.eta_q(rrho, rm, c.gamma)
-
-    def node_R(offset, rho, m):
-        return np.array([correction_R((j + offset) * dx, GasState(r, mm),
-                                      params, geom, b, c)
-                         for j, r, mm in zip(jc.tolist(), rho.tolist(),
-                                             m.tolist())])
-
+    R_r = _traces.correction_R((jc + 1) * dx, rrho, rm, params, c, tables)
+    R_l = _traces.correction_R((jc - 1) * dx, lrho, lm, params, c, tables)
     rhs = (0.5 * (eta_l + eta_r)
            - 0.5 * dt / dx * (q_r - q_l)
-           + (node_R(1, rrho, rm) - node_R(-1, lrho, lm)) * dt
+           + (R_r - R_l) * dt
            - _traces.cell_aq_integrals(record) / (2.0 * dx))
     raw = np.maximum(lhs - rhs, 0.0)
     slacked = np.maximum(lhs - rhs - slack_coeff * dx ** 1.5, 0.0)
@@ -176,7 +158,6 @@ class EnergyMonitor:
         params = ctx["params"]
         geom, b, c = ctx["geom"], ctx["bound"], ctx["constants"]
         bundle = get_bundle(geom, b)
-        self._ctx = ctx
         areas = node_areas(state, params, bundle)
         e0 = total_energy_nodes(state, geom, b, c, params, areas)
         m0 = total_mass_nodes(state, geom, b, c, params, areas)
@@ -189,10 +170,8 @@ class EnergyMonitor:
             jump_flag=False))
 
     def on_step(self, prev, new, record: StepRecord):
-        ctx = self._ctx
-        params, geom, b, c = (ctx["params"], ctx["geom"], ctx["bound"],
-                              ctx["constants"])
-        bundle = record.bundle
+        params, c, bundle = record.params, record.constants, record.bundle
+        geom, b = bundle.geom, bundle.bound
         areas = node_areas(new, params, bundle)
         e = total_energy_nodes(new, geom, b, c, params, areas)
         mass = total_mass_nodes(new, geom, b, c, params, areas)
@@ -227,14 +206,8 @@ class RecurrenceAuditor:
         self.slack_coeff = slack_coeff
         self.audits = []
 
-    def on_start(self, state, ctx):
-        self._ctx = ctx
-
     def on_step(self, prev, new, record):
-        ctx = self._ctx
-        self.audits.append(audit_recurrence(
-            record, prev, new, ctx["geom"], ctx["bound"], ctx["constants"],
-            ctx["mesh"], self.slack_coeff))
+        self.audits.append(audit_recurrence(record, new, self.slack_coeff))
 
     @property
     def worst_raw(self):

@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels as _k
 from . import _traces
 from .errors import CellBuildError, ConfigError, FrontSolveError
-from .gas import GasConstants, GasState, from_invariants, to_invariants, InvariantPair
+from .gas import GasConstants, GasState, to_invariants
 from .nozzle import (BoundFunction, KernelBundle, NozzleGeometry, envelope,
                      get_bundle, SteadyProfile)
 
@@ -109,12 +109,6 @@ class StaggeredState:
     def js(self):
         return self.j0 + 2 * np.arange(self.rho.size)
 
-    def index_of(self, j):
-        i = (j - self.j0) // 2
-        if i < 0 or i >= self.rho.size or self.j0 + 2 * i != j:
-            raise KeyError(f"node {j} not in step-{self.n} window")
-        return i
-
 
 @dataclass(frozen=True)
 class FanDescriptor:
@@ -124,10 +118,6 @@ class FanDescriptor:
     z_stars: np.ndarray
     w_L: float
     speeds: np.ndarray
-
-    def states(self, c: GasConstants):
-        return [from_invariants(InvariantPair(z, self.w_L), c)
-                for z in self.z_stars]
 
 
 def build_fan(u_L: GasState, z_M, params: SchemeParameters,
@@ -293,10 +283,15 @@ def cell_average(cell: CellSolution) -> GasState:
 
 @dataclass
 class StepRecord:
-    """Packed cell constructions for one step n -> n+1, plus counters."""
+    """Packed cell constructions for one step n -> n+1, plus counters.
+
+    ``neighbors`` are the (lrho, lm, rrho, rm) node states of step n left
+    and right of each cell, as ``gather_neighbors`` returned them; the
+    cells are the nodes of step n+1, in order."""
 
     n: int
     jcells: np.ndarray
+    neighbors: tuple
     offs: np.ndarray
     ncount: np.ndarray
     kinds: np.ndarray
@@ -336,22 +331,6 @@ class StepRecord:
                 self.spds, self.fflag, self.params.dx, self.params.dt,
                 self.constants, self.bundle.tables)
         return self._rh
-
-    def trace(self, x, t_offset):
-        """Evaluate the step trace at one position (Python convenience)."""
-        dx = self.params.dx
-        jf = x / dx
-        parity = (self.n + 1) % 2
-        jc = int(math.floor((jf + 1.0 - parity) / 2.0)) * 2 + parity
-        ci = int(np.searchsorted(self.jcells, jc))
-        if ci >= self.jcells.size or self.jcells[ci] != jc:
-            raise KeyError(f"position {x} outside the built cell window")
-        o, nn = self.offs[ci], self.ncount[ci]
-        rho, m = _k.eval_cell(self.kinds[o:o + nn], self.pars[o:o + nn],
-                              self.spds[o:o + nn - 1], int(nn), jc * dx,
-                              float(x), float(t_offset), self.bundle.geo,
-                              self.constants.gamma, self.constants.theta)
-        return GasState(rho, m)
 
 
 def _kernel_views(*arrays):
@@ -517,16 +496,17 @@ def advance(state: StaggeredState, params: SchemeParameters,
     n = state.n
     j_lo, j_hi = _window_bounds(n + 1, mesh.W0)
     jcells = np.arange(j_lo, j_hi + 1, 2, dtype=np.int64)
+    neighbors = gather_neighbors(state, jcells, mesh)
     (offs, kinds, pars, spds, fflag, ncount, ccase, csub,
-     cclamp) = _build_cells(jcells, gather_neighbors(state, jcells, mesh), n,
-                            params, bundle, c)
+     cclamp) = _build_cells(jcells, neighbors, n, params, bundle, c)
     out_rho, out_m, out_z, out_w, stats = _traces.average_project(
         jcells, offs, ncount, kinds, pars, spds, params, c, bundle.tables)
     new_state = StaggeredState(n=n + 1, j0=int(jcells[0]), rho=out_rho,
                                m=out_m, z=out_z, w=out_w)
     record = StepRecord(
-        n=n, jcells=jcells, offs=offs, ncount=ncount, kinds=kinds, pars=pars,
-        spds=spds, fflag=fflag, ccase=ccase, csub=csub, cclamp=cclamp,
+        n=n, jcells=jcells, neighbors=neighbors, offs=offs, ncount=ncount,
+        kinds=kinds, pars=pars, spds=spds, fflag=fflag, ccase=ccase,
+        csub=csub, cclamp=cclamp,
         clamp_count=int(stats[0]), vacuum_count=int(stats[1]),
         inversion_count=int(stats[3]), max_pre_violation=float(stats[2]),
         params=params, constants=c, bundle=bundle)
@@ -568,8 +548,7 @@ def run(u0, params: SchemeParameters, geom: NozzleGeometry, b: BoundFunction,
     as read-only.  Returns (final_state, mesh).
     """
     state, mesh = initialize(u0, params, geom, b, c, cutoff=cutoff)
-    ctx = {"params": params, "geom": geom, "bound": b, "constants": c,
-           "mesh": mesh}
+    ctx = {"params": params, "geom": geom, "bound": b, "constants": c}
     for obs in observers:
         start = getattr(obs, "on_start", None)
         if start is not None:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from nozzleflow import GasConstants, select_M
+from nozzleflow import (GasConstants, select_M, total_energy_nodes,
+                        total_mass_nodes)
 from nozzleflow.baseline import run_baseline
-from nozzleflow.initialdata import GaussianBumpData, RiemannStepData
-from nozzleflow.nozzle import BoundFunction, NozzleGeometry
-from nozzleflow.scheme import SchemeParameters
+from nozzleflow.initialdata import (GaussianBumpData, RiemannStepData,
+                                    TableData)
+from nozzleflow.nozzle import (BoundFunction, NozzleGeometry,
+                               admissibility_constants)
+from nozzleflow.scheme import SchemeParameters, StaggeredState
 
 C14 = GasConstants.for_gamma(1.4)
 
@@ -47,3 +50,32 @@ class TestStraightDuct:
         for n in range(params.n_steps):
             change = series.mass[n + 1] - series.mass[n]
             assert change == pytest.approx(inflow, abs=1e-12 * series.mass[n])
+
+
+class TestSeries:
+    def test_series_are_the_node_totals(self):
+        # compactly supported data in a bump nozzle: vacuum nodes at both
+        # ends of every window
+        dx = 0.025
+        geom = NozzleGeometry.bump(0.12, X=1.0)
+        b = BoundFunction.auto_for(geom, admissibility_constants(C14), dx=dx)
+        xs = np.linspace(-0.8, 0.8, 41)
+        rho = (1.0 - (xs / 0.8) ** 2) ** 2
+        u0 = TableData(xs, rho, 0.3 * rho)
+        params = SchemeParameters.create(dx=dx, M=select_M(u0, b, C14), b=b,
+                                         T=0.05, c=C14)
+        states = []
+
+        def keep(n, xs, rho, m):
+            states.append(StaggeredState(n=n, j0=round(xs[0] / dx),
+                                         rho=rho.copy(), m=m.copy(), z=None,
+                                         w=None))
+
+        _xs, _rho, _m, series = run_baseline(u0, params, geom, b, C14,
+                                             snapshot_cb=keep)
+        assert len(states) == series.ns.size == params.n_steps + 1 > 10
+        for st in states:
+            assert st.rho[0] == st.rho[-1] == 0.0
+            e = total_energy_nodes(st, geom, b, C14, params)
+            mass = total_mass_nodes(st, geom, b, C14, params)
+            assert series.energy[st.n] == e and series.mass[st.n] == mass

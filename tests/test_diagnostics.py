@@ -15,7 +15,8 @@ from nozzleflow.initialdata import (GaussianBumpData, RiemannStepData,
                                     TableData)
 from nozzleflow.nozzle import (BoundFunction, NozzleGeometry,
                                admissibility_constants, get_bundle)
-from nozzleflow.scheme import SchemeParameters, StaggeredState
+from nozzleflow.scheme import (SchemeParameters, StaggeredState,
+                               gather_neighbors)
 
 C14 = GasConstants.for_gamma(1.4)
 
@@ -33,6 +34,29 @@ def _R_oracle(x, rho, m, g, dx, dt, a_of, b_of):
         (g + th + 1) / ((g - 1) * th) * m * rho ** (3 * th)
         + (g + 3 * th + 4) / (2 * th) * m ** 3 * rho ** th / rho ** 2
         + m ** 5 / (2 * rho ** (th + 4)))
+    return t1 + t2 + t3
+
+
+def _R_scalar(x, rho, m, params, geo, c):
+    """R at one node with the scalar kernels' lookups and powers and
+    Python's ``**`` on floats: the per-node formula the whole-array R must
+    reproduce bit for bit."""
+    if rho == 0.0:
+        return 0.0
+    g = c.gamma
+    th = c.theta
+    bx = _k.geo_b(geo, x)
+    ax = _k.geo_a(geo, x)
+    rt = _k.pow_g(rho, th)
+    t1 = -(params.dx / (4.0 * params.dt)) * bx * (
+        3.0 / (g - 1.0) * rt * m + m ** 3 / (2.0 * _k.pow_g(rho, th + 2.0)))
+    t2 = (params.dt / (4.0 * params.dx)) * ax * (
+        g / (g - 1.0) * _k.pow_g(rho, 2.0 * th) * m * m / rho
+        + 0.5 * m ** 4 / rho ** 3)
+    t3 = -(params.dt / (4.0 * params.dx)) * bx * (
+        (g + th + 1.0) / ((g - 1.0) * th) * m * _k.pow_g(rho, 3.0 * th)
+        + (g + 3.0 * th + 4.0) / (2.0 * th) * m ** 3 * rt / rho ** 2
+        + m ** 5 / (2.0 * _k.pow_g(rho, th + 4.0)))
     return t1 + t2 + t3
 
 
@@ -88,6 +112,35 @@ class TestCorrectionR:
             rp = correction_R(x, GasState(rho, m), params, geom, b, C14)
             rm = correction_R(x, GasState(rho, -m), params, geom, b, C14)
             assert rp == pytest.approx(-rm, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("family,gamma", [
+        ("bump", 1.4), ("laval", 1.2), ("laval", 5.0 / 3.0)])
+    def test_whole_array_equals_per_node_formula(self, family, gamma):
+        c = GasConstants.for_gamma(gamma)
+        geom = getattr(NozzleGeometry, family)(0.15, X=1.0)
+        b = BoundFunction.auto_for(geom, admissibility_constants(c),
+                                   dx=0.025)
+        params = SchemeParameters.create(dx=0.025, M=6.0, b=b, T=0.0, c=c)
+        bundle = get_bundle(geom, b)
+        rng = np.random.default_rng([7, round(100 * gamma), len(family)])
+        n = 1500
+        # nodes inside and beyond the nozzle; vacuum, near-vacuum and
+        # dense states, momentum of both signs
+        x = rng.integers(-50, 51, n) * params.dx
+        rho = rng.uniform(0.0, 2.5, n)
+        rho[::10] = 0.0
+        rho[1::10] = 10.0 ** rng.uniform(-12.0, -3.0, rho[1::10].size)
+        m = rho * rng.uniform(-3.0, 3.0, n)
+        got = _traces.correction_R(x, rho, m, params, c, bundle.tables)
+        want = np.array([_R_scalar(xi, ri, mi, params, bundle.geo, c)
+                         for xi, ri, mi in zip(x.tolist(), rho.tolist(),
+                                               m.tolist())])
+        assert np.count_nonzero(want) > n // 2
+        assert got.tobytes() == want.tobytes()
+        for i in range(0, n, 37):
+            one = correction_R(x[i], GasState(rho[i], m[i]), params, geom,
+                               b, c)
+            assert np.float64(one).tobytes() == want[i:i + 1].tobytes()
 
 
 class TestTotalEnergy:
@@ -285,6 +338,33 @@ class TestRecurrenceAudit:
         # the recurrence holds up to o(dx); the slacked violation vanishes
         assert aud.worst_slacked == 0.0
         assert aud.worst_raw < params.dx
+
+    def test_record_neighbors_are_the_step_inputs(self):
+        # the audit reads the neighbour states the step gathered; they are
+        # the old nodes left and right of each cell, ambient beyond the
+        # window
+        geom, b = nozzle_setup(dx=0.05)
+        u0 = GaussianBumpData(rho_inf=1.0, rho_amp=0.2, v_inf=0.3,
+                              width=0.3)
+        M = select_M(u0, b, C14)
+        params = SchemeParameters.create(dx=0.05, M=M, b=b, T=0.0, c=C14)
+        params = SchemeParameters.create(dx=0.05, M=M, b=b,
+                                         T=4 * params.dt, c=C14)
+        steps = []
+
+        class Keep:
+            def on_step(self, prev, new, record):
+                steps.append((prev, record))
+
+        _, mesh = run(u0, params, geom, b, C14,
+                      observers=(EnergyMonitor(), RecurrenceAuditor(),
+                                 Keep()))
+        assert len(steps) == 4
+        for prev, rec in steps:
+            want = gather_neighbors(prev, rec.jcells, mesh)
+            assert rec.neighbors[0][0] == mesh.ambient_left.rho
+            for got_side, want_side in zip(rec.neighbors, want):
+                assert got_side.tobytes() == want_side.tobytes()
 
     def test_audit_records_both_sides(self):
         geom, b = nozzle_setup(dx=0.05)

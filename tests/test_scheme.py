@@ -18,7 +18,7 @@ from nozzleflow.initialdata import (GaussianBumpData, RiemannStepData,
 from nozzleflow.nozzle import (BoundFunction, NozzleGeometry,
                                admissibility_constants, envelope,
                                get_bundle, steady_profile)
-from nozzleflow.scheme import SchemeParameters
+from nozzleflow.scheme import SchemeParameters, _build_cells
 
 C14 = GasConstants.for_gamma(1.4)
 
@@ -531,6 +531,60 @@ class TestVacuumCells:
         with pytest.raises(ValueError):
             build_cell_vacuum(ul, ur, 1, 0, self.params, self.geom, self.b,
                               self.c)
+
+
+def _neighbor_pairs(rng, count):
+    """(lrho, lm, rrho, rm) of generated cells in four rotating groups:
+    dense pairs (the away-from-vacuum wave patterns, cases 1-4), thin pairs
+    and pairs with one vacuum side (near-vacuum cases 11/21/31/41) and
+    all-vacuum pairs (case 50)."""
+    out = np.zeros((4, count))
+    for i in range(count):
+        group = i % 4
+        if group == 0:
+            rl, rr = rng.uniform(0.9, 2.5, 2)
+            vl, vr = rng.uniform(-1.5, 1.5, 2)
+        elif group == 1:
+            rl, rr = rng.uniform(0.0, 0.9, 2)
+            vl, vr = rng.uniform(-2.0, 2.0, 2)
+        elif group == 2:
+            rl, rr = rng.uniform(0.0, 2.0), 0.0
+            vl, vr = rng.uniform(-2.0, 2.0), 0.0
+            if rng.uniform() < 0.5:
+                rl, rr, vl, vr = rr, rl, vr, vl
+        else:
+            continue
+        out[:, i] = rl, rl * vl, rr, rr * vr
+    return tuple(out)
+
+
+class TestPassBCapacity:
+    """Pass B writes each cell's pieces into the slots pass A reserved for
+    it; a cell that wrote more would overwrite the next cell's."""
+
+    @pytest.mark.parametrize("family", ["bump", "laval"])
+    @pytest.mark.parametrize("gamma", [1.2, 1.4, 5.0 / 3.0])
+    def test_pieces_fit_reserved_slots(self, family, gamma):
+        c = GasConstants.for_gamma(gamma)
+        dx = 0.025
+        geom = getattr(NozzleGeometry, family)(0.1, X=1.0)
+        b = BoundFunction.auto_for(geom, admissibility_constants(c), dx=dx)
+        rng = np.random.default_rng([round(100 * gamma), len(family)])
+        # 400 cells at 40 positions across the nozzle
+        jcells = (2 * (np.arange(400) % 40) - 39).astype(np.int64)
+        neighbors = _neighbor_pairs(rng, jcells.size)
+        # the smallest envelope constant holding every node state
+        M = 0.0
+        for off, rho, m in ((-1,) + neighbors[:2], (1,) + neighbors[2:]):
+            z, w = _traces.invariants(rho, m, c.theta)
+            B = b.B((jcells + off) * dx)
+            M = max(M, np.max(-z * np.exp(B)), np.max(w * np.exp(-B)))
+        params = SchemeParameters.create(dx=dx, M=1.01 * M, b=b, T=0.0, c=c)
+        (offs, _kinds, _pars, _spds, _fflag, ncount, ccase, _csub,
+         _cclamp) = _build_cells(jcells, neighbors, 0, params,
+                                 get_bundle(geom, b), c)
+        assert {1, 2, 3, 4, 11, 21, 31, 41, 50} <= set(ccase.tolist())
+        assert np.all(ncount <= np.diff(offs))
 
 
 class TestAdvance:
