@@ -12,10 +12,11 @@ Conventions used throughout:
 * a gas state is the scalar pair ``(rho, m)``; invariants are ``(z, w)``
   with ``z = v - rho^theta/theta``, ``w = v + rho^theta/theta``;
 * piecewise polynomials (for the area coefficient ``a``, the bound
-  function ``b`` and its cumulative integral ``B``) come from scipy
-  ``PPoly`` data: breakpoints ``xs`` (n+1,) and coefficients ``c``
-  (k+1, n), highest degree first, packed by :func:`pack_ppoly`, clamped
-  evaluation outside the domain;
+  function ``b`` and its cumulative integral ``B``) come from the data of
+  :class:`nozzleflow.nozzle.PiecewisePoly`, in scipy's ``PPoly`` layout:
+  breakpoints ``xs`` (n+1,) and coefficients ``c`` (k+1, n), highest
+  degree first, packed by :func:`pack_ppoly`, clamped evaluation outside
+  the domain;
 * an in-cell solution is a flat list of *pieces* separated by rays
   ``x = xc + s*(t - t_n)``.  Piece kinds:
 

@@ -263,8 +263,8 @@ def _maybe_write_comparison(out_dir):
     pb = os.path.join(out_dir, "energy_baseline-lf.csv")
     if not (os.path.exists(pm) and os.path.exists(pb)):
         return None
-    rows_m = np.genfromtxt(pm, delimiter=",", names=True)
-    rows_b = np.genfromtxt(pb, delimiter=",", names=True)
+    rows_m = np.genfromtxt(pm, delimiter=",", names=True, ndmin=1)
+    rows_b = np.genfromtxt(pb, delimiter=",", names=True, ndmin=1)
     n = min(rows_m.shape[0], rows_b.shape[0])
     e_m = rows_m["total_energy"][:n]
     e_b = rows_b["total_energy"][:n]

@@ -6,13 +6,19 @@ polynomial IA(x) = integral_0^x a, with a = IA' and A = A(0) exp(-IA).
 The bound function b >= |a|/mu with its cumulative integral B(x) is stored
 the same way; all kernels evaluate these piecewise polynomials directly so
 the scheme, its diagnostics, and the Python API agree bit for bit.
+
+The piecewise polynomials (``PiecewisePoly``), the PCHIP interpolant of a
+geometry table or a sampled bound, and the clamped cubic spline of the
+Laval duct are built here with NumPy alone.  They do the floating-point
+operations of ``scipy.interpolate`` (``PPoly``, ``PchipInterpolator``,
+``CubicSpline``) in scipy's order, so their data and values equal scipy's
+bit for bit; the tests check this against scipy.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator, PPoly
 
 from . import _kernels as _k
 from . import _traces
@@ -60,12 +66,66 @@ def _ppoly_arrays(pp):
             np.ascontiguousarray(pp.c, dtype=np.float64))
 
 
-def _zero_ppoly(domain):
-    return PPoly(np.zeros((1, 1)), np.array([domain[0], domain[1]], dtype=float))
+class PiecewisePoly:
+    """Piecewise polynomial in scipy's ``PPoly`` layout: breakpoints ``x``
+    (n+1,), coefficients ``c`` (k+1, n) with the highest power first, piece
+    i in the local coordinate ``v - x[i]``; the end pieces extrapolate."""
+
+    def __init__(self, c, x):
+        self.c = np.ascontiguousarray(c, dtype=np.float64)
+        self.x = np.ascontiguousarray(x, dtype=np.float64)
+
+    @classmethod
+    def zero(cls, domain):
+        return cls(np.zeros((1, 1)), [domain[0], domain[1]])
+
+    def __call__(self, v):
+        """Values at v, in the shape of v: the power sum c[k] + c[k-1] s +
+        c[k-2] s^2 + ..., added lowest power first (not Horner's rule)."""
+        v = np.asarray(v, dtype=np.float64)
+        flat = v.ravel()
+        i = np.clip(np.searchsorted(self.x, flat, "right") - 1,
+                    0, self.x.size - 2)
+        s = flat - self.x[i]
+        res = np.zeros_like(s)
+        z = np.ones_like(s)
+        for row in self.c[::-1]:
+            res = res + row[i] * z
+            z = z * s
+        res[np.isnan(flat)] = np.nan
+        return res.reshape(v.shape)
+
+    def derivative(self):
+        k = self.c.shape[0]
+        if k == 1:
+            return PiecewisePoly(np.zeros_like(self.c), self.x)
+        return PiecewisePoly(self.c[:-1] * np.arange(k - 1, 0, -1.0)[:, None],
+                             self.x)
+
+    def antiderivative(self):
+        """Antiderivative vanishing at x[0].  Piece ip starts at the power
+        sum of piece ip-1 at x[ip] - x[ip-1], one piece after the other."""
+        k = self.c.shape[0]
+        c = np.zeros((k + 1, self.c.shape[1]))
+        c[:-1] = self.c / np.arange(k, 0, -1.0)[:, None]
+        s = np.diff(self.x)[:-1]
+        z = np.ones_like(s)
+        terms = []
+        for row in c[-2::-1, :-1]:
+            z = z * s
+            terms.append(row * z)
+        const = [0.0]
+        for piece in np.array(terms).T.tolist():
+            res = 0.0 + const[-1]       # a sum from 0.0, as scipy's: -0 -> +0
+            for term in piece:
+                res = res + term
+            const.append(res)
+        c[-1] = const
+        return PiecewisePoly(c, self.x)
 
 
 def reflect_ppoly(pp, sign):
-    """PPoly q with q(x) = sign * p(-x) on the mirrored domain.
+    """Piecewise polynomial q with q(x) = sign * p(-x) on the mirrored domain.
 
     Piece i of p, p_i(s) on [x_i, x_{i+1}], becomes p_i(L_i - t) in the
     local coordinate t of the mirrored piece.  The composition runs Horner's
@@ -82,15 +142,81 @@ def reflect_ppoly(pp, sign):
         # comp <- comp * (L - t) + a_{k-d}
         comp[1:d + 1] = L * comp[1:d + 1] - comp[0:d]
         comp[0] = L * comp[0] + c[d]
-    return PPoly(sign * comp[::-1, ::-1], -xs[::-1])
+    return PiecewisePoly(sign * comp[::-1, ::-1], -xs[::-1])
 
 
-def _shifted_antiderivative(pp, x0=0.0):
-    """Antiderivative of pp vanishing at x0."""
-    anti = pp.antiderivative()
-    c = anti.c.copy()
-    c[-1, :] -= anti(x0)
-    return PPoly(c, anti.x)
+def _hermite(x, y, d):
+    """Cubic Hermite interpolant through (x, y) with slopes d."""
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    t = (d[:-1] + d[1:] - 2 * slope) / h
+    return PiecewisePoly(
+        np.stack((t / h, (slope - d[:-1]) / h - t, d[:-1], y[:-1])), x)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x, y):
+    """PCHIP interpolant (Fritsch-Carlson): slope 0 at a local extremum or
+    flat neighbour, else the weighted harmonic mean of the secant slopes;
+    a straight line through two points."""
+    h = np.diff(x)
+    m = (y[1:] - y[:-1]) / h
+    if x.size == 2:
+        return _hermite(x, y, np.array([m[0], m[0]]))
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:])
+                                           / (w1 + w2)))
+    d = np.concatenate([[_pchip_end_slope(h[0], h[1], m[0], m[1])], inner,
+                        [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]])
+    return _hermite(x, y, d)
+
+
+def _clamped_spline(x, y):
+    """Cubic spline with zero end slopes.  The slopes solve the tridiagonal
+    system of the C^2 conditions by LAPACK dgtsv's steps: elimination with
+    partial pivoting, then back substitution."""
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    n = x.size
+    d = [1.0] + (2 * (h[:-1] + h[1:])).tolist() + [1.0]
+    du = [0.0] + h[:-1].tolist()
+    dl = h[1:].tolist() + [0.0]
+    b = [0.0] + (3 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])).tolist() + [0.0]
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            # swap rows i and i+1; dl[i] keeps the fill-in two right of d[i]
+            fact = d[i] / dl[i]
+            temp = d[i + 1]
+            d[i] = dl[i]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[-1] = b[-1] / d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return _hermite(x, y, np.array(b))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +235,8 @@ class NozzleGeometry:
 
     A0: float
     X: float
-    IA_pp: PPoly = field(repr=False)
-    a_pp: PPoly = field(repr=False)
+    IA_pp: PiecewisePoly = field(repr=False)
+    a_pp: PiecewisePoly = field(repr=False)
     label: str = "custom"
 
     def A(self, x):
@@ -122,8 +248,8 @@ class NozzleGeometry:
     @classmethod
     def constant(cls, A0=1.0, X=1.0):
         dom = (-X - 1.0, X + 1.0)
-        return cls(A0=float(A0), X=float(X), IA_pp=_zero_ppoly(dom),
-                   a_pp=_zero_ppoly(dom), label="constant")
+        return cls(A0=float(A0), X=float(X), IA_pp=PiecewisePoly.zero(dom),
+                   a_pp=PiecewisePoly.zero(dom), label="constant")
 
     @classmethod
     def bump(cls, eps, X=1.0, A0=1.0):
@@ -145,7 +271,7 @@ class NozzleGeometry:
         # outer pieces: constants (s = 0 there, so IA = -eps*s0)
         c[-1, 0] = -float(eps) * s0
         c[-1, 2] = -float(eps) * s0
-        IA = PPoly(c, xs)
+        IA = PiecewisePoly(c, xs)
         return cls(A0=float(A0), X=X, IA_pp=IA, a_pp=IA.derivative(),
                    label=f"bump(eps={eps})")
 
@@ -161,8 +287,7 @@ class NozzleGeometry:
         xs = np.linspace(-X - pad, X + pad, n_samples)
         sv = np.where(np.abs(xs) < X, s(xs), 0.0)
         ia = -np.log1p(-depth * sv) + math.log1p(-depth * float(s(0.0)))
-        cs = CubicSpline(xs, ia, bc_type="clamped")
-        IA = PPoly(cs.c, cs.x)
+        IA = _clamped_spline(xs, ia)
         return cls(A0=float(A0), X=X, IA_pp=IA, a_pp=IA.derivative(),
                    label=f"laval(depth={depth})")
 
@@ -181,10 +306,10 @@ class NozzleGeometry:
             raise ValueError("table x values must be strictly increasing")
         if np.any(As <= 0.0):
             raise ValueError("cross section must be positive")
-        la = PchipInterpolator(xs, np.log(As))
+        la = _pchip(xs, np.log(As))
         la0 = float(la(0.0)) if xs[0] <= 0.0 <= xs[-1] else float(np.log(As[0]))
         # IA = la0 - la, extended by constants beyond the table
-        core = PPoly(-la.c, la.x)
+        core = PiecewisePoly(-la.c, la.x)
         pad = max(1.0, 0.1 * (xs[-1] - xs[0]))
         new_x = np.concatenate([[xs[0] - pad], core.x, [xs[-1] + pad]])
         k1 = core.c.shape[0]
@@ -193,7 +318,7 @@ class NozzleGeometry:
         new_c[-1, 0] = float(-la(xs[0]))
         new_c[-1, -1] = float(-la(xs[-1]))
         new_c[-1, :] += la0
-        IA = PPoly(new_c, new_x)
+        IA = PiecewisePoly(new_c, new_x)
         A0 = math.exp(la0)
         if X is None:
             X = float(max(abs(xs[0]), abs(xs[-1])))
@@ -233,8 +358,8 @@ def load_geometry_table(path):
 class BoundFunction:
     """Nonnegative b(x) with cached cumulative integral B(x) = int_0^x b."""
 
-    b_pp: PPoly = field(repr=False)
-    B_pp: PPoly = field(repr=False)
+    b_pp: PiecewisePoly = field(repr=False)
+    B_pp: PiecewisePoly = field(repr=False)
     I_plus: float
     I_minus: float
     label: str = "custom"
@@ -249,7 +374,10 @@ class BoundFunction:
 
     @classmethod
     def _finish(cls, b_pp, label):
-        B_pp = _shifted_antiderivative(b_pp, 0.0)
+        anti = b_pp.antiderivative()
+        c = anti.c.copy()
+        c[-1, :] -= anti(0.0)
+        B_pp = PiecewisePoly(c, anti.x)
         I_plus = float(B_pp(B_pp.x[-1]))
         I_minus = float(-B_pp(B_pp.x[0]))
         return cls(b_pp=b_pp, B_pp=B_pp, I_plus=I_plus, I_minus=I_minus,
@@ -257,7 +385,7 @@ class BoundFunction:
 
     @classmethod
     def zero(cls, domain=(-2.0, 2.0)):
-        return cls._finish(_zero_ppoly(domain), "zero")
+        return cls._finish(PiecewisePoly.zero(domain), "zero")
 
     @classmethod
     def piecewise_constant(cls, breaks, values, pad=1.0):
@@ -269,13 +397,12 @@ class BoundFunction:
         xs = np.concatenate([[breaks[0] - pad], breaks, [breaks[-1] + pad]])
         c = np.zeros((1, values.size + 2))
         c[0, 1:-1] = values
-        return cls._finish(PPoly(c, xs), "piecewise-constant")
+        return cls._finish(PiecewisePoly(c, xs), "piecewise-constant")
 
     @classmethod
     def from_samples(cls, xs, vals, label="samples"):
         vals = np.maximum(np.asarray(vals, dtype=float), 0.0)
-        pp = PchipInterpolator(np.asarray(xs, dtype=float), vals)
-        return cls._finish(PPoly(pp.c, pp.x), label)
+        return cls._finish(_pchip(np.asarray(xs, dtype=float), vals), label)
 
     @classmethod
     def auto_for(cls, geom: NozzleGeometry, consts: AdmissibilityConstants,

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import nozzleflow
 from nozzleflow.cli import main, parse_config
 from nozzleflow.errors import ConfigError
 
@@ -174,6 +177,23 @@ cutoff = off
                              names=True)
         assert comp.shape[0] > 1
 
+    def test_zero_step_comparison(self, tmp_path):
+        # one data row per energy file: the comparison still has its row
+        path = write_cfg(tmp_path, MINIMAL.replace("t_final = 0.01",
+                                                   "t_final = 0")
+                         + f"out_dir = {tmp_path}/out\n")
+        assert main(["run", "--config", path]) == 0
+        assert main(["run", "--config", path, "--mode", "baseline-lf"]) == 0
+        out = tmp_path / "out"
+        comp = np.genfromtxt(out / "energy_comparison.csv", delimiter=",",
+                             names=True, ndmin=1)
+        assert comp.shape == (1,) and comp["n"][0] == 0
+        e_m = np.genfromtxt(out / "energy_modified.csv", delimiter=",",
+                            names=True)["total_energy"]
+        e_b = np.genfromtxt(out / "energy_baseline-lf.csv", delimiter=",",
+                            names=True)["total_energy"]
+        assert comp["difference"][0] == e_m - e_b
+
 
 class TestCmdRiemann:
     def test_equal_states(self, capsys):
@@ -275,3 +295,41 @@ class TestInitialTableEndToEnd:
         assert audit["max_envelope_violation"] == 0.0
         # vacuum-tailed data: the energy inequality holds
         assert audit["min_energy_slack"] >= -1e-10
+
+
+class TestWithoutScipy:
+    def test_runs_never_import_scipy(self, tmp_path):
+        # a fresh interpreter in which every import of scipy fails
+        xs = np.linspace(-1.0, 1.0, 41)
+        np.savetxt(tmp_path / "geom.txt",
+                   np.column_stack([xs, 1.0 + 0.05 * np.cos(xs) ** 2]))
+        bump = write_cfg(tmp_path, NOZZLE + f"out_dir = {tmp_path}/bump\n",
+                         "bump.cfg")
+        few_steps = NOZZLE.replace("stride = 4", "stride = 1")
+        laval = write_cfg(tmp_path, few_steps.replace(
+            "geometry = bump", "geometry = laval").replace(
+            "geometry_eps = 0.12", "geometry_eps = 0.3")
+            + f"out_dir = {tmp_path}/laval\n", "laval.cfg")
+        table = write_cfg(tmp_path, few_steps.replace(
+            "geometry = bump", "geometry = table").replace(
+            "geometry_eps = 0.12", f"geometry_table = {tmp_path}/geom.txt")
+            + f"out_dir = {tmp_path}/table\n", "table.cfg")
+        calls = [["run", "--config", bump],
+                 ["run", "--config", bump, "--mode", "baseline-lf"],
+                 ["run", "--config", laval],
+                 ["run", "--config", table],
+                 ["validate", "--config", bump],
+                 ["riemann", "--left", "1.0,0.0", "--right", "0.5,0.3"]]
+        script = ("import json, sys\n"
+                  "sys.modules['scipy'] = None\n"
+                  "from nozzleflow.cli import main\n"
+                  "codes = [main(a) for a in json.loads(sys.argv[1])]\n"
+                  "print(json.dumps(codes))\n")
+        src = os.path.dirname(os.path.dirname(nozzleflow.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script,
+                               json.dumps(calls)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(calls)
+        assert (tmp_path / "bump" / "energy_comparison.csv").exists()

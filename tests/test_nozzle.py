@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.interpolate import PPoly
+from scipy.interpolate import CubicSpline, PchipInterpolator, PPoly
 
 import nozzleflow._kernels as _k
 import nozzleflow._traces as _traces
@@ -471,3 +471,126 @@ class TestBundleMemo:
         assert len(nozzle._BUNDLE_MEMO) == 1
         assert second.geom is g2
         assert get_bundle(g2, b) is second
+
+
+# ---------------------------------------------------------------------------
+# the in-house piecewise polynomials against scipy.interpolate, bit for bit
+# ---------------------------------------------------------------------------
+
+def _bits_equal(a, b):
+    """Same shape, same values (NaN matching NaN) and same signed zeros."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _probe_points(xs, rng):
+    """Random points, every breakpoint and its two floating-point
+    neighbours, points beyond both ends and a NaN."""
+    return np.concatenate([xs, np.nextafter(xs, -np.inf),
+                           np.nextafter(xs, np.inf),
+                           rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, 200),
+                           [xs[0] - 10.0, xs[-1] + 10.0, np.nan]])
+
+
+def _assert_values_match(ours, ref, rng):
+    assert _bits_equal(ours.x, ref.x) and _bits_equal(ours.c, ref.c)
+    pts = _probe_points(np.asarray(ref.x), rng)
+    assert _bits_equal(ours(pts), ref(pts))
+    grid = pts[:200].reshape(40, 5)
+    assert _bits_equal(ours(grid), ref(grid))
+    assert _bits_equal(ours(float(pts[-4])), ref(float(pts[-4])))
+
+
+def _assert_matches_scipy(ours, ref, rng):
+    """ours equals the scipy object ref in data, values, derivative and
+    antiderivative."""
+    _assert_values_match(ours, ref, rng)
+    _assert_values_match(ours.derivative(), ref.derivative(), rng)
+    _assert_values_match(ours.antiderivative(), ref.antiderivative(), rng)
+
+
+def _built_with_scipy(build):
+    """build() run with scipy's classes in place of nozzle's own."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nozzle, "PiecewisePoly", PPoly)
+        mp.setattr(nozzle, "_pchip", PchipInterpolator)
+        mp.setattr(nozzle, "_clamped_spline",
+                   lambda x, y: CubicSpline(x, y, bc_type="clamped"))
+        return build()
+
+
+def _random_table(rng):
+    xs = np.sort(rng.uniform(-1.5, 1.5, 40))
+    return xs, 1.0 + 0.3 * rng.random(40)
+
+
+GEOMETRIES = {
+    **{f"bump-{eps}": (lambda eps=eps: NozzleGeometry.bump(eps))
+       for eps in (0.1, 0.2, 0.3)},
+    **{f"laval-{depth}-{n}":
+       (lambda depth=depth, n=n: NozzleGeometry.laval(depth, n_samples=n))
+       for depth in (0.05, 0.1, 0.3, 0.5) for n in (2, 3, 50, 2001)},
+    "table": lambda: NozzleGeometry.from_table(
+        *_random_table(np.random.default_rng(5))),
+    "table-two-rows": lambda: NozzleGeometry.from_table([0.0, 1.0],
+                                                        [1.0, 2.0]),
+}
+
+
+class TestSameBitsAsScipy:
+    def test_random_piecewise_polynomials(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            k = int(rng.integers(1, 8))
+            xs = np.unique(rng.uniform(-3.0, 3.0, int(rng.integers(2, 30))))
+            c = rng.normal(size=(k, xs.size - 1))
+            c[rng.random(c.shape) < 0.2] = -0.0
+            _assert_matches_scipy(nozzle.PiecewisePoly(c, xs), PPoly(c, xs),
+                                  rng)
+
+    @pytest.mark.parametrize("name", sorted(GEOMETRIES))
+    def test_geometry_data(self, name):
+        rng = np.random.default_rng(12)
+        ours = GEOMETRIES[name]()
+        ref = _built_with_scipy(GEOMETRIES[name])
+        assert type(ref.IA_pp) is not nozzle.PiecewisePoly
+        for field in ("IA_pp", "a_pp"):
+            _assert_matches_scipy(getattr(ours, field), getattr(ref, field),
+                                  rng)
+
+    @pytest.mark.parametrize("name", ["bump-0.2", "laval-0.1-2001", "table"])
+    @pytest.mark.parametrize("gamma", [1.2, 1.4, 5 / 3])
+    @pytest.mark.parametrize("dx", [0.01, 0.05])
+    def test_auto_bound_data(self, name, gamma, dx):
+        rng = np.random.default_rng(13)
+        geom = GEOMETRIES[name]()
+        ad = admissibility_constants(GasConstants.for_gamma(gamma))
+        ours = BoundFunction.auto_for(geom, ad, dx)
+        ref = _built_with_scipy(lambda: BoundFunction.auto_for(geom, ad, dx))
+        assert (ours.I_plus, ours.I_minus) == (ref.I_plus, ref.I_minus)
+        for field in ("b_pp", "B_pp"):
+            _assert_matches_scipy(getattr(ours, field), getattr(ref, field),
+                                  rng)
+
+    def test_pchip(self):
+        rng = np.random.default_rng(14)
+        for case in range(120):
+            n = 2 if case % 10 == 0 else int(rng.integers(3, 40))
+            xs = np.sort(rng.uniform(-2.0, 2.0, n))
+            ys = rng.normal(size=n)
+            if case % 3 == 1:           # flat runs
+                ys[rng.integers(0, n, n // 2)] = 0.5
+            if case % 3 == 2:           # sign changes through zero
+                ys = np.round(ys)
+            _assert_matches_scipy(nozzle._pchip(xs, ys),
+                                  PchipInterpolator(xs, ys), rng)
+
+    def test_clamped_spline(self):
+        # spacings above 1 make dgtsv swap rows in the first column
+        rng = np.random.default_rng(15)
+        for case in range(60):
+            xs = np.sort(rng.uniform(-4.0, 4.0, 2 + case % 20))
+            ys = rng.normal(size=xs.size)
+            _assert_matches_scipy(nozzle._clamped_spline(xs, ys),
+                                  CubicSpline(xs, ys, bc_type="clamped"), rng)
