@@ -1,6 +1,5 @@
 """Modified staggered Lax-Friedrichs solver for 1D isentropic nozzle flow."""
 
-from ._numba import NUMBA_ENABLED
 from .gas import (EntropyPairValue, GasConstants, GasState, InvariantPair,
                   characteristic_speeds, flux, from_invariants,
                   mechanical_pair, pressure, source, to_invariants)

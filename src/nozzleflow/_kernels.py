@@ -1,11 +1,13 @@
 """Hot numeric kernels (scalar math, Riemann solves, in-cell constructions).
 
-Everything here is plain scalar/NumPy Python, compiled with ``@njit`` when
-numba is installed and run as interpreted Python otherwise (see
-:mod:`nozzleflow._numba`).  Public modules wrap these functions with typed
-APIs; tests exercise both through the wrappers.  Callers pass read-only
-arrays through :func:`kernel_view`, which hands the interpreted path Python
-lists (see the layout section below).
+Everything here is interpreted Python on Python floats.  Public modules wrap
+these functions with typed APIs, and tests exercise them through the
+wrappers.  Callers hand read-only array inputs over as Python lists
+(``ndarray.tolist()``): the kernels index them element by element, and
+arithmetic on Python floats costs a fraction of that on NumPy scalars.
+Output buffers stay NumPy arrays, filled in place.  Kernels call each other
+through module globals, so a wrapper installed on this module by name sees
+every inner call.
 
 Conventions used throughout:
 
@@ -35,8 +37,6 @@ import math
 from bisect import bisect_right
 
 import numpy as np
-
-from ._numba import NUMBA_ENABLED, njit
 
 # piece kinds
 K_CONST = 0
@@ -79,108 +79,49 @@ RHO_FLOOR = 1e-14
 
 
 # ---------------------------------------------------------------------------
-# kernel input layout, piecewise polynomial evaluation (a, b and B)
-#
-# The compiled path takes NumPy arrays.  The interpreted path takes Python
-# lists for read-only inputs and its own PPoly layout; the choice is made
-# once, here, by whether numba imported.
+# piecewise polynomial evaluation (a, b and B)
 # ---------------------------------------------------------------------------
 
-if NUMBA_ENABLED:
-    def kernel_view(a):
-        """Read-only kernel input: the array itself on the compiled path."""
-        return a
+def pack_ppoly(xs, c):
+    """Kernel-side form of PPoly data (xs, c): breakpoints as a list of
+    floats and one coefficient tuple per piece (highest degree first), so
+    that :func:`ppoly_eval` runs on Python floats."""
+    return xs.tolist(), [tuple(col) for col in c.T.tolist()]
 
-    def pack_ppoly(xs, c):
-        """Kernel-side form of PPoly data (xs, c): the arrays themselves."""
-        return xs, c
 
-    @njit
-    def _buf(n):
-        """Zeroed float scratch vector of length n."""
-        return np.zeros(n)
-
-    @njit
-    def _row(a, i):
-        """Row i of a 2-D array, for reading."""
-        return a[i]
-
-    @njit
-    def ppoly_eval(xs, c, x):
-        n = xs.shape[0] - 1
-        if x <= xs[0]:
-            x = xs[0]
-        elif x >= xs[n]:
-            x = xs[n]
-        i = np.searchsorted(xs, x, side='right') - 1
-        if i < 0:
-            i = 0
-        elif i > n - 1:
-            i = n - 1
-        t = x - xs[i]
-        acc = 0.0
-        for mdeg in range(c.shape[0]):
-            acc = acc * t + c[mdeg, i]
-        return acc
-else:
-    def kernel_view(a):
-        """Read-only kernel input on the interpreted path: (nested) Python
-        lists.  Indexing an ndarray yields NumPy scalars, whose arithmetic
-        costs several times that of Python floats; kernels only index their
-        read-only inputs, so lists run the very same code."""
-        return a.tolist()
-
-    def _buf(n):
-        """Zeroed float scratch vector of length n (a list, see above)."""
-        return [0.0] * n
-
-    def _row(a, i):
-        """Row i of a 2-D array, for reading (a list, see above)."""
-        return a[i].tolist()
-
-    def pack_ppoly(xs, c):
-        """Kernel-side form of PPoly data (xs, c): breakpoints as a list of
-        floats and one coefficient tuple per piece (highest degree first),
-        so that the interpreted lookup below runs on Python floats."""
-        return xs.tolist(), [tuple(col) for col in c.T.tolist()]
-
-    def ppoly_eval(xs, c, x):
-        """Interpreted twin of the compiled lookup: ``bisect`` instead of
-        ``np.searchsorted`` and Horner's rule on Python floats.  Both do the
-        same IEEE operations in the same order, so the values agree bit for
-        bit, at a fraction of the NumPy scalar dispatch cost."""
-        x = float(x)
-        n = len(xs) - 1
-        if x <= xs[0]:
-            x = xs[0]
-        elif x >= xs[n]:
-            x = xs[n]
-        i = bisect_right(xs, x) - 1
-        if i < 0:
-            i = 0
-        elif i > n - 1:
-            i = n - 1
-        t = x - xs[i]
-        acc = 0.0
-        for coef in c[i]:
-            acc = acc * t + coef
-        return acc
+def ppoly_eval(xs, c, x):
+    """Value at x of PPoly data packed by :func:`pack_ppoly`, with x
+    clamped to the breakpoint range: a ``bisect`` lookup of the piece and
+    Horner's rule on Python floats."""
+    x = float(x)
+    n = len(xs) - 1
+    if x <= xs[0]:
+        x = xs[0]
+    elif x >= xs[n]:
+        x = xs[n]
+    i = bisect_right(xs, x) - 1
+    if i < 0:
+        i = 0
+    elif i > n - 1:
+        i = n - 1
+    t = x - xs[i]
+    acc = 0.0
+    for coef in c[i]:
+        acc = acc * t + coef
+    return acc
 
 
 # Gauss-Legendre nodes and weights on [-1, 1]
-_G5X = np.array([-0.9061798459386640, -0.5384693101056831, 0.0,
-                 0.5384693101056831, 0.9061798459386640])
-_G5W = np.array([0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
-                 0.4786286704993665, 0.2369268850561891])
-_G5W *= 2.0 / _G5W.sum()
-_G5X, _G5W = kernel_view(_G5X), kernel_view(_G5W)
+_G5X = [-0.9061798459386640, -0.5384693101056831, 0.0,
+        0.5384693101056831, 0.9061798459386640]
+_G5W = [0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
+        0.4786286704993665, 0.2369268850561891]
 
 
 # ---------------------------------------------------------------------------
 # scalar gas algebra
 # ---------------------------------------------------------------------------
 
-@njit
 def pow_g(x, e):
     """x**e via exp/log with a vacuum guard (x >= 0)."""
     if x <= 0.0:
@@ -188,18 +129,15 @@ def pow_g(x, e):
     return math.exp(e * math.log(x))
 
 
-@njit
 def pressure_k(rho, gamma):
     return pow_g(rho, gamma) / gamma
 
 
-@njit
 def kfun(rho, theta):
     """rho^theta / theta (half invariant gap)."""
     return pow_g(rho, theta) / theta
 
 
-@njit
 def invariants_k(rho, m, theta):
     if rho < RHO_FLOOR:
         return 0.0, 0.0
@@ -208,7 +146,6 @@ def invariants_k(rho, m, theta):
     return v - k, v + k
 
 
-@njit
 def state_k(z, w, theta):
     t = theta * (w - z) / 2.0
     if t <= 0.0:
@@ -219,12 +156,10 @@ def state_k(z, w, theta):
     return rho, rho * (w + z) / 2.0
 
 
-@njit
 def sound_k(rho, theta):
     return pow_g(rho, theta)
 
 
-@njit
 def lambdas_k(rho, m, theta):
     if rho < RHO_FLOOR:
         return 0.0, 0.0
@@ -233,14 +168,12 @@ def lambdas_k(rho, m, theta):
     return v - c, v + c
 
 
-@njit
 def flux_k(rho, m, gamma):
     if rho < RHO_FLOOR:
         return 0.0, 0.0
     return m, m * m / rho + pressure_k(rho, gamma)
 
 
-@njit
 def eta_q_k(rho, m, gamma):
     """Mechanical energy / energy-flux pair."""
     if rho < RHO_FLOOR:
@@ -254,7 +187,6 @@ def eta_q_k(rho, m, gamma):
 # wave-curve helpers
 # ---------------------------------------------------------------------------
 
-@njit
 def pdiff_ratio(rho, rho0, gamma):
     """(p(rho)-p(rho0)) / (rho-rho0), stable near rho == rho0 (> 0)."""
     rm1 = (rho - rho0) / rho0
@@ -265,7 +197,6 @@ def pdiff_ratio(rho, rho0, gamma):
     return pow_g(rho0, gamma - 1.0) * q
 
 
-@njit
 def hjump_k(rho, rho0, gamma):
     """Signed velocity increment sqrt((p-p0)/(rho rho0 (rho-rho0)))*(rho-rho0).
 
@@ -282,7 +213,6 @@ def hjump_k(rho, rho0, gamma):
     return math.sqrt(pr / (rho * rho0)) * (rho - rho0)
 
 
-@njit
 def lax_S_k(rho, rho0, gamma):
     """The modified Lax-Friedrichs jump speed factor S(rho, rho0) >= 0."""
     if rho <= 0.0:
@@ -291,13 +221,11 @@ def lax_S_k(rho, rho0, gamma):
     return math.sqrt(rho * pr / rho0)
 
 
-@njit
 def sigma1_k(rho_l, v_l, rho_r, gamma):
     """Speed of a 1-family discontinuity from left (rho_l, v_l) to rho_r."""
     return v_l - lax_S_k(rho_r, rho_l, gamma)
 
 
-@njit
 def sigma2_k(rho_r, v_r, rho_l, gamma):
     """Speed of a 2-family discontinuity with right (rho_r, v_r), left rho_l."""
     return v_r + lax_S_k(rho_l, rho_r, gamma)
@@ -307,7 +235,6 @@ def sigma2_k(rho_r, v_r, rho_l, gamma):
 # exact Riemann solver
 # ---------------------------------------------------------------------------
 
-@njit
 def _phi_left(rho, rho_l, v_l, gamma, theta):
     """Velocity of the state at density rho on the 1-wave curve through uL."""
     if rho <= rho_l:
@@ -315,7 +242,6 @@ def _phi_left(rho, rho_l, v_l, gamma, theta):
     return v_l - hjump_k(rho, rho_l, gamma)
 
 
-@njit
 def _phi_right(rho, rho_r, v_r, gamma, theta):
     """Velocity of the state at density rho on the 2-wave curve through uR."""
     if rho <= rho_r:
@@ -323,7 +249,6 @@ def _phi_right(rho, rho_r, v_r, gamma, theta):
     return v_r + hjump_k(rho, rho_r, gamma)
 
 
-@njit
 def _gap(rho, rho_l, v_l, rho_r, v_r, gamma, theta):
     """phi_L - phi_R: strictly decreasing in rho, zero at the middle
     density."""
@@ -331,7 +256,6 @@ def _gap(rho, rho_l, v_l, rho_r, v_r, gamma, theta):
             - _phi_right(rho, rho_r, v_r, gamma, theta))
 
 
-@njit
 def riemann_middle_k(rho_l, v_l, rho_r, v_r, gamma, theta):
     """Middle state (rho_M, v_M) where the 1-curve through uL meets the
     2-curve through uR.
@@ -412,10 +336,9 @@ def riemann_middle_k(rho_l, v_l, rho_r, v_r, gamma, theta):
     return rho_m, v_m
 
 
-@njit
 def riemann_solve_k(rho_l, m_l, rho_r, m_r, gamma, theta):
     """Solve the Riemann problem; return the packed 12-float description."""
-    out = _buf(RSOL_LEN)
+    out = [0.0] * RSOL_LEN
     out[0] = rho_l
     out[1] = m_l
     out[2] = rho_r
@@ -503,7 +426,6 @@ def riemann_solve_k(rho_l, m_l, rho_r, m_r, gamma, theta):
     return out
 
 
-@njit
 def raref1_state_k(xi, w0, theta):
     """State inside a centered 1-rarefaction: lam1(u) = xi, w(u) = w0."""
     s = theta * (w0 - xi) / (1.0 + theta)
@@ -514,7 +436,6 @@ def raref1_state_k(xi, w0, theta):
     return rho, rho * v
 
 
-@njit
 def raref2_state_k(xi, z0, theta):
     """State inside a centered 2-rarefaction: lam2(u) = xi, z(u) = z0."""
     s = theta * (xi - z0) / (1.0 + theta)
@@ -525,7 +446,6 @@ def raref2_state_k(xi, z0, theta):
     return rho, rho * v
 
 
-@njit
 def riemann_sample_k(rsol, xi, theta):
     """Sample the packed Riemann solution at similarity coordinate xi.
 
@@ -548,17 +468,14 @@ def riemann_sample_k(rsol, xi, theta):
 
 
 # geometry bundle index helpers: geo = (ax, ac, bx, bc, Bx, Bc)
-@njit
 def geo_a(geo, x):
     return ppoly_eval(geo[0], geo[1], x)
 
 
-@njit
 def geo_b(geo, x):
     return ppoly_eval(geo[2], geo[3], x)
 
 
-@njit
 def geo_B(geo, x):
     return ppoly_eval(geo[4], geo[5], x)
 
@@ -567,7 +484,6 @@ def geo_B(geo, x):
 # in-cell pieces
 # ---------------------------------------------------------------------------
 
-@njit
 def anchor_B(kind, q, geo):
     """B at the anchor of a profile piece (0 for the other kinds): the one
     geometry value shared by every evaluation of the piece, which the
@@ -577,7 +493,6 @@ def anchor_B(kind, q, geo):
     return 0.0
 
 
-@njit
 def eval_piece(kind, q, x, tau, geo, gamma, theta):
     """Evaluate one piece at position x, time offset tau since the step start.
 
@@ -588,7 +503,6 @@ def eval_piece(kind, q, x, tau, geo, gamma, theta):
                          gamma, theta)
 
 
-@njit
 def eval_piece_at(kind, q, Bd, x, tau, geo, gamma, theta):
     """:func:`eval_piece` given ``Bd = anchor_B(kind, q, geo)``."""
     if kind == K_CONST:
@@ -608,13 +522,11 @@ def eval_piece_at(kind, q, Bd, x, tau, geo, gamma, theta):
     return profile_at(q, Bd, (geo_B(geo, x), 0.0, 0.0), tau, theta)
 
 
-@njit
 def geo_at(geo, x):
     """(B, a, b) at x: the geometry a time-corrected profile needs there."""
     return geo_B(geo, x), geo_a(geo, x), geo_b(geo, x)
 
 
-@njit
 def profile_at(q, Bd, g, tau, theta):
     """Profile piece q at time offset tau and a point with geometry
     g = geo_at(geo, x) (only g[0] is read without time correction), given
@@ -639,7 +551,6 @@ def profile_at(q, Bd, g, tau, theta):
     return rho, m, 0
 
 
-@njit
 def eval_cell(kinds, pars, spds, npieces, xc, x, tau, geo, gamma, theta):
     """Evaluate a whole cell record at (x, tau)."""
     i = 0
@@ -653,7 +564,6 @@ def eval_cell(kinds, pars, spds, npieces, xc, x, tau, geo, gamma, theta):
 # implicit front solves
 # ---------------------------------------------------------------------------
 
-@njit
 def hugoniot_z_k(rho_l, v_l, z_t, gamma, theta, guess):
     """Density on the 1-family Hugoniot locus through (rho_l, v_l) where the
     1-Riemann invariant equals z_t.  The map is strictly decreasing in rho."""
@@ -717,7 +627,6 @@ def hugoniot_z_k(rho_l, v_l, z_t, gamma, theta, guess):
     return rho, OK
 
 
-@njit
 def solve_front_k(kind, q, z_t, sigma_prev, sigma0, xc, dt, geo, gamma, theta,
                   speed_bound):
     """Fixed-point solve for one 1-family front of the fan chain.
@@ -800,7 +709,6 @@ def solve_front_k(kind, q, z_t, sigma_prev, sigma0, xc, dt, geo, gamma, theta,
     return sigma, rho_u, m_u, OK
 
 
-@njit
 def _rh_residual(s, rl, ml, rr, mr, gamma):
     """Rankine-Hugoniot residuals (mass, momentum) of the jump from
     (rl, ml) to (rr, mr) moving with speed s."""
@@ -809,7 +717,6 @@ def _rh_residual(s, rl, ml, rr, mr, gamma):
     return f1r - f1l - s * (rr - rl), f2r - f2l - s * (mr - ml)
 
 
-@njit
 def _gap_outer(O, ga, gb, lq, lBd, rq, rBd, tau, theta):
     """Outer traces O = (rho, m) of the left profile lq at the left front
     and of the right profile rq at the right front (geometry ga, gb there);
@@ -818,7 +725,6 @@ def _gap_outer(O, ga, gb, lq, lBd, rq, rBd, tau, theta):
     O[2], O[3], _c2 = profile_at(rq, rBd, gb, tau, theta)
 
 
-@njit
 def _gap_residual(F, X, O, ga, gb, mq, mBd, tau, gamma, theta):
     """Half-time RH residuals of both gap fronts at X = (sa, sb, zm, wm),
     given the outer traces O and the geometry ga, gb at the two fronts."""
@@ -830,7 +736,6 @@ def _gap_residual(F, X, O, ga, gb, mq, mBd, tau, gamma, theta):
     F[2], F[3] = _rh_residual(X[1], rlb, mlb, O[2], O[3], gamma)
 
 
-@njit
 def _solve4(A, b):
     """4x4 linear solve with partial pivoting; A is row-major flat (16,).
     Returns (x, ok)."""
@@ -867,7 +772,6 @@ def _solve4(A, b):
     return x, True
 
 
-@njit
 def gap_fill_k(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0, fscale):
     """Gap fill: solve for two front speeds and the middle profile
     anchor so both half-time Rankine-Hugoniot conditions hold exactly.
@@ -879,13 +783,13 @@ def gap_fill_k(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0, fscale):
     fronts and the outer traces are reused for the zm and wm columns.
     """
     tau = 0.5 * dt
-    X = _buf(4)
+    X = [0.0] * 4
     X[0] = sa0
     X[1] = sb0
     X[2] = zm0
     X[3] = wm0
-    Xt = _buf(4)
-    mq = _buf(6)
+    Xt = [0.0] * 4
+    mq = [0.0] * 6
     mq[0] = xc
     mq[3] = -1.0
     mq[4] = 1.0
@@ -893,12 +797,12 @@ def gap_fill_k(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0, fscale):
     lBd = geo_B(geo, lq[0])
     rBd = geo_B(geo, rq[0])
     mBd = geo_B(geo, xc)
-    O = _buf(4)
-    Ot = _buf(4)
-    F = _buf(4)
-    Fp = _buf(4)
-    Ft = _buf(4)
-    J = _buf(16)            # row-major 4x4
+    O = [0.0] * 4
+    Ot = [0.0] * 4
+    F = [0.0] * 4
+    Fp = [0.0] * 4
+    Ft = [0.0] * 4
+    J = [0.0] * 16          # row-major 4x4
     atol = 1e-12 * fscale
     ga = geo_at(geo, xc + X[0] * tau)
     gb = geo_at(geo, xc + X[1] * tau)
@@ -943,7 +847,7 @@ def gap_fill_k(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0, fscale):
             X[cdx] = Xs
             for r in range(4):
                 J[4 * r + cdx] = (Fp[r] - F[r]) / h
-        rhs = _buf(4)
+        rhs = [0.0] * 4
         for r in range(4):
             rhs[r] = -F[r]
         dX, ok = _solve4(J, rhs)
@@ -985,7 +889,6 @@ def gap_fill_k(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0, fscale):
 # cell construction: fans, away-from-vacuum cells, near-vacuum cells
 # ---------------------------------------------------------------------------
 
-@njit
 def fan_interval_count(span, h):
     """Number of invariant-space intervals covering span with steps <= h."""
     if span <= 0.0:
@@ -996,7 +899,23 @@ def fan_interval_count(span, h):
     return k
 
 
-@njit
+def fan_target(zL, z_end, h, i, k_int):
+    """Target i of a fan from zL to z_end in k_int intervals: zL + i*h,
+    and z_end itself for the last one, which closes the remainder."""
+    zt = zL + i * h
+    if i == k_int or zt > z_end:
+        zt = z_end
+    return zt
+
+
+def fan_jump_speed(z_prev, zt, wL, gamma, theta):
+    """Speed v(z_prev, wL) - S(rho(zt, wL), rho(z_prev, wL)) of the fan
+    jump from target z_prev to zt, the first guess of its front solve."""
+    r_prev, _mp = state_k(z_prev, wL, theta)
+    r_t, _mt = state_k(zt, wL, theta)
+    return 0.5 * (z_prev + wL) - lax_S_k(r_t, r_prev, gamma)
+
+
 def _emit_profile(kinds, pars, pos, xa, z, w, sz, sw, corr):
     kinds[pos] = K_PROFILE
     pars[pos, 0] = xa
@@ -1008,7 +927,6 @@ def _emit_profile(kinds, pars, pos, xa, z, w, sz, sw, corr):
     return pos + 1
 
 
-@njit
 def _emit_const(kinds, pars, pos, rho, m):
     kinds[pos] = K_CONST
     pars[pos, 0] = rho
@@ -1020,7 +938,6 @@ def _emit_const(kinds, pars, pos, rho, m):
     return pos + 1
 
 
-@njit
 def invert_correction_k(x_a, z_r, w_r, tau, geo, gamma, theta):
     """Anchor invariants (z_d, w_d) of a steady profile at x_a whose
     time-corrected value at (x_a, tau) equals (z_r, w_r).
@@ -1053,7 +970,6 @@ def invert_correction_k(x_a, z_r, w_r, tau, geo, gamma, theta):
     return zd, wd
 
 
-@njit
 def fan_chain_k(x_first, zL, wL, z_end, include_final, xc, dx, dt, h,
                 geo, gamma, theta, kinds, pars, spds, fflag, pos):
     """Rarefaction-fan front chain: steady-profile pieces separated by
@@ -1077,14 +993,10 @@ def fan_chain_k(x_first, zL, wL, z_end, include_final, xc, dx, dt, h,
     nf = k_int if include_final else k_int - 1
     z_prev = zL
     for i in range(1, nf + 1):
-        zt = zL + i * h
-        if i == k_int or zt > z_end:
-            zt = z_end
-        r_prev, _mp = state_k(z_prev, wL, theta)
-        r_t, _mt = state_k(zt, wL, theta)
-        sigma0 = 0.5 * (z_prev + wL) - lax_S_k(r_t, r_prev, gamma)
+        zt = fan_target(zL, z_end, h, i, k_int)
+        sigma0 = fan_jump_speed(z_prev, zt, wL, gamma, theta)
         sigma, ru, mu, st = solve_front_k(
-            kinds[pos - 1], _row(pars, pos - 1), zt, sigma_prev, sigma0, xc,
+            kinds[pos - 1], pars[pos - 1].tolist(), zt, sigma_prev, sigma0, xc,
             dt, geo, gamma, theta, speed_bound)
         if st != OK:
             return pos, sigma_prev, z_last, w_last, st
@@ -1101,7 +1013,6 @@ def fan_chain_k(x_first, zL, wL, z_end, include_final, xc, dx, dt, h,
     return pos, sigma_prev, z_last, w_last, OK
 
 
-@njit
 def flatten_riemann_k(rsol, xc, clip_lo, clip_hi, theta,
                       kinds, pars, spds, fflag, pos):
     """Emit a sampled (exact) Riemann solution as flat cell pieces,
@@ -1187,7 +1098,6 @@ def flatten_riemann_k(rsol, xc, clip_lo, clip_hi, theta,
     return pos
 
 
-@njit
 def _unreflect_append(skinds, spars, sspds, sfflag, n_src,
                       kinds, pars, spds, fflag, pos):
     """Append pieces built in the reflected frame (x -> -x, m -> -m),
@@ -1234,7 +1144,6 @@ def _unreflect_append(skinds, spars, sspds, sfflag, n_src,
     return pos
 
 
-@njit
 def _cell_is_inert(j, rsol, dx, geo):
     """Equal node states in a locally straight duct stay constant exactly."""
     if rsol[0] != rsol[2] or rsol[1] != rsol[3]:
@@ -1247,7 +1156,6 @@ def _cell_is_inert(j, rsol, dx, geo):
     return True
 
 
-@njit
 def build_away_cell_k(j, rsol, par, geo, geor, kinds, pars, spds, fflag, pos0):
     """Away-from-vacuum construction: per-family fans plus the
     gap fill with the floating middle profile and two solved fronts."""
@@ -1284,9 +1192,7 @@ def build_away_cell_k(j, rsol, par, geo, geor, kinds, pars, spds, fflag, pos0):
             geo, gamma, theta, kinds, pars, spds, fflag, pos)
         if st != OK:
             return pos, st
-        r_last, _m1 = state_k(lz, lw, theta)
-        r_end, _m2 = state_k(zM, lw, theta)
-        guess_a = 0.5 * (lz + lw) - lax_S_k(r_end, r_last, gamma)
+        guess_a = fan_jump_speed(lz, zM, lw, gamma, theta)
     else:
         pos = _emit_profile(kinds, pars, pos, (j - 1) * dx, zl, wl, -1.0, 1.0, 1.0)
         sprev_l = -speed_bound * (1.0 + 1e-9)
@@ -1308,9 +1214,7 @@ def build_away_cell_k(j, rsol, par, geo, geor, kinds, pars, spds, fflag, pos0):
             geor, gamma, theta, skinds, spars, sspds, sfflag, 0)
         if st != OK:
             return pos, st
-        r_last, _m1 = state_k(rz, rw, theta)
-        r_end, _m2 = state_k(-wM, rw, theta)
-        guess_b = -(0.5 * (rz + rw) - lax_S_k(r_end, r_last, gamma))
+        guess_b = -fan_jump_speed(rz, -wM, rw, gamma, theta)
         right_front_min = -sprev_r
     else:
         nsr = _emit_profile(skinds, spars, 0, -(j + 1) * dx, -wr, -zr, -1.0, 1.0, 1.0)
@@ -1321,7 +1225,7 @@ def build_away_cell_k(j, rsol, par, geo, geor, kinds, pars, spds, fflag, pos0):
             guess_b = vM + sound_k(rM, theta)
 
     # innermost right piece, mapped to the original frame
-    rq = _buf(6)
+    rq = [0.0] * 6
     rq[0] = -spars[nsr - 1, 0]
     rq[1] = -spars[nsr - 1, 2]
     rq[2] = -spars[nsr - 1, 1]
@@ -1332,7 +1236,7 @@ def build_away_cell_k(j, rsol, par, geo, geor, kinds, pars, spds, fflag, pos0):
     f1m, f2m = flux_k(rM, rM * vM, gamma)
     fscale = 1.0 + abs(f1m) + abs(f2m)
     sa, sb, zm, wm, st = gap_fill_k(
-        _row(pars, ilast_left), rq, xc, dt, geo, gamma, theta,
+        pars[ilast_left].tolist(), rq, xc, dt, geo, gamma, theta,
         guess_a, guess_b, zM, wM, fscale)
     if st != OK:
         return pos, st
@@ -1351,7 +1255,6 @@ def build_away_cell_k(j, rsol, par, geo, geor, kinds, pars, spds, fflag, pos0):
     return pos, OK
 
 
-@njit
 def vac_left_side_k(j, rho_l, m_l, par, geo, kinds, pars, spds, fflag, pos0):
     """Near-vacuum left-side construction (Case-1 sub-dispatch on u_L).
 
@@ -1424,7 +1327,6 @@ def vac_left_side_k(j, rho_l, m_l, par, geo, kinds, pars, spds, fflag, pos0):
     return pos, lam_edge, r4, m4, SUB_12II, clamped, OK
 
 
-@njit
 def _build_vac_case1_k(j, rho_l, m_l, rho_r, m_r, par, geo,
                        kinds, pars, spds, fflag, pos0):
     """Near-vacuum Case 1 (1-rarefaction + 2-shock)."""
@@ -1449,7 +1351,6 @@ def _build_vac_case1_k(j, rho_l, m_l, rho_r, m_r, par, geo,
     return pos, sub, clamped, OK
 
 
-@njit
 def build_vac_cell_k(j, rsol, par, geo, geor, kinds, pars, spds, fflag,
                      pos0, cap):
     """Construction dispatch for near-vacuum middle states.
@@ -1529,7 +1430,6 @@ def build_vac_cell_k(j, rsol, par, geo, geor, kinds, pars, spds, fflag,
 # whole-step drivers
 # ---------------------------------------------------------------------------
 
-@njit
 def build_step_pass_a(jcells, lrho, lm, rrho, rm, par, rsols, caps):
     """Solve all cell Riemann problems; estimate per-cell piece capacity."""
     gamma = par[0]
@@ -1566,7 +1466,6 @@ def build_step_pass_a(jcells, lrho, lm, rrho, rm, par, rsols, caps):
         caps[c] = cap
 
 
-@njit
 def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
                       kinds, pars, spds, fflag,
                       ncount, ccase, csub, cclamp, cerr):
@@ -1628,7 +1527,6 @@ def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
         cerr[c] = st
 
 
-@njit
 def _gauss5_piece(kind, q, a, b, tau, geo, gamma, theta):
     """Integral of (rho, m) over [a, b] for one piece at time offset tau."""
     if kind == K_CONST:

@@ -362,6 +362,8 @@ def _parse_state(text):
 
 def cmd_riemann(args):
     """Solve one Riemann problem and print the sampled profile."""
+    if not args.t > 0.0:
+        raise ConfigError(f"--t must be positive, got {args.t}")
     c = GasConstants.for_gamma(args.gamma)
     ul = _parse_state(args.left)
     ur = _parse_state(args.right)

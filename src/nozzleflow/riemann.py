@@ -173,7 +173,8 @@ def sample(sol: RiemannSolution, xi) -> GasState:
 
 
 def wave_breakpoints(sol: RiemannSolution):
-    """Similarity speeds of every kink in the solution, sorted."""
+    """Similarity speeds of every kink in the solution, sorted.  A wave next
+    to a vacuum state has no kink on that side; the kernels mark it +-BIG."""
     p = sol._packed
     pts = [p[8], p[9], p[10], p[11]]
-    return sorted(x for x in pts if abs(x) < 1e308)
+    return sorted(x for x in pts if abs(x) < _k.BIG)

@@ -80,10 +80,10 @@ class SchemeParameters:
             raise ConfigError("dx, M must be positive and T nonnegative")
 
     def par_array(self, c: GasConstants):
-        """Packed parameters, as a read-only kernel input."""
-        return _k.kernel_view(np.array([c.gamma, c.theta, self.dx, self.dt,
-                                        self.alpha, self.beta, self.delta,
-                                        self.M]))
+        """Packed parameters, as a read-only kernel input (a list of
+        floats, see ``_build_cells``)."""
+        return np.array([c.gamma, c.theta, self.dx, self.dt, self.alpha,
+                         self.beta, self.delta, self.M]).tolist()
 
     @property
     def n_steps(self):
@@ -124,31 +124,26 @@ def build_fan(u_L: GasState, z_M, params: SchemeParameters,
               c: GasConstants) -> FanDescriptor:
     """Targets z*_1 = z_L, ..., z*_p = z_M with interior steps of dx^alpha
     (the closing step carries the remainder), and the jump speeds
-    lam1(z*_i, z*_{i+1}, w_L) = v(z*_i, w_L) - S(rho_{i+1}, rho_i)."""
+    lam1(z*_i, z*_{i+1}, w_L) = v(z*_i, w_L) - S(rho_{i+1}, rho_i): the
+    targets and first-guess speeds of the step's fan chain
+    (``_kernels.fan_chain_k``)."""
     iv = to_invariants(u_L, c)
     z_L, w_L = iv.z, iv.w
     z_M = float(z_M)
     if z_M < z_L - 1e-13 * (1.0 + abs(z_L)):
         raise ValueError(f"z_M={z_M} < z_L={z_L}: not a 1-rarefaction")
-    h = params.dx ** params.alpha
+    h = _k.pow_g(params.dx, params.alpha)
     span = z_M - z_L
+    z_stars = [z_L]
     if span <= 1e-13 * (1.0 + abs(z_L) + abs(z_M)):
-        z_stars = np.array([z_L, z_M])
+        z_stars.append(z_M)
     else:
         k = _k.fan_interval_count(span, h)
-        z_stars = np.empty(k + 1)
-        z_stars[0] = z_L
-        for i in range(1, k):
-            z_stars[i] = z_L + i * h
-        z_stars[k] = z_M
-    p = z_stars.size
-    speeds = np.empty(p - 1)
-    for i in range(p - 1):
-        r_i, _ = _k.state_k(z_stars[i], w_L, c.theta)
-        r_n, _ = _k.state_k(z_stars[i + 1], w_L, c.theta)
-        v_i = 0.5 * (z_stars[i] + w_L)
-        speeds[i] = v_i - _k.lax_S_k(r_n, r_i, c.gamma)
-    return FanDescriptor(p=p, z_stars=z_stars, w_L=w_L, speeds=speeds)
+        z_stars += [_k.fan_target(z_L, z_M, h, i, k) for i in range(1, k + 1)]
+    speeds = [_k.fan_jump_speed(z_stars[i], z_stars[i + 1], w_L, c.gamma,
+                                c.theta) for i in range(len(z_stars) - 1)]
+    return FanDescriptor(p=len(z_stars), z_stars=np.array(z_stars), w_L=w_L,
+                         speeds=np.array(speeds))
 
 
 def solve_front(left_profile: SteadyProfile, z_target, sigma_prev, j,
@@ -333,10 +328,6 @@ class StepRecord:
         return self._rh
 
 
-def _kernel_views(*arrays):
-    return tuple(_k.kernel_view(a) for a in arrays)
-
-
 def _window_bounds(n, W0):
     half = W0 + n + 4
     j_lo = -half
@@ -459,7 +450,12 @@ def _build_cells(jcells, neighbors, n, params: SchemeParameters,
     par = params.par_array(c)
     rsols = np.empty((C, _k.RSOL_LEN))
     caps = np.empty(C, dtype=np.int64)
-    _k.build_step_pass_a(*_kernel_views(jcells, *neighbors), par, rsols, caps)
+    # The kernels read their inputs element by element: as lists they yield
+    # Python floats, whose arithmetic costs a fraction of that of the NumPy
+    # scalars an ndarray yields.  Outputs stay arrays, filled in place.
+    jlist = jcells.tolist()
+    _k.build_step_pass_a(jlist, *(a.tolist() for a in neighbors), par,
+                         rsols, caps)
     offs = np.zeros(C + 1, dtype=np.int64)
     np.cumsum(caps, out=offs[1:])
     total = int(offs[-1])
@@ -472,9 +468,9 @@ def _build_cells(jcells, neighbors, n, params: SchemeParameters,
     csub = np.zeros(C, dtype=np.int64)
     cclamp = np.zeros(C, dtype=np.int64)
     cerr = np.zeros(C, dtype=np.int64)
-    _k.build_step_pass_b(*_kernel_views(jcells, rsols, offs), par, bundle.geo,
-                         bundle.geo_reflected, kinds, pars, spds, fflag,
-                         ncount, ccase, csub, cclamp, cerr)
+    _k.build_step_pass_b(jlist, rsols.tolist(), offs.tolist(), par,
+                         bundle.geo, bundle.geo_reflected, kinds, pars, spds,
+                         fflag, ncount, ccase, csub, cclamp, cerr)
     bad = np.nonzero(cerr)[0]
     if bad.size:
         ci = int(bad[0])

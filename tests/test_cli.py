@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -225,6 +226,23 @@ class TestCmdRiemann:
 
     def test_bad_state_usage_error(self):
         assert main(["riemann", "--left", "nope", "--right", "1,0"]) == 1
+
+    def test_vacuum_state_profile_spans_the_waves(self, capsys):
+        # a vacuum side has no kink; its +-BIG marker must not set the range
+        assert main(["riemann", "--left", "0,0", "--right", "1,0"]) == 0
+        out = capsys.readouterr().out
+        rows = out.split("x,rho,m,v\n")[1].splitlines()
+        xs = [float(r.split(",")[0]) for r in rows]
+        assert len(xs) == 21
+        assert all(math.isfinite(x) and abs(x) < 10.0 for x in xs)
+        assert len({r.split(",", 1)[1] for r in rows}) > 2
+
+    def test_non_positive_time_rejected(self, capsys):
+        for t in ("0", "-1"):
+            assert main(["riemann", "--left", "1,0", "--right", "1,0",
+                         "--t", t]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and "--t" in err
 
 
 class TestCmdValidate:

@@ -41,6 +41,8 @@ def test_tracer_wraps_every_layer_and_restores_it(tmp_path):
                   "diagnostics.recurrence_audit", "cli.snapshot",
                   "baseline.run_baseline"):
         assert tr.calls[layer] > 0, layer
+    for inner in ("_kernels.gap_fill", "_kernels.riemann_solve", "_phi_left"):
+        assert tr.calls[inner] > 0, inner
     assert tr.units["cli.baseline_snapshot"] > 0
     assert tr.units["baseline.run_baseline"] > 0
     assert sum(tr.cases.values()) == tr.units["_kernels.pass_b"] > 0

@@ -5,10 +5,9 @@ import pytest
 from scipy.optimize import brentq
 
 import nozzleflow._kernels as _k
-from nozzleflow import (NUMBA_ENABLED, GasConstants, GasState,
-                        characteristic_speeds, entropy_admissible, lax_speed,
-                        rh_speed, sample, shock_velocity_jump, solve_riemann,
-                        to_invariants)
+from nozzleflow import (GasConstants, GasState, characteristic_speeds,
+                        entropy_admissible, lax_speed, rh_speed, sample,
+                        shock_velocity_jump, solve_riemann, to_invariants)
 from nozzleflow.riemann import HugoniotError, wave_breakpoints
 
 C14 = GasConstants.for_gamma(1.4)
@@ -344,8 +343,6 @@ class TestEntropyCondition:
         assert entropy_admissible(u, u, 1.0, C14)
 
 
-@pytest.mark.skipif(NUMBA_ENABLED,
-                    reason="a compiled kernel cannot be instrumented")
 class TestMiddleStateCost:
     def test_wave_curve_evaluations_bounded(self, monkeypatch):
         # the middle-state solve must stop once the density is resolved to
