@@ -1,13 +1,13 @@
 """Hot numeric kernels (scalar math, Riemann solves, in-cell constructions).
 
-Everything here is interpreted Python on Python floats.  Public modules wrap
-these functions with typed APIs, and tests exercise them through the
-wrappers.  Callers hand read-only array inputs over as Python lists
-(``ndarray.tolist()``): the kernels index them element by element, and
-arithmetic on Python floats costs a fraction of that on NumPy scalars.
-Output buffers stay NumPy arrays, filled in place.  Kernels call each other
-through module globals, so a wrapper installed on this module by name sees
-every inner call.
+Everything here is interpreted Python on Python floats, with no NumPy:
+callers hand array inputs over as Python lists (``ndarray.tolist()``), and
+arithmetic on Python floats costs a fraction of that on NumPy scalars.  The
+step drivers append their results to Python lists, which the caller turns
+into arrays once per step.  Public modules wrap these functions with typed
+APIs, and tests exercise them through the wrappers.  Kernels call each
+other through module globals, so a wrapper installed on this module by name
+sees every inner call.
 
 Conventions used throughout:
 
@@ -19,8 +19,11 @@ Conventions used throughout:
   breakpoints ``xs`` (n+1,) and coefficients ``c`` (k+1, n), highest
   degree first, packed by :func:`pack_ppoly`, clamped evaluation outside
   the domain;
-* an in-cell solution is a flat list of *pieces* separated by rays
-  ``x = xc + s*(t - t_n)``.  Piece kinds:
+* an in-cell solution is a list of *pieces* separated by rays
+  ``x = xc + s*(t - t_n)``.  A piece is the list ``[kind, params, speed,
+  front]``: ``params`` a 6-tuple of floats, ``speed`` the ray to the
+  piece's right and ``front`` 1 when that ray is a solved front (0.0 and 0
+  on a cell's last piece).  Piece kinds:
 
   - ``K_CONST``    params ``(rho, m)``
   - ``K_PROFILE``  params ``(x_anchor, z_d, w_d, sz, sw, corr)`` where the
@@ -35,8 +38,6 @@ Conventions used throughout:
 
 import math
 from bisect import bisect_right
-
-import numpy as np
 
 # piece kinds
 K_CONST = 0
@@ -916,26 +917,14 @@ def fan_jump_speed(z_prev, zt, wL, gamma, theta):
     return 0.5 * (z_prev + wL) - lax_S_k(r_t, r_prev, gamma)
 
 
-def _emit_profile(kinds, pars, pos, xa, z, w, sz, sw, corr):
-    kinds[pos] = K_PROFILE
-    pars[pos, 0] = xa
-    pars[pos, 1] = z
-    pars[pos, 2] = w
-    pars[pos, 3] = sz
-    pars[pos, 4] = sw
-    pars[pos, 5] = corr
-    return pos + 1
+def _profile(xa, z, w, sz, sw, corr):
+    """A profile piece with no ray to its right yet."""
+    return [K_PROFILE, (xa, z, w, sz, sw, corr), 0.0, 0]
 
 
-def _emit_const(kinds, pars, pos, rho, m):
-    kinds[pos] = K_CONST
-    pars[pos, 0] = rho
-    pars[pos, 1] = m
-    pars[pos, 2] = 0.0
-    pars[pos, 3] = 0.0
-    pars[pos, 4] = 0.0
-    pars[pos, 5] = 0.0
-    return pos + 1
+def _const(rho, m):
+    """A constant piece with no ray to its right yet."""
+    return [K_CONST, (rho, m, 0.0, 0.0, 0.0, 0.0), 0.0, 0]
 
 
 def invert_correction_k(x_a, z_r, w_r, tau, geo, gamma, theta):
@@ -971,58 +960,52 @@ def invert_correction_k(x_a, z_r, w_r, tau, geo, gamma, theta):
 
 
 def fan_chain_k(x_first, zL, wL, z_end, include_final, xc, dx, dt, h,
-                geo, gamma, theta, kinds, pars, spds, fflag, pos):
+                geo, gamma, theta, out):
     """Rarefaction-fan front chain: steady-profile pieces separated by
     implicitly solved rarefaction-shock fronts with invariant steps of h.
 
-    Emits the leading profile anchored at ``x_first`` with data
-    ``(zL, wL)`` and then one solved front + profile per fan target.  When
-    ``include_final`` the chain runs through ``z_end`` itself (truncated
-    near-vacuum fans); otherwise the last target is left to the gap fill.
-    Returns (pos, sigma_prev, z_last, w_last, status).
+    Appends to ``out`` the leading profile anchored at ``x_first`` with
+    data ``(zL, wL)`` and then one solved front + profile per fan target.
+    When ``include_final`` the chain runs through ``z_end`` itself
+    (truncated near-vacuum fans); otherwise the last target is left to the
+    gap fill.  Returns (sigma_prev, z_last, w_last, status).
     """
-    pos = _emit_profile(kinds, pars, pos, x_first, zL, wL, -1.0, 1.0, 1.0)
+    out.append(_profile(x_first, zL, wL, -1.0, 1.0, 1.0))
     speed_bound = dx / dt
     sigma_prev = -speed_bound * (1.0 + 1e-9)
     z_last = zL
     w_last = wL
     span = z_end - zL
     if span <= 1e-13 * (1.0 + abs(zL) + abs(z_end)):
-        return pos, sigma_prev, z_last, w_last, OK
+        return sigma_prev, z_last, w_last, OK
     k_int = fan_interval_count(span, h)
     nf = k_int if include_final else k_int - 1
     z_prev = zL
     for i in range(1, nf + 1):
         zt = fan_target(zL, z_end, h, i, k_int)
         sigma0 = fan_jump_speed(z_prev, zt, wL, gamma, theta)
+        left = out[-1]
         sigma, ru, mu, st = solve_front_k(
-            kinds[pos - 1], pars[pos - 1].tolist(), zt, sigma_prev, sigma0, xc,
-            dt, geo, gamma, theta, speed_bound)
+            left[0], left[1], zt, sigma_prev, sigma0, xc, dt, geo, gamma,
+            theta, speed_bound)
         if st != OK:
-            return pos, sigma_prev, z_last, w_last, st
-        spds[pos - 1] = sigma
-        fflag[pos - 1] = 1
+            return sigma_prev, z_last, w_last, st
+        left[2] = sigma
+        left[3] = 1
         zu, wu = invariants_k(ru, mu, theta)
         x_a = xc + sigma * dt * 0.5
         zd, wd = invert_correction_k(x_a, zu, wu, 0.5 * dt, geo, gamma, theta)
-        pos = _emit_profile(kinds, pars, pos, x_a, zd, wd, -1.0, 1.0, 1.0)
+        out.append(_profile(x_a, zd, wd, -1.0, 1.0, 1.0))
         sigma_prev = sigma
         z_prev = zt
         z_last = zu
         w_last = wu
-    return pos, sigma_prev, z_last, w_last, OK
+    return sigma_prev, z_last, w_last, OK
 
 
-def flatten_riemann_k(rsol, xc, clip_lo, clip_hi, theta,
-                      kinds, pars, spds, fflag, pos):
-    """Emit a sampled (exact) Riemann solution as flat cell pieces,
+def flatten_riemann_k(rsol, xc, clip_lo, clip_hi, theta, out):
+    """Append a sampled (exact) Riemann solution to ``out`` as cell pieces,
     dropping pieces entirely outside (clip_lo, clip_hi) in ray speed."""
-    segk = np.empty(5, np.int64)
-    segp = np.zeros((5, 6))
-    bspd = np.empty(4)
-    bfr = np.zeros(4, np.int64)
-    ns = 0
-    nb = 0
     k1 = int(rsol[6])
     k2 = int(rsol[7])
     rl = rsol[0]
@@ -1031,117 +1014,55 @@ def flatten_riemann_k(rsol, xc, clip_lo, clip_hi, theta,
     mr = rsol[3]
     rM = rsol[4]
     vM = rsol[5]
+    seg = []
     if k1 == W_SHOCK:
-        segk[ns] = K_CONST
-        segp[ns, 0] = rl
-        segp[ns, 1] = ml
-        ns += 1
-        bspd[nb] = rsol[8]
-        bfr[nb] = 1
-        nb += 1
+        seg.append([K_CONST, (rl, ml, 0.0, 0.0, 0.0, 0.0), rsol[8], 1])
     elif k1 == W_RAREF and rsol[9] > rsol[8]:
-        segk[ns] = K_CONST
-        segp[ns, 0] = rl
-        segp[ns, 1] = ml
-        ns += 1
-        bspd[nb] = rsol[8]
-        bfr[nb] = 0
-        nb += 1
-        segk[ns] = K_RAREF1
-        segp[ns, 0] = xc
-        segp[ns, 1] = invariants_k(rl, ml, theta)[1]
-        ns += 1
-        bspd[nb] = rsol[9]
-        bfr[nb] = 0
-        nb += 1
-    segk[ns] = K_CONST
-    segp[ns, 0] = rM
-    segp[ns, 1] = rM * vM
-    ns += 1
+        seg.append([K_CONST, (rl, ml, 0.0, 0.0, 0.0, 0.0), rsol[8], 0])
+        w0 = invariants_k(rl, ml, theta)[1]
+        seg.append([K_RAREF1, (xc, w0, 0.0, 0.0, 0.0, 0.0), rsol[9], 0])
+    seg.append(_const(rM, rM * vM))
     if k2 == W_SHOCK:
-        bspd[nb] = rsol[10]
-        bfr[nb] = 1
-        nb += 1
-        segk[ns] = K_CONST
-        segp[ns, 0] = rr
-        segp[ns, 1] = mr
-        ns += 1
+        seg[-1][2] = rsol[10]
+        seg[-1][3] = 1
+        seg.append(_const(rr, mr))
     elif k2 == W_RAREF and rsol[11] > rsol[10]:
-        bspd[nb] = rsol[10]
-        bfr[nb] = 0
-        nb += 1
-        segk[ns] = K_RAREF2
-        segp[ns, 0] = xc
-        segp[ns, 1] = invariants_k(rr, mr, theta)[0]
-        ns += 1
-        bspd[nb] = rsol[11]
-        bfr[nb] = 0
-        nb += 1
-        segk[ns] = K_CONST
-        segp[ns, 0] = rr
-        segp[ns, 1] = mr
-        ns += 1
+        seg[-1][2] = rsol[10]
+        z0 = invariants_k(rr, mr, theta)[0]
+        seg.append([K_RAREF2, (xc, z0, 0.0, 0.0, 0.0, 0.0), rsol[11], 0])
+        seg.append(_const(rr, mr))
     i0 = 0
-    while i0 < ns - 1 and bspd[i0] <= clip_lo:
+    while i0 < len(seg) - 1 and seg[i0][2] <= clip_lo:
         i0 += 1
-    i1 = ns - 1
-    while i1 > i0 and bspd[i1 - 1] >= clip_hi:
+    i1 = len(seg) - 1
+    while i1 > i0 and seg[i1 - 1][2] >= clip_hi:
         i1 -= 1
-    for p in range(i0, i1 + 1):
-        kinds[pos] = segk[p]
-        for cc in range(6):
-            pars[pos, cc] = segp[p, cc]
-        if p < i1:
-            spds[pos] = bspd[p]
-            fflag[pos] = bfr[p]
-        pos += 1
-    return pos
+    seg[i1][2] = 0.0
+    seg[i1][3] = 0
+    out.extend(seg[i0:i1 + 1])
 
 
-def _unreflect_append(skinds, spars, sspds, sfflag, n_src,
-                      kinds, pars, spds, fflag, pos):
-    """Append pieces built in the reflected frame (x -> -x, m -> -m),
-    mapping them back; piece order and boundary speeds reverse."""
-    for i in range(n_src):
-        src = n_src - 1 - i
-        kk = skinds[src]
-        if kk == K_CONST:
-            kinds[pos] = K_CONST
-            pars[pos, 0] = spars[src, 0]
-            pars[pos, 1] = -spars[src, 1]
-            pars[pos, 2] = 0.0
-            pars[pos, 3] = 0.0
-            pars[pos, 4] = 0.0
-            pars[pos, 5] = 0.0
-        elif kk == K_PROFILE:
-            kinds[pos] = K_PROFILE
-            pars[pos, 0] = -spars[src, 0]
-            pars[pos, 1] = -spars[src, 2]
-            pars[pos, 2] = -spars[src, 1]
-            pars[pos, 3] = -spars[src, 4]
-            pars[pos, 4] = -spars[src, 3]
-            pars[pos, 5] = spars[src, 5]
-        elif kk == K_RAREF1:
-            kinds[pos] = K_RAREF2
-            pars[pos, 0] = -spars[src, 0]
-            pars[pos, 1] = -spars[src, 1]
-            pars[pos, 2] = 0.0
-            pars[pos, 3] = 0.0
-            pars[pos, 4] = 0.0
-            pars[pos, 5] = 0.0
+def _reflected(kind, q):
+    """Piece (kind, q) mapped through the reflection x -> -x, m -> -m:
+    z and w swap roles and change sign, so the rarefaction families swap.
+    The map is its own inverse."""
+    if kind == K_CONST:
+        return K_CONST, (q[0], -q[1], 0.0, 0.0, 0.0, 0.0)
+    if kind == K_PROFILE:
+        return K_PROFILE, (-q[0], -q[2], -q[1], -q[4], -q[3], q[5])
+    other = K_RAREF2 if kind == K_RAREF1 else K_RAREF1
+    return other, (-q[0], -q[1], 0.0, 0.0, 0.0, 0.0)
+
+
+def _unreflect_append(src, out):
+    """Append pieces built in the reflected frame, mapping them back; piece
+    order and ray speeds reverse."""
+    for i in range(len(src) - 1, -1, -1):
+        kind, q = _reflected(src[i][0], src[i][1])
+        if i > 0:
+            out.append([kind, q, -src[i - 1][2], src[i - 1][3]])
         else:
-            kinds[pos] = K_RAREF1
-            pars[pos, 0] = -spars[src, 0]
-            pars[pos, 1] = -spars[src, 1]
-            pars[pos, 2] = 0.0
-            pars[pos, 3] = 0.0
-            pars[pos, 4] = 0.0
-            pars[pos, 5] = 0.0
-        if src > 0:
-            spds[pos] = -sspds[src - 1]
-            fflag[pos] = sfflag[src - 1]
-        pos += 1
-    return pos
+            out.append([kind, q, 0.0, 0])
 
 
 def _cell_is_inert(j, rsol, dx, geo):
@@ -1156,9 +1077,10 @@ def _cell_is_inert(j, rsol, dx, geo):
     return True
 
 
-def build_away_cell_k(j, rsol, par, geo, geor, kinds, pars, spds, fflag, pos0):
+def build_away_cell_k(j, rsol, par, geo, geor):
     """Away-from-vacuum construction: per-family fans plus the
-    gap fill with the floating middle profile and two solved fronts."""
+    gap fill with the floating middle profile and two solved fronts.
+    Returns (pieces, status)."""
     gamma = par[0]
     theta = par[1]
     dx = par[2]
@@ -1167,8 +1089,7 @@ def build_away_cell_k(j, rsol, par, geo, geor, kinds, pars, spds, fflag, pos0):
     xc = j * dx
     speed_bound = dx / dt
     if _cell_is_inert(j, rsol, dx, geo):
-        pos = _emit_const(kinds, pars, pos0, rsol[0], rsol[1])
-        return pos, OK
+        return [_const(rsol[0], rsol[1])], OK
 
     rl = rsol[0]
     ml = rsol[1]
@@ -1185,39 +1106,34 @@ def build_away_cell_k(j, rsol, par, geo, geor, kinds, pars, spds, fflag, pos0):
     zM = vM - kfun(rM, theta)
     wM = vM + kfun(rM, theta)
 
-    pos = pos0
+    cell = []
     if k1 == W_RAREF:
-        pos, sprev_l, lz, lw, st = fan_chain_k(
+        sprev_l, lz, lw, st = fan_chain_k(
             (j - 1) * dx, zl, wl, zM, False, xc, dx, dt, h,
-            geo, gamma, theta, kinds, pars, spds, fflag, pos)
+            geo, gamma, theta, cell)
         if st != OK:
-            return pos, st
+            return cell, st
         guess_a = fan_jump_speed(lz, zM, lw, gamma, theta)
     else:
-        pos = _emit_profile(kinds, pars, pos, (j - 1) * dx, zl, wl, -1.0, 1.0, 1.0)
+        cell.append(_profile((j - 1) * dx, zl, wl, -1.0, 1.0, 1.0))
         sprev_l = -speed_bound * (1.0 + 1e-9)
         if k1 == W_SHOCK:
             guess_a = sigma1_k(rl, vl, rM, gamma)
         else:
             guess_a = vM - sound_k(rM, theta)
-    ilast_left = pos - 1
 
     # right side built in the reflected frame
-    capr = fan_interval_count(wr - wM, h) + 3
-    skinds = np.empty(capr, np.int64)
-    spars = np.zeros((capr, 6))
-    sspds = np.empty(capr)
-    sfflag = np.zeros(capr, np.int64)
+    right = []
     if k2 == W_RAREF:
-        nsr, sprev_r, rz, rw, st = fan_chain_k(
+        sprev_r, rz, rw, st = fan_chain_k(
             -(j + 1) * dx, -wr, -zr, -wM, False, -xc, dx, dt, h,
-            geor, gamma, theta, skinds, spars, sspds, sfflag, 0)
+            geor, gamma, theta, right)
         if st != OK:
-            return pos, st
+            return cell, st
         guess_b = -fan_jump_speed(rz, -wM, rw, gamma, theta)
         right_front_min = -sprev_r
     else:
-        nsr = _emit_profile(skinds, spars, 0, -(j + 1) * dx, -wr, -zr, -1.0, 1.0, 1.0)
+        right.append(_profile(-(j + 1) * dx, -wr, -zr, -1.0, 1.0, 1.0))
         right_front_min = speed_bound * (1.0 + 1e-9)
         if k2 == W_SHOCK:
             guess_b = sigma2_k(rr, vr, rM, gamma)
@@ -1225,43 +1141,34 @@ def build_away_cell_k(j, rsol, par, geo, geor, kinds, pars, spds, fflag, pos0):
             guess_b = vM + sound_k(rM, theta)
 
     # innermost right piece, mapped to the original frame
-    rq = [0.0] * 6
-    rq[0] = -spars[nsr - 1, 0]
-    rq[1] = -spars[nsr - 1, 2]
-    rq[2] = -spars[nsr - 1, 1]
-    rq[3] = -spars[nsr - 1, 4]
-    rq[4] = -spars[nsr - 1, 3]
-    rq[5] = spars[nsr - 1, 5]
+    _kind, rq = _reflected(right[-1][0], right[-1][1])
 
     f1m, f2m = flux_k(rM, rM * vM, gamma)
     fscale = 1.0 + abs(f1m) + abs(f2m)
     sa, sb, zm, wm, st = gap_fill_k(
-        pars[ilast_left].tolist(), rq, xc, dt, geo, gamma, theta,
+        cell[-1][1], rq, xc, dt, geo, gamma, theta,
         guess_a, guess_b, zM, wM, fscale)
     if st != OK:
-        return pos, st
+        return cell, st
     if not (sprev_l < sa < sb < right_front_min):
-        return pos, ERR_ORDERING
+        return cell, ERR_ORDERING
     if abs(sa) > speed_bound or abs(sb) > speed_bound:
-        return pos, ERR_SPEED_BOUND
+        return cell, ERR_SPEED_BOUND
 
-    spds[pos - 1] = sa
-    fflag[pos - 1] = 1
-    pos = _emit_profile(kinds, pars, pos, xc, zm, wm, -1.0, 1.0, 1.0)
-    spds[pos - 1] = sb
-    fflag[pos - 1] = 1
-    pos = _unreflect_append(skinds, spars, sspds, sfflag, nsr,
-                            kinds, pars, spds, fflag, pos)
-    return pos, OK
+    cell[-1][2] = sa
+    cell[-1][3] = 1
+    cell.append([K_PROFILE, (xc, zm, wm, -1.0, 1.0, 1.0), sb, 1])
+    _unreflect_append(right, cell)
+    return cell, OK
 
 
-def vac_left_side_k(j, rho_l, m_l, par, geo, kinds, pars, spds, fflag, pos0):
+def vac_left_side_k(j, rho_l, m_l, par, geo, out):
     """Near-vacuum left-side construction (Case-1 sub-dispatch on u_L).
 
-    Returns (pos, lam_edge, rho_star, m_star, subcode, clamped_x4, status).
-    The emitted pieces cover the region left of the ray with speed
-    ``lam_edge``; for sub-case 1.2(i) a single constant piece is emitted
-    (callers covering the whole cell with the plain Riemann solution rewind
+    Returns (lam_edge, rho_star, m_star, subcode, clamped_x4, status).  The
+    pieces appended to ``out`` cover the region left of the ray with speed
+    ``lam_edge``; for sub-case 1.2(i) it is a single constant piece
+    (callers covering the whole cell with the plain Riemann solution drop
     it).
     """
     gamma = par[0]
@@ -1274,30 +1181,29 @@ def vac_left_side_k(j, rho_l, m_l, par, geo, kinds, pars, spds, fflag, pos0):
     xc = j * dx
     thr = pow_g(dx, beta)
     Lj = -M * math.exp(-geo_B(geo, (j + 1) * dx))
-    pos = pos0
     if rho_l < RHO_FLOOR:
-        return pos, -BIG, 0.0, 0.0, SUB_NONE, 0, OK
+        return -BIG, 0.0, 0.0, SUB_NONE, 0, OK
     v_l = m_l / rho_l
     zl, wl = invariants_k(rho_l, m_l, theta)
     if rho_l > 2.0 * thr:
         # truncated fan down to density 2*(dx)^beta, then a z-floor at Lj
         z1 = wl - 2.0 * kfun(2.0 * thr, theta)
-        pos, sprev, z2, w2, st = fan_chain_k(
+        sprev, z2, w2, st = fan_chain_k(
             (j - 1) * dx, zl, wl, z1, True, xc, dx, dt, h,
-            geo, gamma, theta, kinds, pars, spds, fflag, pos)
+            geo, gamma, theta, out)
         if st != OK:
-            return pos, 0.0, 0.0, 0.0, SUB_11, 0, st
+            return 0.0, 0.0, 0.0, SUB_11, 0, st
         r2, m2 = state_k(z2, w2, theta)
         lam_edge = (z2 + w2) * 0.5 - sound_k(r2, theta)
         z3 = z2
         if z3 < Lj:
             z3 = Lj
         rs, ms = state_k(z3, wl, theta)
-        return pos, lam_edge, rs, ms, SUB_11, 0, OK
+        return lam_edge, rs, ms, SUB_11, 0, OK
     if zl >= Lj:
-        pos = _emit_const(kinds, pars, pos, rho_l, m_l)
+        out.append(_const(rho_l, m_l))
         lam_edge = v_l - sound_k(rho_l, theta)
-        return pos, lam_edge, rho_l, m_l, SUB_12I, 0, OK
+        return lam_edge, rho_l, m_l, SUB_12I, 0, OK
     # 1.2(ii): decay profile anchored at the cell center down to the floor
     need = math.log(zl / Lj)
     Bc = geo_B(geo, xc)
@@ -1323,39 +1229,38 @@ def vac_left_side_k(j, rho_l, m_l, par, geo, kinds, pars, spds, fflag, pos0):
     w4 = wl * fac
     r4, m4 = state_k(z4, w4, theta)
     lam_edge = (z4 + w4) * 0.5 - sound_k(r4, theta)
-    pos = _emit_profile(kinds, pars, pos, xc, zl, wl, -1.0, -1.0, 1.0)
-    return pos, lam_edge, r4, m4, SUB_12II, clamped, OK
+    out.append(_profile(xc, zl, wl, -1.0, -1.0, 1.0))
+    return lam_edge, r4, m4, SUB_12II, clamped, OK
 
 
-def _build_vac_case1_k(j, rho_l, m_l, rho_r, m_r, par, geo,
-                       kinds, pars, spds, fflag, pos0):
-    """Near-vacuum Case 1 (1-rarefaction + 2-shock)."""
+def _build_vac_case1_k(j, rho_l, m_l, rho_r, m_r, par, geo):
+    """Near-vacuum Case 1 (1-rarefaction + 2-shock).  Returns (pieces,
+    subcode, clamped, status)."""
     gamma = par[0]
     theta = par[1]
     dx = par[2]
     xc = j * dx
-    pos, lam_edge, rs, ms, sub, clamped, st = vac_left_side_k(
-        j, rho_l, m_l, par, geo, kinds, pars, spds, fflag, pos0)
+    cell = []
+    lam_edge, rs, ms, sub, clamped, st = vac_left_side_k(
+        j, rho_l, m_l, par, geo, cell)
     if st != OK:
-        return pos, sub, clamped, st
+        return cell, sub, clamped, st
     if sub == SUB_12I or sub == SUB_NONE:
+        cell = []
         rsol = riemann_solve_k(rho_l, m_l, rho_r, m_r, gamma, theta)
-        pos = flatten_riemann_k(rsol, xc, -BIG, BIG, theta,
-                                kinds, pars, spds, fflag, pos0)
-        return pos, sub, clamped, OK
+        flatten_riemann_k(rsol, xc, -BIG, BIG, theta, cell)
+        return cell, sub, clamped, OK
     rsol2 = riemann_solve_k(rs, ms, rho_r, m_r, gamma, theta)
-    spds[pos - 1] = lam_edge
-    fflag[pos - 1] = 0
-    pos = flatten_riemann_k(rsol2, xc, lam_edge, BIG, theta,
-                            kinds, pars, spds, fflag, pos)
-    return pos, sub, clamped, OK
+    cell[-1][2] = lam_edge
+    cell[-1][3] = 0
+    flatten_riemann_k(rsol2, xc, lam_edge, BIG, theta, cell)
+    return cell, sub, clamped, OK
 
 
-def build_vac_cell_k(j, rsol, par, geo, geor, kinds, pars, spds, fflag,
-                     pos0, cap):
+def build_vac_cell_k(j, rsol, par, geo, geor):
     """Construction dispatch for near-vacuum middle states.
 
-    Returns (pos, case_code, subcode, clamped, status).  Case 2 runs the
+    Returns (pieces, case_code, subcode, clamped, status).  Case 2 runs the
     Case-1 machinery in the reflected frame (x -> -x, m -> -m); Case 3
     uses the Case-1 side selection on both sides around a central Riemann
     solution; Case 4 is the plain Riemann solution.
@@ -1371,105 +1276,72 @@ def build_vac_cell_k(j, rsol, par, geo, geor, kinds, pars, spds, fflag,
     k1 = int(rsol[6])
     k2 = int(rsol[7])
     if rl < RHO_FLOOR and rr < RHO_FLOOR:
-        pos = _emit_const(kinds, pars, pos0, 0.0, 0.0)
-        return pos, CASE_VAC_ALLVAC, SUB_NONE, 0, OK
+        return [_const(0.0, 0.0)], CASE_VAC_ALLVAC, SUB_NONE, 0, OK
     if _cell_is_inert(j, rsol, dx, geo):
-        pos = _emit_const(kinds, pars, pos0, rl, ml)
-        return pos, CASE_VAC_ALLVAC + 1, SUB_NONE, 0, OK
+        return [_const(rl, ml)], CASE_VAC_ALLVAC + 1, SUB_NONE, 0, OK
     if k1 != W_SHOCK and k2 == W_SHOCK:
-        pos, sub, clamped, st = _build_vac_case1_k(
-            j, rl, ml, rr, mr, par, geo, kinds, pars, spds, fflag, pos0)
-        return pos, CASE_VAC_1, sub, clamped, st
+        cell, sub, clamped, st = _build_vac_case1_k(
+            j, rl, ml, rr, mr, par, geo)
+        return cell, CASE_VAC_1, sub, clamped, st
+    cell = []
     if k1 == W_SHOCK and k2 != W_SHOCK:
-        skinds = np.empty(cap, np.int64)
-        spars = np.zeros((cap, 6))
-        sspds = np.empty(cap)
-        sfflag = np.zeros(cap, np.int64)
-        npz, sub, clamped, st = _build_vac_case1_k(
-            -j, rr, -mr, rl, -ml, par, geor, skinds, spars, sspds, sfflag, 0)
-        if st != OK:
-            return pos0, CASE_VAC_2, sub, clamped, st
-        pos = _unreflect_append(skinds, spars, sspds, sfflag, npz,
-                                kinds, pars, spds, fflag, pos0)
-        return pos, CASE_VAC_2, sub, clamped, st
+        refl, sub, clamped, st = _build_vac_case1_k(
+            -j, rr, -mr, rl, -ml, par, geor)
+        _unreflect_append(refl, cell)
+        return cell, CASE_VAC_2, sub, clamped, st
     if k1 == W_SHOCK and k2 == W_SHOCK:
-        pos = flatten_riemann_k(rsol, xc, -BIG, BIG, theta,
-                                kinds, pars, spds, fflag, pos0)
-        return pos, CASE_VAC_4, SUB_NONE, 0, OK
+        flatten_riemann_k(rsol, xc, -BIG, BIG, theta, cell)
+        return cell, CASE_VAC_4, SUB_NONE, 0, OK
     # Case 3: two rarefactions (or degenerate waves)
-    pos, lamL, rsl, msl, subL, clampL, st = vac_left_side_k(
-        j, rl, ml, par, geo, kinds, pars, spds, fflag, pos0)
+    lamL, rsl, msl, subL, clampL, st = vac_left_side_k(
+        j, rl, ml, par, geo, cell)
     if st != OK:
-        return pos, CASE_VAC_3, subL, clampL, st
-    skinds = np.empty(cap, np.int64)
-    spars = np.zeros((cap, 6))
-    sspds = np.empty(cap)
-    sfflag = np.zeros(cap, np.int64)
-    nsr, lamRr, rsrr, msrr, subR, clampR, st2 = vac_left_side_k(
-        -j, rr, -mr, par, geor, skinds, spars, sspds, sfflag, 0)
-    if st2 != OK:
-        return pos, CASE_VAC_3, subR, clampR, st2
+        return cell, CASE_VAC_3, subL, clampL, st
+    right = []
+    lamRr, rsrr, msrr, subR, clampR, st = vac_left_side_k(
+        -j, rr, -mr, par, geor, right)
+    if st != OK:
+        return cell, CASE_VAC_3, subR, clampR, st
     lamR = BIG if lamRr == -BIG else -lamRr
     rsolm = riemann_solve_k(rsl, msl, rsrr, -msrr, gamma, theta)
-    if pos > pos0:
-        spds[pos - 1] = lamL
-        fflag[pos - 1] = 0
-    pos = flatten_riemann_k(rsolm, xc, lamL, lamR, theta,
-                            kinds, pars, spds, fflag, pos)
-    if nsr > 0:
-        spds[pos - 1] = lamR
-        fflag[pos - 1] = 0
-        pos = _unreflect_append(skinds, spars, sspds, sfflag, nsr,
-                                kinds, pars, spds, fflag, pos)
+    if cell:
+        cell[-1][2] = lamL
+        cell[-1][3] = 0
+    flatten_riemann_k(rsolm, xc, lamL, lamR, theta, cell)
+    if right:
+        cell[-1][2] = lamR
+        cell[-1][3] = 0
+        _unreflect_append(right, cell)
     sub = subL * 10 + subR
     clamped = clampL + clampR
-    return pos, CASE_VAC_3, sub, clamped, OK
+    return cell, CASE_VAC_3, sub, clamped, OK
 
 
 # ---------------------------------------------------------------------------
 # whole-step drivers
 # ---------------------------------------------------------------------------
 
-def build_step_pass_a(jcells, lrho, lm, rrho, rm, par, rsols, caps):
-    """Solve all cell Riemann problems; estimate per-cell piece capacity."""
+def build_step_pass_a(jcells, lrho, lm, rrho, rm, par, rsols):
+    """Solve all cell Riemann problems, appending each packed solution to
+    rsols."""
     gamma = par[0]
     theta = par[1]
-    dx = par[2]
-    h = pow_g(dx, par[4])
-    beta = par[5]
-    thr = pow_g(dx, beta)
-    C = len(jcells)
-    for c in range(C):
-        rsol = riemann_solve_k(lrho[c], lm[c], rrho[c], rm[c], gamma, theta)
-        for q in range(RSOL_LEN):
-            rsols[c, q] = rsol[q]
-        rM = rsol[4]
-        vM = rsol[5]
-        zl, wl = invariants_k(lrho[c], lm[c], theta)
-        zr, wr = invariants_k(rrho[c], rm[c], theta)
-        if rM > thr:
-            zM = vM - kfun(rM, theta)
-            wM = vM + kfun(rM, theta)
-            cap = 9
-            if int(rsol[6]) == W_RAREF:
-                cap += fan_interval_count(zM - zl, h) + 2
-            if int(rsol[7]) == W_RAREF:
-                cap += fan_interval_count(wr - wM, h) + 2
-        else:
-            cap = 18
-            if lrho[c] > 2.0 * thr:
-                z1 = wl - 2.0 * kfun(2.0 * thr, theta)
-                cap += fan_interval_count(z1 - zl, h) + 2
-            if rrho[c] > 2.0 * thr:
-                w1 = zr + 2.0 * kfun(2.0 * thr, theta)
-                cap += fan_interval_count(wr - w1, h) + 2
-        caps[c] = cap
+    for c in range(len(jcells)):
+        rsols.append(riemann_solve_k(lrho[c], lm[c], rrho[c], rm[c], gamma,
+                                     theta))
 
 
 def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
                       kinds, pars, spds, fflag,
                       ncount, ccase, csub, cclamp, cerr):
-    """Build every cell record for one step."""
+    """Build every cell record for one step.
+
+    The cells' pieces go back to back onto the output lists: kinds, pars
+    (six floats a piece), spds and fflag (the ray to the piece's right;
+    0.0 and 0 on a cell's last piece).  offs gets each cell's first piece
+    and then the total; ncount, ccase, csub, cclamp and cerr one entry per
+    cell.
+    """
     theta = par[1]
     dx = par[2]
     dt = par[3]
@@ -1479,43 +1351,36 @@ def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
     C = len(jcells)
     for c in range(C):
         j = jcells[c]
-        pos0 = offs[c]
-        cap = offs[c + 1] - pos0
         rsol = rsols[c]
         rM = rsol[4]
         if rM > thr:
-            pos, st = build_away_cell_k(j, rsol, par, geo, geor,
-                                        kinds, pars, spds, fflag, pos0)
+            cell, st = build_away_cell_k(j, rsol, par, geo, geor)
             k1 = int(rsol[6])
             k2 = int(rsol[7])
             if k1 != W_SHOCK and k2 == W_SHOCK:
-                ccase[c] = 1
+                case = 1
             elif k1 == W_SHOCK and k2 != W_SHOCK:
-                ccase[c] = 2
+                case = 2
             elif k1 != W_SHOCK and k2 != W_SHOCK:
-                ccase[c] = 3
+                case = 3
             else:
-                ccase[c] = 4
-            csub[c] = SUB_NONE
-            cclamp[c] = 0
+                case = 4
+            sub = SUB_NONE
+            clamped = 0
         else:
-            pos, case, sub, clamped, st = build_vac_cell_k(
-                j, rsol, par, geo, geor, kinds, pars, spds, fflag, pos0, cap)
-            ccase[c] = case
-            csub[c] = sub
-            cclamp[c] = clamped
-        n = pos - pos0
-        ncount[c] = n
+            cell, case, sub, clamped, st = build_vac_cell_k(
+                j, rsol, par, geo, geor)
+        n = len(cell)
         if st == OK:
             # boundary sanity: ordered rays inside the cell light cone
             prev = -BIG
             prev_front = -BIG
             for i in range(n - 1):
-                s = spds[pos0 + i]
+                s = cell[i][2]
                 if s < prev - 1e-11 * speed_bound:
                     st = ERR_ORDERING
                     break
-                if fflag[pos0 + i] == 1:
+                if cell[i][3] == 1:
                     if s <= prev_front:
                         st = ERR_ORDERING
                         break
@@ -1524,7 +1389,18 @@ def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
                 if abs(s) > speed_bound * (1.0 + 1e-12) and abs(s) < BIG:
                     st = ERR_SPEED_BOUND
                     break
-        cerr[c] = st
+        offs.append(len(kinds))
+        for kind, q, s, front in cell:
+            kinds.append(kind)
+            pars.extend(q)
+            spds.append(s)
+            fflag.append(front)
+        ncount.append(n)
+        ccase.append(case)
+        csub.append(sub)
+        cclamp.append(clamped)
+        cerr.append(st)
+    offs.append(len(kinds))
 
 
 def _gauss5_piece(kind, q, a, b, tau, geo, gamma, theta):

@@ -160,15 +160,15 @@ def flux(rho, m, gamma):
 
 
 class _Pieces:
-    """Every piece of a step record with its cell: packed index, cell
-    index, centre, and whether it is the first or last piece of its cell."""
+    """Every piece of a step record (the cells' pieces back to back) with
+    its cell: cell index, centre, and whether it is the first or last piece
+    of its cell."""
 
-    def __init__(self, jcells, offs, ncount, dx):
+    def __init__(self, jcells, ncount, dx):
         C = jcells.size
         self.cell = np.repeat(np.arange(C), ncount)
         first_of = np.repeat(np.cumsum(ncount) - ncount, ncount)
         p = np.arange(self.cell.size) - first_of
-        self.idx = np.repeat(offs[:C], ncount) + p
         self.first = p == 0
         self.last = p == ncount[self.cell] - 1
         self.xc = jcells[self.cell] * dx
@@ -180,10 +180,9 @@ class _Pieces:
         xc = self.xc if centre is None else centre
         xl = xc - self.dx
         xr = xc + self.dx
-        lo = spds[np.maximum(self.idx - 1, 0)]
-        hi = spds[np.minimum(self.idx, spds.size - 1)]
+        lo = np.roll(spds, 1)           # the ray to each piece's left
         a = np.where(self.first, xl, np.clip(xc + lo * t, xl, xr))
-        b = np.where(self.last, xr, np.clip(xc + hi * t, xl, xr))
+        b = np.where(self.last, xr, np.clip(xc + spds * t, xl, xr))
         return a, b
 
 
@@ -206,19 +205,18 @@ def invariants(rho, m, theta):
     return np.where(live, v - k, 0.0), np.where(live, v + k, 0.0)
 
 
-def cell_averages(jcells, offs, ncount, kinds, pars, spds, params, c,
-                  tables):
+def cell_averages(jcells, ncount, kinds, pars, spds, params, c, tables):
     """End-of-step averages (rho, m) of the cells' in-cell solutions, before
     the projection; pieces are summed in order within each cell."""
     dx, dt = params.dx, params.dt
-    pcs = _Pieces(jcells, offs, ncount, dx)
+    pcs = _Pieces(jcells, ncount, dx)
     C = jcells.size
     # piece extents relative to the cell centre (exact 2*dx total)
     a, b = pcs.extent(spds, dt, centre=0.0)
     sel = np.nonzero(b > a)[0]
     a, b, cell = a[sel], b[sel], pcs.cell[sel]
-    kinds = kinds[pcs.idx[sel]]
-    q = pars[pcs.idx[sel]]
+    kinds = kinds[sel]
+    q = pars[sel]
     ir = q[:, 0] * (b - a)
     im = q[:, 1] * (b - a)
     gauss = np.nonzero(kinds != _k.K_CONST)[0]
@@ -276,12 +274,11 @@ def project(e_r, e_m, lo, up, params, c):
     return out + (stats,)
 
 
-def average_project(jcells, offs, ncount, kinds, pars, spds, params, c,
-                    tables):
+def average_project(jcells, ncount, kinds, pars, spds, params, c, tables):
     """End-of-step cell averages, projected onto the envelope at the cell
     centres: :func:`cell_averages`, then :func:`project`."""
-    e_r, e_m = cell_averages(jcells, offs, ncount, kinds, pars, spds, params,
-                             c, tables)
+    e_r, e_m = cell_averages(jcells, ncount, kinds, pars, spds, params, c,
+                             tables)
     lo, up = envelope(params.M, tables["B"], jcells * params.dx)
     return project(e_r, e_m, lo, up, params, c)
 
@@ -315,9 +312,9 @@ def cell_aq_integrals(record):
     front rays (the A'/A term of the energy recurrence equals minus it)."""
     c, dx, dt = record.constants, record.params.dx, record.params.dt
     tables = record.bundle.tables
-    pcs = _Pieces(record.jcells, record.offs, record.ncount, dx)
-    kinds = record.kinds[pcs.idx]
-    q = record.pars[pcs.idx]
+    pcs = _Pieces(record.jcells, record.ncount, dx)
+    kinds = record.kinds
+    q = record.pars
     Bd = anchors(kinds, q, tables)
     at_rest = (kinds == _k.K_CONST) & (q[:, 1] == 0.0)
     out = np.zeros(record.jcells.size)
@@ -372,11 +369,11 @@ def jump_integral(record, new_z, new_w):
     (z, w), the vacuum state at vacuum nodes."""
     c, dx, dt = record.constants, record.params.dx, record.params.dt
     tables = record.bundle.tables
-    pcs = _Pieces(record.jcells, record.offs, record.ncount, dx)
+    pcs = _Pieces(record.jcells, record.ncount, dx)
     a, b = pcs.extent(record.spds, dt)
     sel = np.nonzero(b > a)[0]
-    kinds = record.kinds[pcs.idx[sel]]
-    q = record.pars[pcs.idx[sel]]
+    kinds = record.kinds[sel]
+    q = record.pars[sel]
     cell = pcs.cell[sel]
     vac = (new_z[cell] == 0.0) & (new_w[cell] == 0.0)
     qn = np.zeros((sel.size, 6))
@@ -406,11 +403,11 @@ def energy_trace(record, tau):
     """Integral of A(x) eta*(u) over all cells at time offset tau."""
     c, dx = record.constants, record.params.dx
     tables = record.bundle.tables
-    pcs = _Pieces(record.jcells, record.offs, record.ncount, dx)
+    pcs = _Pieces(record.jcells, record.ncount, dx)
     a, b = pcs.extent(record.spds, tau)
     sel = np.nonzero(b > a)[0]
-    kinds = record.kinds[pcs.idx[sel]]
-    q = record.pars[pcs.idx[sel]]
+    kinds = record.kinds[sel]
+    q = record.pars[sel]
     xm = 0.5 * (a[sel] + b[sel])
     half = 0.5 * (b[sel] - a[sel])
     A0 = record.bundle.geom.A0
@@ -425,17 +422,16 @@ def energy_trace(record, tau):
     return sequential_sum(terms)
 
 
-def max_rh_residual(jcells, offs, ncount, kinds, pars, spds, fflag, dx, dt,
-                    c, tables):
+def max_rh_residual(jcells, ncount, kinds, pars, spds, fflag, dx, dt, c,
+                    tables):
     """Worst Rankine-Hugoniot residual over the solved fronts (pieces
     flagged in fflag) at the half time."""
-    pcs = _Pieces(jcells, offs, ncount, dx)
+    pcs = _Pieces(jcells, ncount, dx)
     inner = np.nonzero(~pcs.last)[0]
-    front = inner[fflag[pcs.idx[inner]] == 1]
-    i = pcs.idx[front]
+    i = inner[fflag[inner] == 1]
     tau = 0.5 * dt
     s = spds[i]
-    xf = pcs.xc[front] + s * tau
+    xf = pcs.xc[i] + s * tau
     rl, ml = pieces_at(kinds[i], pars[i], xf, tau, tables, c.theta)
     rr, mr = pieces_at(kinds[i + 1], pars[i + 1], xf, tau, tables, c.theta)
     f1l, f2l = flux(rl, ml, c.gamma)

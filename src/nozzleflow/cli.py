@@ -372,8 +372,11 @@ def cmd_riemann(args):
     print(f"middle state  : rho={_fmt(sol.middle.rho)} m={_fmt(sol.middle.m)}"
           f" v={_fmt(sol.middle.v)}")
     for w, name in ((sol.wave1, "1-wave"), (sol.wave2, "2-wave")):
-        print(f"{name}        : {w.kind.kind}  speeds "
-              f"[{_fmt(w.speed_lo)}, {_fmt(w.speed_hi)}]")
+        if w.kind.kind == "none":
+            print(f"{name}        : none")
+        else:
+            print(f"{name}        : {w.kind.kind}  speeds "
+                  f"[{_fmt(w.speed_lo)}, {_fmt(w.speed_hi)}]")
     pts = wave_breakpoints(sol)
     if pts:
         lo = min(pts) - 0.2 * (1 + max(pts) - min(pts))

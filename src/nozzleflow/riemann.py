@@ -34,12 +34,13 @@ class HugoniotError(ValueError):
 @dataclass(frozen=True)
 class WaveCurveKind:
     family: int
-    kind: str   # "rarefaction" | "shock" | "rarefaction-shock"
+    kind: str   # "rarefaction" | "shock" | "rarefaction-shock" | "none"
 
     def __post_init__(self):
         if self.family not in (1, 2):
             raise ValueError(f"family must be 1 or 2, got {self.family}")
-        if self.kind not in ("rarefaction", "shock", "rarefaction-shock"):
+        if self.kind not in ("rarefaction", "shock", "rarefaction-shock",
+                             "none"):
             raise ValueError(f"unknown wave kind {self.kind!r}")
 
 
@@ -65,7 +66,7 @@ class RiemannSolution:
     wave1: WaveDescriptor
     wave2: WaveDescriptor
     constants: GasConstants
-    _packed: np.ndarray
+    _packed: list
 
     @property
     def has_vacuum_middle(self):
@@ -129,6 +130,9 @@ def entropy_admissible(ul: GasState, ur: GasState, lam, c: GasConstants,
 
 
 def _wave_descriptor(packed, family, ul, ur, c):
+    """Wave of one family.  A wave of zero strength is a rarefaction at the
+    characteristic speed; next to a vacuum state there is no wave at all,
+    of kind "none"."""
     th = c.theta
     if family == 1:
         kcode = int(packed[6])
@@ -143,10 +147,11 @@ def _wave_descriptor(packed, family, ul, ur, c):
     else:
         kind = "rarefaction"
         if kcode == _k.W_NONE:
+            outer = ul if family == 1 else ur
+            if outer.rho < _k.RHO_FLOOR:
+                kind = "none"
             lam1, lam2 = _k.lambdas_k(upstream.rho, upstream.m, th)
             lo = hi = lam1 if family == 1 else lam2
-    lo = max(lo, -1e308)
-    hi = min(hi, 1e308)
     return WaveDescriptor(WaveCurveKind(family, kind), lo, hi,
                           upstream, downstream)
 
@@ -160,6 +165,7 @@ def solve_riemann(ul: GasState, ur: GasState, c: GasConstants) -> RiemannSolutio
     mid = GasState(packed[4], packed[4] * packed[5])
     w1 = _wave_descriptor(packed, 1, ul, ur, c)
     w2 = _wave_descriptor(packed, 2, ul, ur, c)
+    # a "none" wave keys as a rarefaction
     key1 = 2 if w1.kind.kind == "shock" else 1
     key2 = 2 if w2.kind.kind == "shock" else 1
     region = REGIONS[(key1, key2)]

@@ -243,11 +243,9 @@ class CellSolution:
         return GasState(rho, m)
 
     def _packed(self):
-        """(jcells, offs, ncount) of this cell as a one-cell step record."""
-        nn = self.kinds.size
+        """(jcells, ncount) of this cell as a one-cell step record."""
         return (np.array([self.j], dtype=np.int64),
-                np.array([0, nn], dtype=np.int64),
-                np.array([nn], dtype=np.int64))
+                np.array([self.kinds.size], dtype=np.int64))
 
     def max_rh_residual(self):
         """Worst half-time RH residual over the solved fronts."""
@@ -258,8 +256,8 @@ class CellSolution:
 
     def average(self) -> GasState:
         """End-of-step cell average (pre-projection), as the step computes
-        it.  Step arrays hold a ray-speed slot per piece, the last one
-        unused, hence the padded speeds."""
+        it.  Step arrays hold a ray speed per piece, 0.0 on a cell's last
+        piece, hence the appended speed."""
         e_r, e_m = _traces.cell_averages(
             *self._packed(), self.kinds, self.pars,
             np.append(self.speeds, 0.0), self.params, self.constants,
@@ -322,7 +320,7 @@ class StepRecord:
     def max_rh_residual(self):
         if self._rh is None:
             self._rh = _traces.max_rh_residual(
-                self.jcells, self.offs, self.ncount, self.kinds, self.pars,
+                self.jcells, self.ncount, self.kinds, self.pars,
                 self.spds, self.fflag, self.params.dx, self.params.dt,
                 self.constants, self.bundle.tables)
         return self._rh
@@ -439,45 +437,35 @@ def gather_neighbors(state: StaggeredState, jcells, mesh: Mesh):
 
 def _build_cells(jcells, neighbors, n, params: SchemeParameters,
                  bundle: KernelBundle, c: GasConstants):
-    """Pass A (the cell Riemann solves and piece capacities), allocation of
-    the packed record, pass B (the cell constructions).
+    """Pass A (the cell Riemann solves), then pass B (the cell
+    constructions), into one packed record.
 
     ``neighbors`` are the (lrho, lm, rrho, rm) arrays of the cells centred
     at jcells.  Returns (offs, kinds, pars, spds, fflag, ncount, ccase,
-    csub, cclamp); raises CellBuildError for the first cell that failed.
+    csub, cclamp): the cells' pieces back to back, cell i's from offs[i];
+    raises CellBuildError for the first cell that failed.
     """
-    C = jcells.size
     par = params.par_array(c)
-    rsols = np.empty((C, _k.RSOL_LEN))
-    caps = np.empty(C, dtype=np.int64)
-    # The kernels read their inputs element by element: as lists they yield
-    # Python floats, whose arithmetic costs a fraction of that of the NumPy
-    # scalars an ndarray yields.  Outputs stay arrays, filled in place.
+    # The kernels read their inputs element by element and append to their
+    # outputs: as lists the inputs yield Python floats, whose arithmetic
+    # costs a fraction of that of the NumPy scalars an ndarray yields.
     jlist = jcells.tolist()
+    rsols = []
     _k.build_step_pass_a(jlist, *(a.tolist() for a in neighbors), par,
-                         rsols, caps)
-    offs = np.zeros(C + 1, dtype=np.int64)
-    np.cumsum(caps, out=offs[1:])
-    total = int(offs[-1])
-    kinds = np.zeros(total, dtype=np.int64)
-    pars = np.zeros((total, 6))
-    spds = np.zeros(total)
-    fflag = np.zeros(total, dtype=np.int64)
-    ncount = np.zeros(C, dtype=np.int64)
-    ccase = np.zeros(C, dtype=np.int64)
-    csub = np.zeros(C, dtype=np.int64)
-    cclamp = np.zeros(C, dtype=np.int64)
-    cerr = np.zeros(C, dtype=np.int64)
-    _k.build_step_pass_b(jlist, rsols.tolist(), offs.tolist(), par,
-                         bundle.geo, bundle.geo_reflected, kinds, pars, spds,
-                         fflag, ncount, ccase, csub, cclamp, cerr)
-    bad = np.nonzero(cerr)[0]
-    if bad.size:
-        ci = int(bad[0])
-        code = int(cerr[ci])
-        raise CellBuildError(int(jcells[ci]), n, code,
-                             _ERR_MSG.get(code, "cell construction failed"))
-    return offs, kinds, pars, spds, fflag, ncount, ccase, csub, cclamp
+                         rsols)
+    offs, kinds, pars, spds, fflag = [], [], [], [], []
+    ncount, ccase, csub, cclamp, cerr = [], [], [], [], []
+    _k.build_step_pass_b(jlist, rsols, offs, par, bundle.geo,
+                         bundle.geo_reflected, kinds, pars, spds, fflag,
+                         ncount, ccase, csub, cclamp, cerr)
+    for ci, code in enumerate(cerr):
+        if code != _k.OK:
+            msg = _ERR_MSG.get(code, "cell construction failed")
+            raise CellBuildError(jlist[ci], n, code, msg)
+    ints = lambda a: np.array(a, dtype=np.int64)
+    pars = np.array(pars, dtype=float).reshape(-1, 6)
+    return (ints(offs), ints(kinds), pars, np.array(spds, dtype=float),
+            ints(fflag), ints(ncount), ints(ccase), ints(csub), ints(cclamp))
 
 
 def advance(state: StaggeredState, params: SchemeParameters,
@@ -496,7 +484,7 @@ def advance(state: StaggeredState, params: SchemeParameters,
     (offs, kinds, pars, spds, fflag, ncount, ccase, csub,
      cclamp) = _build_cells(jcells, neighbors, n, params, bundle, c)
     out_rho, out_m, out_z, out_w, stats = _traces.average_project(
-        jcells, offs, ncount, kinds, pars, spds, params, c, bundle.tables)
+        jcells, ncount, kinds, pars, spds, params, c, bundle.tables)
     new_state = StaggeredState(n=n + 1, j0=int(jcells[0]), rho=out_rho,
                                m=out_m, z=out_z, w=out_w)
     record = StepRecord(
@@ -528,10 +516,10 @@ def build_cell_vacuum(u_left, u_right, j, n, params, geom, b, c) -> CellSolution
     """Near-vacuum cell construction; requires rho_M <= dx^beta."""
     packed = _k.riemann_solve_k(u_left.rho, u_left.m, u_right.rho, u_right.m,
                                 c.gamma, c.theta)
-    if packed[4] > params.dx ** params.beta:
+    thr = _k.pow_g(params.dx, params.beta)
+    if packed[4] > thr:
         raise ValueError(
-            f"middle density {packed[4]} above the vacuum threshold "
-            f"{params.dx ** params.beta}")
+            f"middle density {packed[4]} above the vacuum threshold {thr}")
     return build_cell(u_left, u_right, j, n, params, geom, b, c)
 
 

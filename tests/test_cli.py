@@ -237,6 +237,16 @@ class TestCmdRiemann:
         assert all(math.isfinite(x) and abs(x) < 10.0 for x in xs)
         assert len({r.split(",", 1)[1] for r in rows}) > 2
 
+    def test_vacuum_side_has_no_wave(self, capsys):
+        # next to a vacuum state there is no wave of that family
+        for left, right, none, wave in (("0,0", "1,0", "1-wave", "2-wave"),
+                                        ("1,0", "0,0", "2-wave", "1-wave")):
+            assert main(["riemann", "--left", left, "--right", right]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert f"{none}        : none" in lines
+            assert any(ln.startswith(f"{wave}        : rarefaction  speeds ")
+                       for ln in lines)
+
     def test_non_positive_time_rejected(self, capsys):
         for t in ("0", "-1"):
             assert main(["riemann", "--left", "1,0", "--right", "1,0",

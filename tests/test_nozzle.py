@@ -383,7 +383,8 @@ class TestReflection:
 
 
 def _ppoly_reference(xs, c, x):
-    """Clamped PPoly evaluation on the raw arrays: the compiled lookup."""
+    """Clamped PPoly evaluation on the raw arrays, with a NumPy search
+    for the piece."""
     n = xs.size - 1
     x = min(max(x, xs[0]), xs[n])
     i = min(max(int(np.searchsorted(xs, x, side="right")) - 1, 0), n - 1)
@@ -428,7 +429,7 @@ class TestOneEnvelope:
         pars = np.zeros((C, 6))
         pars[:, 0] = 1.0
         rho, m, z, w, stats = _traces.average_project(
-            jcells, np.arange(C + 1), np.ones(C, dtype=np.int64),
+            jcells, np.ones(C, dtype=np.int64),
             np.full(C, _k.K_CONST), pars, np.zeros(C), params, C14,
             get_bundle(geom, b).tables)
         assert stats[0] == C and stats[3] == 0 and np.all(rho > 0.0)

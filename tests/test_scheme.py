@@ -176,7 +176,7 @@ class TestProjectNode:
         pars = np.zeros((C, 6))
         pars[:, 0] = [u.rho for u in states]
         pars[:, 1] = [u.m for u in states]
-        packed = (jcells, np.arange(C + 1), np.ones(C, dtype=np.int64),
+        packed = (jcells, np.ones(C, dtype=np.int64),
                   np.full(C, _k.K_CONST), pars, np.zeros(C), params, C14,
                   get_bundle(geom, b).tables)
         e_r, e_m = _traces.cell_averages(*packed)
@@ -532,6 +532,29 @@ class TestVacuumCells:
             build_cell_vacuum(ul, ur, 1, 0, self.params, self.geom, self.b,
                               self.c)
 
+    @pytest.mark.parametrize("dx", [0.007, 0.023])
+    def test_threshold_is_the_dispatch_threshold(self, dx):
+        # the guard compares rho_M with the step's dx^beta (pow_g), which
+        # differs from dx ** beta in the last bit at these dx
+        b = BoundFunction.auto_for(self.geom,
+                                   admissibility_constants(self.c), dx=dx)
+        params = SchemeParameters.create(dx=dx, M=6.0, b=b, T=0.0, c=self.c)
+        thr = _k.pow_g(dx, params.beta)
+        assert thr != dx ** params.beta
+        for rho in (thr, dx ** params.beta):
+            u = GasState.from_primitive(rho, 0.0)
+            cell = build_cell(u, u, 1, 0, params, self.geom, b, self.c)
+            near_vacuum = cell.case >= _k.CASE_VAC_1
+            assert near_vacuum == (rho <= thr)
+            if near_vacuum:
+                got = build_cell_vacuum(u, u, 1, 0, params, self.geom, b,
+                                        self.c)
+                assert got.case == cell.case
+            else:
+                with pytest.raises(ValueError):
+                    build_cell_vacuum(u, u, 1, 0, params, self.geom, b,
+                                      self.c)
+
 
 def _neighbor_pairs(rng, count):
     """(lrho, lm, rrho, rm) of generated cells in four rotating groups:
@@ -559,8 +582,8 @@ def _neighbor_pairs(rng, count):
 
 
 class TestPassBCapacity:
-    """Pass B writes each cell's pieces into the slots pass A reserved for
-    it; a cell that wrote more would overwrite the next cell's."""
+    """Pass B packs the cells' pieces back to back: cell i's pieces fill
+    exactly the slots from offs[i] to offs[i + 1], with no padding."""
 
     @pytest.mark.parametrize("family", ["bump", "laval"])
     @pytest.mark.parametrize("gamma", [1.2, 1.4, 5.0 / 3.0])
@@ -580,11 +603,26 @@ class TestPassBCapacity:
             B = b.B((jcells + off) * dx)
             M = max(M, np.max(-z * np.exp(B)), np.max(w * np.exp(-B)))
         params = SchemeParameters.create(dx=dx, M=1.01 * M, b=b, T=0.0, c=c)
-        (offs, _kinds, _pars, _spds, _fflag, ncount, ccase, _csub,
+        (offs, _kinds, pars, _spds, _fflag, ncount, ccase, _csub,
          _cclamp) = _build_cells(jcells, neighbors, 0, params,
                                  get_bundle(geom, b), c)
         assert {1, 2, 3, 4, 11, 21, 31, 41, 50} <= set(ccase.tolist())
-        assert np.all(ncount <= np.diff(offs))
+        assert np.array_equal(np.diff(offs), ncount)
+        assert len(pars) == ncount.sum()
+
+
+class TestReflectedPieces:
+    def test_involution_swapping_rarefaction_families(self):
+        pieces = {_k.K_CONST: (0.7, -0.2, 0.0, 0.0, 0.0, 0.0),
+                  _k.K_PROFILE: (0.3, -1.2, 2.5, -1.0, 1.0, 1.0),
+                  _k.K_RAREF1: (0.1, 2.0, 0.0, 0.0, 0.0, 0.0),
+                  _k.K_RAREF2: (-0.4, -3.0, 0.0, 0.0, 0.0, 0.0)}
+        swapped = {_k.K_CONST: _k.K_CONST, _k.K_PROFILE: _k.K_PROFILE,
+                   _k.K_RAREF1: _k.K_RAREF2, _k.K_RAREF2: _k.K_RAREF1}
+        for kind, q in pieces.items():
+            rkind, rq = _k._reflected(kind, q)
+            assert rkind == swapped[kind] and rq != q
+            assert _k._reflected(rkind, rq) == (kind, q)
 
 
 class TestAdvance:
