@@ -3,16 +3,18 @@ envelope and projection, node areas, the recurrence correction R and the
 diagnostics.
 
 The cell averages and the diagnostics integrate the in-cell solutions of a
-step at thousands of quadrature nodes.  Here all nodes of all cells are
-evaluated at once with NumPy, grouped by piece kind, instead of one scalar
-kernel call per node; the envelope, the projection and the node areas are
-the package's only implementations of those quantities, and scalar callers
-pass one-element arrays.  The formulas, their order of operations and the
-order of every sum are those of the scalar kernels in
-:mod:`nozzleflow._kernels` (``eval_piece``, ``eta_q_k``, ``flux_k``,
-``invariants_k``, ``state_k``), and ``exp``, ``log`` and integer powers are
-``math``'s and Python's, applied element by element, so the results equal
-the scalar kernels' bit for bit.
+step at thousands of quadrature nodes.  A step's readers share one piece
+table (``_Pieces``: the pieces, their cells and profile anchors, built once
+per ``StepRecord``), and each set of Gauss nodes is evaluated in one call:
+all nodes of all pieces at once with NumPy, one row per node, grouped by
+piece kind, instead of one scalar kernel call per node.  The envelope, the
+projection and the node areas are the package's only implementations of
+those quantities, and scalar callers pass one-element arrays.  The
+formulas, their order of operations and the order of every sum are those
+of the scalar kernels in :mod:`nozzleflow._kernels` (``eval_piece``,
+``eta_q_k``, ``flux_k``, ``invariants_k``, ``state_k``), and ``exp``,
+``log`` and integer powers are ``math``'s and Python's, applied element by
+element, so the results equal the scalar kernels' bit for bit.
 """
 
 import math
@@ -44,17 +46,18 @@ def ppoly_values(table, x):
 
 
 def exp(x):
-    """``math.exp`` of a 1-D array, element by element: NumPy's vectorized
-    exp may round differently from the scalar kernels'."""
-    return np.fromiter(map(math.exp, x.tolist()), float, x.size)
+    """``math.exp`` of an array of any shape, element by element: NumPy's
+    vectorized exp may round differently from the scalar kernels'."""
+    flat = map(math.exp, x.ravel().tolist())
+    return np.fromiter(flat, float, x.size).reshape(x.shape)
 
 
 def _pow(x, e):
     """Elementwise ``_kernels.pow_g``: exp(e log x), zero for x <= 0."""
     out = np.zeros(x.shape)
-    pos = np.nonzero(x > 0.0)[0]
-    if pos.size:
-        logs = np.fromiter(map(math.log, x[pos].tolist()), float, pos.size)
+    pos = x > 0.0
+    if pos.any():
+        logs = np.fromiter(map(math.log, x[pos].tolist()), float)
         out[pos] = exp(e * logs)
     return out
 
@@ -85,20 +88,19 @@ def anchors(kinds, q, tables):
 
 def pieces_at(kinds, q, x, tau, tables, theta, Bd=None):
     """(rho, m) of piece i (kind ``kinds[i]``, parameters ``q[i]``) at
-    ``(x[i], tau[i])``; tau may be a scalar.  ``tables`` maps "a", "b", "B"
-    to PPoly data; ``Bd`` defaults to ``anchors(kinds, q, tables)``."""
+    ``(x[i], tau)``.  ``tables`` maps "a", "b", "B" to PPoly data; ``Bd``
+    defaults to ``anchors(kinds, q, tables)``."""
     if Bd is None:
         Bd = anchors(kinds, q, tables)
-    tau = np.broadcast_to(np.asarray(tau, dtype=float), x.shape)
     rho = np.zeros(x.shape)
     m = np.zeros(x.shape)
     const = kinds == _k.K_CONST
     rho[const] = q[const, 0]
     m[const] = q[const, 1]
     for kind, sign in ((_k.K_RAREF1, 1.0), (_k.K_RAREF2, -1.0)):
-        sel = np.nonzero((kinds == kind) & (tau > 0.0))[0]
-        if sel.size:
-            xi = (x[sel] - q[sel, 0]) / tau[sel]
+        sel = np.nonzero(kinds == kind)[0]
+        if sel.size and tau > 0.0:
+            xi = (x[sel] - q[sel, 0]) / tau
             s = theta * (sign * (q[sel, 1] - xi)) / (1.0 + theta)
             r = _pow(s, 1.0 / theta)
             live = s > 0.0
@@ -106,9 +108,19 @@ def pieces_at(kinds, q, x, tau, tables, theta, Bd=None):
             m[sel] = np.where(live, r * (xi + sign * s), 0.0)
     sel = np.nonzero(kinds == _k.K_PROFILE)[0]
     if sel.size:
-        rho[sel], m[sel] = _profiles_at(q[sel], Bd[sel], x[sel], tau[sel],
+        rho[sel], m[sel] = _profiles_at(q[sel], Bd[sel], x[sel], tau,
                                         tables, theta)
     return rho, m
+
+
+def _rows_at(kinds, q, Bd, x, tau, tables, theta):
+    """:func:`pieces_at` of the pieces at every row of the points x (one
+    row per quadrature node, one column per piece), in one call over the
+    pieces tiled row by row."""
+    k = x.shape[0]
+    rho, m = pieces_at(np.tile(kinds, k), np.tile(q, (k, 1)), x.ravel(), tau,
+                       tables, theta, np.tile(Bd, k))
+    return rho.reshape(x.shape), m.reshape(x.shape)
 
 
 def _profiles_at(q, Bd, x, tau, tables, theta):
@@ -125,8 +137,8 @@ def _profiles_at(q, Bd, x, tau, tables, theta):
         bx = ppoly_values(tables["b"], xc)
         zt = -(vb - c) * (qc[:, 3] * bx * zc) - av
         wt = -(vb + c) * (qc[:, 4] * bx * wc) + av
-        zb[corr] = zc + tau[corr] * zt
-        wb[corr] = wc + tau[corr] * wt
+        zb[corr] = zc + tau * zt
+        wb[corr] = wc + tau * wt
     rho, m = _state(zb, wb, theta)
     clamped = wb < zb
     return np.where(clamped, 0.0, rho), np.where(clamped, 0.0, m)
@@ -161,10 +173,12 @@ def flux(rho, m, gamma):
 
 class _Pieces:
     """Every piece of a step record (the cells' pieces back to back) with
-    its cell: cell index, centre, and whether it is the first or last piece
-    of its cell."""
+    its cell: cell index, centre, whether it is the first or last piece of
+    its cell, its kind, parameters ``q`` and ray speed ``spds`` (0.0 on a
+    cell's last piece), and the profile anchors ``Bd``.  One table serves
+    every reader of the step."""
 
-    def __init__(self, jcells, ncount, dx):
+    def __init__(self, jcells, ncount, kinds, q, spds, dx, tables, theta):
         C = jcells.size
         self.cell = np.repeat(np.arange(C), ncount)
         first_of = np.repeat(np.cumsum(ncount) - ncount, ncount)
@@ -173,17 +187,33 @@ class _Pieces:
         self.last = p == ncount[self.cell] - 1
         self.xc = jcells[self.cell] * dx
         self.dx = dx
+        self.kinds, self.q, self.spds = kinds, q, spds
+        self.tables, self.theta = tables, theta
+        self.Bd = anchors(kinds, q, tables)
 
-    def extent(self, spds, t, centre=None):
+    def extent(self, t, centre=None):
         """[a, b] of every piece at time offset t, clipped to its cell;
         relative to ``centre`` (the cell centres by default)."""
         xc = self.xc if centre is None else centre
         xl = xc - self.dx
         xr = xc + self.dx
-        lo = np.roll(spds, 1)           # the ray to each piece's left
+        lo = np.roll(self.spds, 1)      # the ray to each piece's left
         a = np.where(self.first, xl, np.clip(xc + lo * t, xl, xr))
-        b = np.where(self.last, xr, np.clip(xc + spds * t, xl, xr))
+        b = np.where(self.last, xr, np.clip(xc + self.spds * t, xl, xr))
         return a, b
+
+    def gauss(self, t, X, keep=True):
+        """The pieces with a nonempty extent at time offset t (and
+        ``keep``), and their states at the Gauss nodes X of their extents:
+        (sel, rho, m, x, half), with x, rho and m one row per node."""
+        a, b = self.extent(t)
+        sel = np.nonzero((b > a) & keep)[0]
+        xm = 0.5 * (a[sel] + b[sel])
+        half = 0.5 * (b[sel] - a[sel])
+        x = xm + half * X[:, None]
+        rho, m = _rows_at(self.kinds[sel], self.q[sel], self.Bd[sel], x, t,
+                          self.tables, self.theta)
+        return sel, rho, m, x, half
 
 
 def envelope(M, B, x):
@@ -209,35 +239,31 @@ def cell_averages(jcells, ncount, kinds, pars, spds, params, c, tables):
     """End-of-step averages (rho, m) of the cells' in-cell solutions, before
     the projection; pieces are summed in order within each cell."""
     dx, dt = params.dx, params.dt
-    pcs = _Pieces(jcells, ncount, dx)
-    C = jcells.size
+    pcs = _Pieces(jcells, ncount, kinds, pars, spds, dx, tables, c.theta)
     # piece extents relative to the cell centre (exact 2*dx total)
-    a, b = pcs.extent(spds, dt, centre=0.0)
+    a, b = pcs.extent(dt, centre=0.0)
     sel = np.nonzero(b > a)[0]
-    a, b, cell = a[sel], b[sel], pcs.cell[sel]
-    kinds = kinds[sel]
-    q = pars[sel]
-    ir = q[:, 0] * (b - a)
-    im = q[:, 1] * (b - a)
-    gauss = np.nonzero(kinds != _k.K_CONST)[0]
-    lo = pcs.xc[sel][gauss] + a[gauss]
-    hi = pcs.xc[sel][gauss] + b[gauss]
+    a, b = a[sel], b[sel]
+    ir = pars[sel, 0] * (b - a)
+    im = pars[sel, 1] * (b - a)
+    gauss = np.nonzero(kinds[sel] != _k.K_CONST)[0]
+    rows = sel[gauss]
+    lo = pcs.xc[rows] + a[gauss]
+    hi = pcs.xc[rows] + b[gauss]
     xm = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
+    rho, m = _rows_at(kinds[rows], pars[rows], pcs.Bd[rows],
+                      xm + half * _G5X[:, None], dt, tables, c.theta)
     acc_r = np.zeros(gauss.size)
     acc_m = np.zeros(gauss.size)
-    Bd = anchors(kinds[gauss], q[gauss], tables)
     for g in range(5):
-        rho, m = pieces_at(kinds[gauss], q[gauss], xm + half * _G5X[g], dt,
-                           tables, c.theta, Bd)
-        acc_r = acc_r + _G5W[g] * rho
-        acc_m = acc_m + _G5W[g] * m
+        acc_r = acc_r + _G5W[g] * rho[g]
+        acc_m = acc_m + _G5W[g] * m[g]
     ir[gauss] = acc_r * half
     im[gauss] = acc_m * half
-    sum_r = np.zeros(C)
-    sum_m = np.zeros(C)
-    np.add.at(sum_r, cell, ir)
-    np.add.at(sum_m, cell, im)
+    # per-cell sums, piece by piece from zero
+    sum_r = np.bincount(pcs.cell[sel], ir, jcells.size)
+    sum_m = np.bincount(pcs.cell[sel], im, jcells.size)
     return sum_r / (2.0 * dx), sum_m / (2.0 * dx)
 
 
@@ -290,13 +316,13 @@ def node_areas(js, dx, A0, tables):
     a = (js - 1) * dx
     step = ((js + 1) * dx - a) / 4.0
     half = 0.5 * step
+    xm = (a + np.arange(4)[:, None] * step) + half
+    # one row per (panel, node), panel-major
+    x = (xm[:, None] + half * _G5X[:, None]).reshape(20, -1)
+    area = A0 * exp(-ppoly_values(tables["IA"], x))
     total = np.zeros(js.shape)
-    for p in range(4):
-        xm = (a + p * step) + half
-        for g in range(5):
-            x = xm + half * _G5X[g]
-            area = A0 * exp(-ppoly_values(tables["IA"], x))
-            total = total + _G5W[g] * area * half
+    for r in range(20):
+        total = total + _G5W[r % 5] * area[r] * half
     return total
 
 
@@ -310,28 +336,19 @@ def cell_aq_integrals(record):
     """Per-cell space-time integral of a(x) q*(u) over the cell and step:
     3-point Gauss in time, piecewise 3-point Gauss in space split at the
     front rays (the A'/A term of the energy recurrence equals minus it)."""
-    c, dx, dt = record.constants, record.params.dx, record.params.dt
-    tables = record.bundle.tables
-    pcs = _Pieces(record.jcells, record.ncount, dx)
-    kinds = record.kinds
-    q = record.pars
-    Bd = anchors(kinds, q, tables)
-    at_rest = (kinds == _k.K_CONST) & (q[:, 1] == 0.0)
+    c, dt = record.constants, record.params.dt
+    pcs = record.pieces
+    at_rest = (pcs.kinds == _k.K_CONST) & (pcs.q[:, 1] == 0.0)
     out = np.zeros(record.jcells.size)
     for gt in range(3):
         tau = 0.5 * dt + 0.5 * dt * _G3X[gt]
         wt = 0.5 * dt * _G3W[gt]
-        a, b = pcs.extent(record.spds, tau)
-        sel = np.nonzero((b > a) & ~at_rest)[0]
-        xm = 0.5 * (a[sel] + b[sel])
-        half = 0.5 * (b[sel] - a[sel])
+        sel, rho, m, x, half = pcs.gauss(tau, _G3X, keep=~at_rest)
+        ax = ppoly_values(pcs.tables["a"], x)
+        qs = energy_flux(rho, m, c.gamma)
         acc = np.zeros(sel.size)
         for g in range(3):
-            x = xm + half * _G3X[g]
-            rho, m = pieces_at(kinds[sel], q[sel], x, tau, tables, c.theta,
-                               Bd[sel])
-            acc = (acc + _G3W[g] * ppoly_values(tables["a"], x)
-                   * energy_flux(rho, m, c.gamma))
+            acc = acc + _G3W[g] * ax[g] * qs[g]
         np.add.at(out, pcs.cell[sel], wt * acc * half)
     return out
 
@@ -367,73 +384,45 @@ def jump_integral(record, new_z, new_w):
     """Integral of |trace(t_k - 0) - trace(t_k + 0)|^2 over all cells; the
     post-step trace over cell j is the steady profile through the new node
     (z, w), the vacuum state at vacuum nodes."""
-    c, dx, dt = record.constants, record.params.dx, record.params.dt
-    tables = record.bundle.tables
-    pcs = _Pieces(record.jcells, record.ncount, dx)
-    a, b = pcs.extent(record.spds, dt)
-    sel = np.nonzero(b > a)[0]
-    kinds = record.kinds[sel]
-    q = record.pars[sel]
+    c, dt = record.constants, record.params.dt
+    pcs = record.pieces
+    sel, r0, m0, x, half = pcs.gauss(dt, _G3X)
     cell = pcs.cell[sel]
     vac = (new_z[cell] == 0.0) & (new_w[cell] == 0.0)
-    qn = np.zeros((sel.size, 6))
-    qn[:, 0] = pcs.xc[sel]
-    qn[:, 1] = new_z[cell]
-    qn[:, 2] = new_w[cell]
-    qn[:, 3] = -1.0
-    qn[:, 4] = 1.0
+    one = np.ones(sel.size)
+    qn = np.stack([pcs.xc[sel], new_z[cell], new_w[cell], -one, one,
+                   0.0 * one], axis=1)
     kn = np.full(sel.size, _k.K_PROFILE)
-    Bd = anchors(kinds, q, tables)
-    Bdn = anchors(kn, qn, tables)
-    xm = 0.5 * (a[sel] + b[sel])
-    half = 0.5 * (b[sel] - a[sel])
-    terms = np.zeros((sel.size, 3))
-    for g in range(3):
-        x = xm + half * _G3X[g]
-        r0, m0 = pieces_at(kinds, q, x, dt, tables, c.theta, Bd)
-        r1, m1 = pieces_at(kn, qn, x, 0.0, tables, c.theta, Bdn)
-        r1 = np.where(vac, 0.0, r1)
-        m1 = np.where(vac, 0.0, m1)
-        d = (r0 - r1) * (r0 - r1) + (m0 - m1) * (m0 - m1)
-        terms[:, g] = _G3W[g] * d * half
-    return sequential_sum(terms)
+    r1, m1 = _rows_at(kn, qn, anchors(kn, qn, pcs.tables), x, 0.0,
+                      pcs.tables, c.theta)
+    r1 = np.where(vac, 0.0, r1)
+    m1 = np.where(vac, 0.0, m1)
+    d = (r0 - r1) * (r0 - r1) + (m0 - m1) * (m0 - m1)
+    # node rows, summed piece by piece and node by node
+    return sequential_sum((_G3W[:, None] * d * half).T)
 
 
 def energy_trace(record, tau):
     """Integral of A(x) eta*(u) over all cells at time offset tau."""
-    c, dx = record.constants, record.params.dx
-    tables = record.bundle.tables
-    pcs = _Pieces(record.jcells, record.ncount, dx)
-    a, b = pcs.extent(record.spds, tau)
-    sel = np.nonzero(b > a)[0]
-    kinds = record.kinds[sel]
-    q = record.pars[sel]
-    xm = 0.5 * (a[sel] + b[sel])
-    half = 0.5 * (b[sel] - a[sel])
-    A0 = record.bundle.geom.A0
-    Bd = anchors(kinds, q, tables)
-    terms = np.zeros((sel.size, 5))
-    for g in range(5):
-        x = xm + half * _G5X[g]
-        rho, m = pieces_at(kinds, q, x, tau, tables, c.theta, Bd)
-        eta, _q = eta_q(rho, m, c.gamma)
-        area = A0 * exp(-ppoly_values(tables["IA"], x))
-        terms[:, g] = _G5W[g] * area * eta * half
-    return sequential_sum(terms)
+    pcs = record.pieces
+    sel, rho, m, x, half = pcs.gauss(tau, _G5X)
+    eta, _q = eta_q(rho, m, record.constants.gamma)
+    area = record.bundle.geom.A0 * exp(-ppoly_values(pcs.tables["IA"], x))
+    return sequential_sum((_G5W[:, None] * area * eta * half).T)
 
 
-def max_rh_residual(jcells, ncount, kinds, pars, spds, fflag, dx, dt, c,
-                    tables):
+def max_rh_residual(pcs, fflag, dt, c):
     """Worst Rankine-Hugoniot residual over the solved fronts (pieces
-    flagged in fflag) at the half time."""
-    pcs = _Pieces(jcells, ncount, dx)
+    flagged in fflag) of the piece table ``pcs`` at the half time."""
     inner = np.nonzero(~pcs.last)[0]
     i = inner[fflag[inner] == 1]
     tau = 0.5 * dt
-    s = spds[i]
+    s = pcs.spds[i]
     xf = pcs.xc[i] + s * tau
-    rl, ml = pieces_at(kinds[i], pars[i], xf, tau, tables, c.theta)
-    rr, mr = pieces_at(kinds[i + 1], pars[i + 1], xf, tau, tables, c.theta)
+    rl, ml = pieces_at(pcs.kinds[i], pcs.q[i], xf, tau, pcs.tables,
+                       pcs.theta, pcs.Bd[i])
+    rr, mr = pieces_at(pcs.kinds[i + 1], pcs.q[i + 1], xf, tau, pcs.tables,
+                       pcs.theta, pcs.Bd[i + 1])
     f1l, f2l = flux(rl, ml, c.gamma)
     f1r, f2r = flux(rr, mr, c.gamma)
     res = np.abs(np.concatenate([f1r - f1l - s * (rr - rl),

@@ -7,6 +7,7 @@ JSON audit summary; identical configs produce byte-identical files.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -70,6 +71,10 @@ _DEFAULTS = {
 }
 
 
+_SWITCH = {"on": True, "1": True, "true": True, "yes": True,
+           "off": False, "0": False, "false": False, "no": False}
+
+
 @dataclass
 class RunConfig:
     """Fully resolved run configuration."""
@@ -107,9 +112,13 @@ def _parse_kv(path):
 
 def _getf(d, key):
     try:
-        return float(d[key])
+        v = float(d[key])
     except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {d[key]!r}")
+        v = math.nan
+    if not math.isfinite(v):
+        raise ConfigError(
+            f"key {key!r}: expected a finite number, got {d[key]!r}")
+    return v
 
 
 def parse_config(path, overrides=None) -> RunConfig:
@@ -198,10 +207,14 @@ def parse_config(path, overrides=None) -> RunConfig:
     mode = d["mode"].lower()
     if mode not in ("modified", "baseline-lf"):
         raise ConfigError(f"key 'mode': must be modified|baseline-lf")
-    cutoff = d["cutoff"].lower() in ("on", "1", "true", "yes")
+    cutoff = _SWITCH.get(d["cutoff"].lower())
+    if cutoff is None:
+        raise ConfigError(
+            f"key 'cutoff': expected on|off|1|0|true|false|yes|no, "
+            f"got {d['cutoff']!r}")
     return RunConfig(raw=d, constants=c, geometry=geom, bound=b, initial=u0,
                      M=M, params=params, mode=mode, out_dir=d["out_dir"],
-                     stride=max(1, int(float(d["stride"]))),
+                     stride=max(1, int(_getf(d, "stride"))),
                      cutoff=cutoff, audit_slack=_getf(d, "audit_slack"))
 
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from .gas import GasState
+from .nozzle import read_table
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -62,6 +63,8 @@ class GaussianBumpData:
                  center=0.0, width=0.3):
         if rho_inf < 0.0 or rho_inf + min(0.0, rho_amp) < 0.0:
             raise ValueError("density must stay nonnegative")
+        if not width > 0.0:
+            raise ValueError(f"width must be positive, got {width}")
         self.rho_inf = float(rho_inf)
         self.rho_amp = float(rho_amp)
         self.v_inf = float(v_inf)
@@ -148,21 +151,5 @@ class TableData:
 
 def load_initial_table(path):
     """Three-column numeric text (x, rho, m), header optional."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            try:
-                vals = [float(p) for p in parts[:3]]
-            except ValueError:
-                if ln == 1:
-                    continue
-                raise ValueError(f"bad table row {ln}: {line!r}")
-            if len(vals) < 3:
-                raise ValueError(f"bad table row {ln}: {line!r}")
-            rows.append(vals)
-    arr = np.asarray(rows)
+    arr = read_table(path, 3)
     return TableData(arr[:, 0], arr[:, 1], arr[:, 2])

@@ -326,27 +326,32 @@ class NozzleGeometry:
                    label="table")
 
 
+def read_table(path, ncols):
+    """The rows of ``ncols`` numbers of a text table, as an array: comma or
+    blank separated, ``#`` comments and blank lines skipped, the first
+    other line may be a header; at least two rows."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(ln, s) for ln, s in enumerate(map(str.strip, fh), 1)
+                 if s and not s.startswith("#")]
+    rows = []
+    for k, (ln, line) in enumerate(lines):
+        try:
+            vals = [float(p) for p in line.replace(",", " ").split()[:ncols]]
+        except ValueError:
+            if k == 0:
+                continue    # header
+            vals = []
+        if len(vals) < ncols:
+            raise ValueError(f"bad table row {ln}: {line!r}")
+        rows.append(vals)
+    if len(rows) < 2:
+        raise ValueError(f"table {path} needs at least two rows")
+    return np.asarray(rows)
+
+
 def load_geometry_table(path):
     """Two-column numeric text (x, A(x)); optional header line."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            try:
-                vals = [float(p) for p in parts[:2]]
-            except ValueError:
-                if ln == 1:
-                    continue    # header
-                raise ValueError(f"bad table row {ln}: {line!r}")
-            if len(vals) < 2:
-                raise ValueError(f"bad table row {ln}: {line!r}")
-            rows.append(vals)
-    if len(rows) < 2:
-        raise ValueError("geometry table needs at least two rows")
-    arr = np.asarray(rows)
+    arr = read_table(path, 2)
     return arr[:, 0], arr[:, 1]
 
 

@@ -10,7 +10,8 @@ trace and projects the invariants back into the x-dependent envelope.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +48,9 @@ class SchemeParameters:
     def create(cls, dx, M, b: BoundFunction, T, c: GasConstants,
                alpha=0.8, beta=0.05, delta=None):
         imax = max(b.I_plus, b.I_minus)
-        dt = float(dx) / (2.0 * float(M) * math.exp(imax))
+        # validate() refuses M <= 0 before it reads dt
+        dt = (float(dx) / (2.0 * float(M) * math.exp(imax)) if M > 0
+              else math.nan)
         if delta is None:
             delta = min(1.5, 0.5 * (1.0 + 1.0 / (2.0 * c.theta)))
         p = cls(dx=float(dx), dt=dt, alpha=float(alpha), beta=float(beta),
@@ -73,11 +76,11 @@ class SchemeParameters:
         if not 1.0 < de < 1.0 / (2.0 * c.theta):
             raise ConfigError(
                 f"delta must satisfy 1 < delta < 1/(2 theta), got {de}")
+        if self.T < 0.0 or self.dx <= 0.0 or self.M <= 0.0:
+            raise ConfigError("dx, M must be positive and T nonnegative")
         ratio = 2.0 * self.M * math.exp(max(b.I_plus, b.I_minus))
         if abs(self.dx / self.dt - ratio) > 1e-12 * ratio:
             raise ConfigError("dx/dt must equal 2 M exp(max(I+, I-))")
-        if self.T < 0.0 or self.dx <= 0.0 or self.M <= 0.0:
-            raise ConfigError("dx, M must be positive and T nonnegative")
 
     def par_array(self, c: GasConstants):
         """Packed parameters, as a read-only kernel input (a list of
@@ -243,25 +246,25 @@ class CellSolution:
         return GasState(rho, m)
 
     def _packed(self):
-        """(jcells, ncount) of this cell as a one-cell step record."""
+        """This cell as a one-cell step record: (jcells, ncount, kinds,
+        pars, spds).  Step arrays hold a ray speed per piece, 0.0 on a
+        cell's last piece, hence the appended speed."""
         return (np.array([self.j], dtype=np.int64),
-                np.array([self.kinds.size], dtype=np.int64))
+                np.array([self.kinds.size], dtype=np.int64), self.kinds,
+                self.pars, np.append(self.speeds, 0.0))
 
     def max_rh_residual(self):
         """Worst half-time RH residual over the solved fronts."""
-        return _traces.max_rh_residual(
-            *self._packed(), self.kinds, self.pars, self.speeds,
-            self.is_front, self.params.dx, self.params.dt, self.constants,
-            self.bundle.tables)
+        pcs = _traces._Pieces(*self._packed(), self.params.dx,
+                              self.bundle.tables, self.constants.theta)
+        return _traces.max_rh_residual(pcs, self.is_front, self.params.dt,
+                                       self.constants)
 
     def average(self) -> GasState:
         """End-of-step cell average (pre-projection), as the step computes
-        it.  Step arrays hold a ray speed per piece, 0.0 on a cell's last
-        piece, hence the appended speed."""
+        it."""
         e_r, e_m = _traces.cell_averages(
-            *self._packed(), self.kinds, self.pars,
-            np.append(self.speeds, 0.0), self.params, self.constants,
-            self.bundle.tables)
+            *self._packed(), self.params, self.constants, self.bundle.tables)
         return GasState(max(e_r[0], 0.0), e_m[0])
 
 
@@ -301,7 +304,6 @@ class StepRecord:
     params: SchemeParameters
     constants: GasConstants
     bundle: KernelBundle
-    _rh: float = field(default=None, repr=False)
 
     def cell_solutions(self):
         out = []
@@ -317,13 +319,16 @@ class StepRecord:
                 case=int(self.ccase[ci]), subcase=int(self.csub[ci])))
         return out
 
+    @cached_property
+    def pieces(self):
+        """The step's piece table, shared by every reader of the step."""
+        return _traces._Pieces(self.jcells, self.ncount, self.kinds,
+                               self.pars, self.spds, self.params.dx,
+                               self.bundle.tables, self.constants.theta)
+
     def max_rh_residual(self):
-        if self._rh is None:
-            self._rh = _traces.max_rh_residual(
-                self.jcells, self.ncount, self.kinds, self.pars,
-                self.spds, self.fflag, self.params.dx, self.params.dt,
-                self.constants, self.bundle.tables)
-        return self._rh
+        return _traces.max_rh_residual(self.pieces, self.fflag,
+                                       self.params.dt, self.constants)
 
 
 def _window_bounds(n, W0):

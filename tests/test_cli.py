@@ -63,6 +63,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not_a_key"):
             parse_config(write_cfg(tmp_path, MINIMAL + "not_a_key = 3\n"))
 
+    @pytest.mark.parametrize("line, match", [
+        pytest.param(line, match, id=line) for line, match in (
+            ("t_final = inf", "'t_final': expected a finite number"),
+            ("t_final = nan", "'t_final': expected a finite number"),
+            ("audit_slack = nan", "'audit_slack': expected a finite number"),
+            ("m_bound = -1", "M must be positive"),
+            ("m_bound = 0", "M must be positive"),
+            ("cutoff = banana", "'cutoff': expected on"))])
+    def test_bad_value_rejected(self, tmp_path, line, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(write_cfg(tmp_path, MINIMAL + line + "\n"))
+
+    @pytest.mark.parametrize("word, on", [("off", False), ("NO", False),
+                                          ("0", False), ("yes", True)])
+    def test_cutoff_words(self, tmp_path, word, on):
+        cfg = parse_config(write_cfg(tmp_path, MINIMAL + f"cutoff = {word}\n"))
+        assert cfg.cutoff is on
+
     def test_mesh_ratio_resolved(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, MINIMAL))
         imax = max(cfg.bound.I_plus, cfg.bound.I_minus)

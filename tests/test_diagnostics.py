@@ -526,3 +526,46 @@ class TestWholeArrayTraces:
             assert (st.rho[ci], st.m[ci]) == (e_r, e_m)
             assert (st.z[ci], st.w[ci]) == _k.invariants_k(e_r, e_m,
                                                            C14.theta)
+
+    def test_energy_trace_matches_loop(self, step):
+        rec, _st = step
+        geo, A0 = rec.bundle.geo, rec.bundle.geom.A0
+        xs, c = _k.pack_ppoly(*rec.bundle.tables["IA"])
+        for tau in (0.5 * rec.params.dt, rec.params.dt):
+            want = 0.0
+            for _ci, i, a, b in _piece_spans(rec, tau):
+                xm, half = 0.5 * (a + b), 0.5 * (b - a)
+                for g in range(5):
+                    x = xm + half * _traces._G5X[g]
+                    r, m, _c = _k.eval_piece(int(rec.kinds[i]), rec.pars[i],
+                                             x, tau, geo, C14.gamma,
+                                             C14.theta)
+                    area = A0 * math.exp(-_k.ppoly_eval(xs, c, x))
+                    eta = _k.eta_q_k(r, m, C14.gamma)[0]
+                    want += _traces._G5W[g] * area * eta * half
+            assert want > 0.0
+            assert _traces.energy_trace(rec, tau) == want
+
+    def test_one_piece_table_per_step(self, monkeypatch):
+        # the averaging builds one; the monitors share the record's
+        geom, b = nozzle_setup(dx=0.05)
+        u0 = GaussianBumpData(rho_inf=1.0, rho_amp=0.2, v_amp=0.1, width=0.3)
+        params = SchemeParameters.create(dx=0.05, M=select_M(u0, b, C14),
+                                         b=b, T=0.0, c=C14)
+        st, mesh = initialize(u0, params, geom, b, C14)
+        mon, aud = EnergyMonitor(), RecurrenceAuditor()
+        mon.on_start(st, {"params": params, "geom": geom, "bound": b,
+                          "constants": C14})
+        built = []
+        init = _traces._Pieces.__init__
+
+        def counted(self, *a):
+            built.append(a)
+            init(self, *a)
+
+        monkeypatch.setattr(_traces._Pieces, "__init__", counted)
+        new, rec = advance(st, params, geom, b, C14, mesh)
+        assert len(built) == 1
+        mon.on_step(st, new, rec)
+        aud.on_step(st, new, rec)
+        assert len(built) == 2

@@ -12,6 +12,7 @@ from nozzleflow import (GasConstants, GasState, admissibility_constants,
                         envelope, steady_profile, time_correct,
                         vacuum_decay_profile, validate_condition)
 from nozzleflow.gas import from_invariants, to_invariants, InvariantPair
+from nozzleflow.initialdata import GaussianBumpData, load_initial_table
 from nozzleflow.nozzle import (BoundFunction, NozzleGeometry, get_bundle,
                                load_geometry_table, reflect_ppoly)
 from nozzleflow.scheme import SchemeParameters
@@ -102,6 +103,51 @@ class TestGeometry:
             NozzleGeometry.from_table([0.0, 0.0, 1.0], [1, 1, 1])
         with pytest.raises(ValueError):
             NozzleGeometry.from_table([0.0, 1.0], [1.0, -1.0])
+
+
+def _initial_columns(path):
+    u0 = load_initial_table(path)
+    return u0.xs, u0.rho, u0.m
+
+
+class TestTableLoaders:
+    """Both table loaders read through ``nozzle.read_table``."""
+
+    LOADERS = [(load_geometry_table, 2), (_initial_columns, 3)]
+
+    @pytest.mark.parametrize("load, ncols", LOADERS)
+    def test_header_after_comment(self, tmp_path, load, ncols):
+        path = tmp_path / "t.csv"
+        rows = [[-1.0, 1.0, 0.5], [0.0, 1.2, 0.5], [1.0, 1.1, 0.25]]
+        path.write_text("# made by hand\n\n" + ",".join("xyz"[:ncols])
+                        + "\n" + "".join(",".join(map(repr, r[:ncols]))
+                                         + "\n" for r in rows))
+        cols = load(path)
+        for k in range(ncols):
+            assert np.array_equal(cols[k], [r[k] for r in rows])
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "x,A,m\n",
+                                      "x,A,m\n1,1,1\n"])
+    @pytest.mark.parametrize("load, ncols", LOADERS)
+    def test_too_few_rows(self, tmp_path, load, ncols, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="at least two rows"):
+            load(path)
+
+    @pytest.mark.parametrize("load, ncols", LOADERS)
+    def test_bad_row_named(self, tmp_path, load, ncols):
+        path = tmp_path / "t.csv"
+        path.write_text("x y z\n0 1 1\nnot a row\n1 1 1\n")
+        with pytest.raises(ValueError, match="bad table row 3"):
+            load(path)
+
+
+class TestGaussianBump:
+    @pytest.mark.parametrize("width", [0.0, -0.3])
+    def test_width_must_be_positive(self, width):
+        with pytest.raises(ValueError, match="width must be positive"):
+            GaussianBumpData(rho_inf=1.0, rho_amp=0.2, width=width)
 
 
 class TestBoundFunction:
