@@ -1099,12 +1099,11 @@ def build_away_cell_k(j, rsol, par, geo, geor):
     vM = rsol[5]
     k1 = int(rsol[6])
     k2 = int(rsol[7])
-    vl = ml / rl
-    vr = mr / rr
     zl, wl = invariants_k(rl, ml, theta)
     zr, wr = invariants_k(rr, mr, theta)
-    zM = vM - kfun(rM, theta)
-    wM = vM + kfun(rM, theta)
+    kM = kfun(rM, theta)
+    zM = vM - kM
+    wM = vM + kM
 
     cell = []
     if k1 == W_RAREF:
@@ -1118,7 +1117,7 @@ def build_away_cell_k(j, rsol, par, geo, geor):
         cell.append(_profile((j - 1) * dx, zl, wl, -1.0, 1.0, 1.0))
         sprev_l = -speed_bound * (1.0 + 1e-9)
         if k1 == W_SHOCK:
-            guess_a = sigma1_k(rl, vl, rM, gamma)
+            guess_a = rsol[8]       # sigma1_k(rl, vl, rM), from the solve
         else:
             guess_a = vM - sound_k(rM, theta)
 
@@ -1136,7 +1135,7 @@ def build_away_cell_k(j, rsol, par, geo, geor):
         right.append(_profile(-(j + 1) * dx, -wr, -zr, -1.0, 1.0, 1.0))
         right_front_min = speed_bound * (1.0 + 1e-9)
         if k2 == W_SHOCK:
-            guess_b = sigma2_k(rr, vr, rM, gamma)
+            guess_b = rsol[10]      # sigma2_k(rr, vr, rM), from the solve
         else:
             guess_b = vM + sound_k(rM, theta)
 
@@ -1233,24 +1232,45 @@ def vac_left_side_k(j, rho_l, m_l, par, geo, out):
     return lam_edge, r4, m4, SUB_12II, clamped, OK
 
 
-def _build_vac_case1_k(j, rho_l, m_l, rho_r, m_r, par, geo):
-    """Near-vacuum Case 1 (1-rarefaction + 2-shock).  Returns (pieces,
-    subcode, clamped, status)."""
+def _mirrored(rsol):
+    """The packed solution of the mirrored problem (x -> -x, m -> -m): the
+    states and the wave families swap, momenta and speeds change sign.
+    ``riemann_solve_k`` is mirror-symmetric, so this is what it returns for
+    the mirrored states (up to the sign of a zero)."""
+    return [rsol[2], -rsol[3], rsol[0], -rsol[1], rsol[4], -rsol[5],
+            rsol[7], rsol[6], -rsol[11], -rsol[10], -rsol[9], -rsol[8]]
+
+
+def _solution_of(rsol, rho_l, m_l, rho_r, m_r, gamma, theta):
+    """Packed solution of (rho_l, m_l | rho_r, m_r): rsol itself when it
+    was solved from these states, else a fresh solve."""
+    if (rsol[0] == rho_l and rsol[1] == m_l and rsol[2] == rho_r
+            and rsol[3] == m_r):
+        return rsol
+    return riemann_solve_k(rho_l, m_l, rho_r, m_r, gamma, theta)
+
+
+def _build_vac_case1_k(j, rsol, par, geo):
+    """Near-vacuum Case 1 (1-rarefaction + 2-shock) of the packed solution
+    rsol, which is reused wherever the construction needs the Riemann
+    solution of its own states.  Returns (pieces, subcode, clamped,
+    status)."""
     gamma = par[0]
     theta = par[1]
     dx = par[2]
     xc = j * dx
+    rho_r = rsol[2]
+    m_r = rsol[3]
     cell = []
     lam_edge, rs, ms, sub, clamped, st = vac_left_side_k(
-        j, rho_l, m_l, par, geo, cell)
+        j, rsol[0], rsol[1], par, geo, cell)
     if st != OK:
         return cell, sub, clamped, st
     if sub == SUB_12I or sub == SUB_NONE:
         cell = []
-        rsol = riemann_solve_k(rho_l, m_l, rho_r, m_r, gamma, theta)
         flatten_riemann_k(rsol, xc, -BIG, BIG, theta, cell)
         return cell, sub, clamped, OK
-    rsol2 = riemann_solve_k(rs, ms, rho_r, m_r, gamma, theta)
+    rsol2 = _solution_of(rsol, rs, ms, rho_r, m_r, gamma, theta)
     cell[-1][2] = lam_edge
     cell[-1][3] = 0
     flatten_riemann_k(rsol2, xc, lam_edge, BIG, theta, cell)
@@ -1280,13 +1300,12 @@ def build_vac_cell_k(j, rsol, par, geo, geor):
     if _cell_is_inert(j, rsol, dx, geo):
         return [_const(rl, ml)], CASE_VAC_ALLVAC + 1, SUB_NONE, 0, OK
     if k1 != W_SHOCK and k2 == W_SHOCK:
-        cell, sub, clamped, st = _build_vac_case1_k(
-            j, rl, ml, rr, mr, par, geo)
+        cell, sub, clamped, st = _build_vac_case1_k(j, rsol, par, geo)
         return cell, CASE_VAC_1, sub, clamped, st
     cell = []
     if k1 == W_SHOCK and k2 != W_SHOCK:
         refl, sub, clamped, st = _build_vac_case1_k(
-            -j, rr, -mr, rl, -ml, par, geor)
+            -j, _mirrored(rsol), par, geor)
         _unreflect_append(refl, cell)
         return cell, CASE_VAC_2, sub, clamped, st
     if k1 == W_SHOCK and k2 == W_SHOCK:
@@ -1303,7 +1322,7 @@ def build_vac_cell_k(j, rsol, par, geo, geor):
     if st != OK:
         return cell, CASE_VAC_3, subR, clampR, st
     lamR = BIG if lamRr == -BIG else -lamRr
-    rsolm = riemann_solve_k(rsl, msl, rsrr, -msrr, gamma, theta)
+    rsolm = _solution_of(rsol, rsl, msl, rsrr, -msrr, gamma, theta)
     if cell:
         cell[-1][2] = lamL
         cell[-1][3] = 0
