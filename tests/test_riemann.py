@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import nozzleflow._kernels as _k
@@ -343,41 +346,128 @@ class TestEntropyCondition:
         assert entropy_admissible(u, u, 1.0, C14)
 
 
+def _middle_state_cases():
+    """1,200 middle-state problems: generic pairs, pairs near vacuum on
+    both sides, equal states and neighbours one ulp apart, at three
+    gammas."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for g in (1.2, 1.4, 5 / 3):
+        th = (g - 1) / 2
+        for _ in range(200):
+            cases.append((rng.uniform(0.01, 10), rng.uniform(-5, 5),
+                          rng.uniform(0.01, 10), rng.uniform(-5, 5),
+                          g, th))
+        for _ in range(100):
+            # near vacuum on both sides
+            cases.append((10 ** rng.uniform(-12, -1), rng.uniform(-1, 1),
+                          10 ** rng.uniform(-12, -1), rng.uniform(-1, 1),
+                          g, th))
+        for _ in range(50):
+            # equal states and neighbours one ulp apart
+            r = rng.uniform(0.01, 10)
+            v = rng.uniform(-5, 5)
+            cases.append((r, v, r, v, g, th))
+            cases.append((r, v, math.nextafter(r, 20.0),
+                          math.nextafter(v, 10.0), g, th))
+    return cases
+
+
+def _wave_curve_evaluations(monkeypatch):
+    """Wave-curve evaluations (_phi_left calls) of each middle-state solve
+    of _middle_state_cases()."""
+    calls = [0]
+    phi_left = _k._phi_left
+
+    def counted(*args):
+        calls[0] += 1
+        return phi_left(*args)
+
+    monkeypatch.setattr(_k, "_phi_left", counted)
+    counts = []
+    for args in _middle_state_cases():
+        calls[0] = 0
+        _k.riemann_middle_k(*args)
+        counts.append(calls[0])
+    return counts
+
+
 class TestMiddleStateCost:
     def test_wave_curve_evaluations_bounded(self, monkeypatch):
         # the middle-state solve must stop once the density is resolved to
         # double precision, not run its iteration cap
-        calls = [0]
-        phi_left = _k._phi_left
-
-        def counted(*args):
-            calls[0] += 1
-            return phi_left(*args)
-
-        monkeypatch.setattr(_k, "_phi_left", counted)
-        rng = np.random.default_rng(31)
-        cases = []
-        for g in (1.2, 1.4, 5 / 3):
-            th = (g - 1) / 2
-            for _ in range(200):
-                cases.append((rng.uniform(0.01, 10), rng.uniform(-5, 5),
-                              rng.uniform(0.01, 10), rng.uniform(-5, 5),
-                              g, th))
-            for _ in range(100):
-                # near vacuum on both sides
-                cases.append((10 ** rng.uniform(-12, -1), rng.uniform(-1, 1),
-                              10 ** rng.uniform(-12, -1), rng.uniform(-1, 1),
-                              g, th))
-            for _ in range(50):
-                # equal states and neighbours one ulp apart
-                r = rng.uniform(0.01, 10)
-                v = rng.uniform(-5, 5)
-                cases.append((r, v, r, v, g, th))
-                cases.append((r, v, math.nextafter(r, 20.0),
-                              math.nextafter(v, 10.0), g, th))
-        worst = 0
-        for args in cases:
-            calls[0] = 0
-            _k.riemann_middle_k(*args)
-            worst = max(worst, calls[0])
+        worst = max(_wave_curve_evaluations(monkeypatch))
         assert worst <= 80, worst
+
+    def test_mean_wave_curve_evaluations(self, monkeypatch):
+        # Newton from the two-rarefaction density: a handful of curve
+        # evaluations per solve on average
+        counts = _wave_curve_evaluations(monkeypatch)
+        assert sum(counts) / len(counts) <= 6, sum(counts) / len(counts)
+
+
+def _gap(rho, rho_l, v_l, rho_r, v_r, gamma, theta):
+    w_l = v_l + _k.kfun(rho_l, theta)
+    z_r = v_r - _k.kfun(rho_r, theta)
+    return (_k._phi_left(rho, rho_l, v_l, w_l, gamma, theta)[0]
+            - _k._phi_right(rho, rho_r, v_r, z_r, gamma, theta)[0])
+
+
+_DENSITY = st.floats(-12.0, 1.0).map(lambda e: 10.0 ** e)
+_SPEED = st.floats(-50.0, 50.0)
+
+
+class TestMiddleStateRoot:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(rho_l=_DENSITY, v_l=_SPEED, rho_r=_DENSITY, v_r=_SPEED,
+           gamma=st.floats(1.0, 5.0 / 3.0, exclude_min=True))
+    def test_root_to_the_last_double(self, rho_l, v_l, rho_r, v_r, gamma):
+        """rho_M is an exact zero of the computed gap phi_L - phi_R, or one
+        of two adjacent doubles across which the gap changes sign."""
+        theta = (gamma - 1.0) / 2.0
+        args = (rho_l, v_l, rho_r, v_r, gamma, theta)
+        rho_m, v_m = _k.riemann_middle_k(*args)
+        w_l = v_l + _k.kfun(rho_l, theta)
+        z_r = v_r - _k.kfun(rho_r, theta)
+        if w_l <= z_r:
+            assert rho_m == 0.0
+            return
+        if rho_l == rho_r and v_l == v_r:
+            assert (rho_m, v_m) == (rho_l, v_l)
+            return
+        assert rho_m > 0.0
+        f = _gap(rho_m, *args)
+        if f > 0.0:
+            assert _gap(math.nextafter(rho_m, math.inf), *args) < 0.0
+        elif f < 0.0:
+            assert _gap(math.nextafter(rho_m, 0.0), *args) > 0.0
+
+
+def _mirror_pairs():
+    """(rho_l, m_l, rho_r, m_r, gamma, theta): generic, near-vacuum and
+    strong-shock pairs at three gammas."""
+    rng = np.random.default_rng(47)
+    out = []
+    for g in (1.2, 1.4, 5 / 3):
+        for _ in range(200):
+            out.append((rng.uniform(0.01, 10), rng.uniform(-5, 5),
+                        rng.uniform(0.01, 10), rng.uniform(-5, 5), g))
+            out.append((10 ** rng.uniform(-12, -1), rng.uniform(-1, 1),
+                        10 ** rng.uniform(-12, -1), rng.uniform(-1, 1), g))
+            out.append((10 ** rng.uniform(-12, 1), rng.uniform(2, 50),
+                        10 ** rng.uniform(-12, 1), -rng.uniform(2, 50), g))
+    return [(rl, rl * vl, rr, rr * vr, g, (g - 1) / 2)
+            for rl, vl, rr, vr, g in out]
+
+
+class TestMirrorSymmetry:
+    def test_solve_is_bitwise_mirror_symmetric(self):
+        # the near-vacuum Case 2 reuses the mirror of pass A's solution in
+        # place of a fresh solve of the mirrored states, so the two must
+        # agree bit for bit (signed zeros included)
+        bits = lambda rsol: [struct.pack("<d", x) for x in rsol]
+        for rl, ml, rr, mr, g, th in _mirror_pairs():
+            rsol = _k.riemann_solve_k(rl, ml, rr, mr, g, th)
+            mirrored = _k.riemann_solve_k(rr, -mr, rl, -ml, g, th)
+            assert bits(mirrored) == bits(_k._mirrored(rsol)), (rl, ml, rr,
+                                                                mr, g)

@@ -611,6 +611,31 @@ class TestPassBCapacity:
         assert len(pars) == ncount.sum()
 
 
+class TestOneRiemannSolvePerCell:
+    def test_near_vacuum_cells_reuse_the_pass_a_solution(self, monkeypatch):
+        # compact-support data in a bump nozzle (vacuum around the support):
+        # the first step has near-vacuum cells of Cases 1, 2 and 3, and
+        # every cell, near vacuum or not, is built from pass A's one solve
+        xs = np.linspace(-1.2, 1.2, 241)
+        phi = np.clip(1.0 - xs ** 2, 0.0, None) ** 2
+        rho = 0.95 * phi
+        c, geom, b, u0, params = nozzle_setup(
+            dx=0.0125, eps=0.11, data=TableData(xs, rho, 0.1 * rho * phi))
+        state, mesh = initialize(u0, params, geom, b, c)
+        calls = [0]
+        solve = _k.riemann_solve_k
+
+        def counted(*args):
+            calls[0] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(_k, "riemann_solve_k", counted)
+        _new, rec = advance(state, params, geom, b, c, mesh)
+        assert {_k.CASE_VAC_1, _k.CASE_VAC_2, _k.CASE_VAC_3} <= set(
+            rec.ccase.tolist())
+        assert calls[0] == rec.jcells.size
+
+
 class TestReflectedPieces:
     def test_involution_swapping_rarefaction_families(self):
         pieces = {_k.K_CONST: (0.7, -0.2, 0.0, 0.0, 0.0, 0.0),
