@@ -19,7 +19,7 @@ import numpy as np
 from ._traces import invariants
 from .baseline import run_baseline
 from .diagnostics import EnergyMonitor, RecurrenceAuditor
-from .errors import ConfigError
+from .errors import CellBuildError, ConfigError
 from .gas import GasConstants, GasState
 from .initialdata import (GaussianBumpData, RiemannStepData,
                           load_initial_table)
@@ -137,6 +137,10 @@ def parse_config(path, overrides=None) -> RunConfig:
     gkind = d["geometry"].lower()
     X = _getf(d, "geometry_x")
     A0 = _getf(d, "geometry_a0")
+    if X <= 0:
+        raise ConfigError("key 'geometry_x': must be positive")
+    if A0 <= 0:
+        raise ConfigError("key 'geometry_a0': must be positive")
     if gkind == "constant":
         geom = NozzleGeometry.constant(A0=A0, X=X)
     elif gkind == "bump":
@@ -181,7 +185,11 @@ def parse_config(path, overrides=None) -> RunConfig:
     if dx <= 0:
         raise ConfigError("key 'dx': must be positive")
     if bkind == "auto":
-        b = BoundFunction.auto_for(geom, ad, dx, margin=_getf(d, "b_margin"))
+        try:
+            b = BoundFunction.auto_for(geom, ad, dx,
+                                       margin=_getf(d, "b_margin"))
+        except ValueError as e:
+            raise ConfigError(f"key 'dx': {e}")
     elif bkind == "zero":
         b = BoundFunction.zero(domain=(-X - 1.0, X + 1.0))
     elif bkind.startswith("const:"):
@@ -457,7 +465,7 @@ def main(argv=None):
         if args.command == "run":
             return cmd_run(cfg)
         return cmd_validate(cfg)
-    except (ConfigError, ValueError) as e:
+    except (ConfigError, ValueError, CellBuildError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -359,6 +359,9 @@ def load_geometry_table(path):
 # bound function
 # ---------------------------------------------------------------------------
 
+AUTO_MAX_SAMPLES = 10 ** 6      # sample grid of BoundFunction.auto_for
+
+
 @dataclass(frozen=True)
 class BoundFunction:
     """Nonnegative b(x) with cached cumulative integral B(x) = int_0^x b."""
@@ -413,11 +416,18 @@ class BoundFunction:
     def auto_for(cls, geom: NozzleGeometry, consts: AdmissibilityConstants,
                  dx, margin=0.01):
         """Tightest admissible bound: b ~ (1+margin) |a|/mu, dilated over a
-        window of width max(dx, support/100) and mollified to C^1."""
+        window of width max(dx, support/100) and mollified to C^1.  Raises
+        ValueError when that takes more than AUTO_MAX_SAMPLES samples (the
+        dilation visits each sample in Python)."""
         mu = consts.mu
         span = geom.X
         hf = min(float(dx), span / 100.0) / 4.0
         pad = 4.0 * max(float(dx), 4.0 * hf)
+        count = math.ceil((2.0 * (span + pad) + hf) / hf)
+        if count > AUTO_MAX_SAMPLES:
+            raise ValueError(
+                f"the auto bound function needs {count} samples at dx = "
+                f"{dx!r}, more than {AUTO_MAX_SAMPLES}")
         xs = np.arange(-span - pad, span + pad + hf, hf)
         raw = np.abs(geom.a(xs)) / mu
         win = max(2, int(round(max(float(dx), 4.0 * hf) / hf)))

@@ -70,7 +70,11 @@ class TestParseConfig:
             ("audit_slack = nan", "'audit_slack': expected a finite number"),
             ("m_bound = -1", "M must be positive"),
             ("m_bound = 0", "M must be positive"),
-            ("cutoff = banana", "'cutoff': expected on"))])
+            ("cutoff = banana", "'cutoff': expected on"),
+            ("geometry_x = 0", "'geometry_x': must be positive"),
+            ("geometry_a0 = 0", "'geometry_a0': must be positive"),
+            # refused before the sample grid (8e9 points) is allocated
+            ("dx = 1e-9", "'dx': the auto bound function needs"))])
     def test_bad_value_rejected(self, tmp_path, line, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(write_cfg(tmp_path, MINIMAL + line + "\n"))
@@ -212,6 +216,17 @@ cutoff = off
         e_b = np.genfromtxt(out / "energy_baseline-lf.csv", delimiter=",",
                             names=True)["total_energy"]
         assert comp["difference"][0] == e_m - e_b
+
+
+class TestCellBuildFailure:
+    def test_reported_as_an_error(self, tmp_path, monkeypatch, capsys):
+        import nozzleflow._kernels as _k
+        monkeypatch.setattr(_k, "gap_fill_k",
+                            lambda *a: (0.0, 0.0, 0.0, 0.0, _k.ERR_GAP_CONV))
+        path = write_cfg(tmp_path, MINIMAL + f"out_dir = {tmp_path}/out\n")
+        assert main(["run", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cell (j=") and "[code 3]" in err
 
 
 class TestCmdRiemann:
