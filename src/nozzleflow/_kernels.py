@@ -302,7 +302,7 @@ def riemann_middle_k(rho_l, v_l, rho_r, v_r, gamma, theta):
     v_hi = 0.0
     x = pow_g(theta * f0 / 2.0, 1.0 / theta)
     if x <= 0.0:
-        x = 5e-324
+        x = 5e-324          # the guess underflows for theta near 0
     for _ in range(200):
         pl, dl = _phi_left(x, rho_l, v_l, w_l, gamma, theta)
         pr, dr = _phi_right(x, rho_r, v_r, z_r, gamma, theta)

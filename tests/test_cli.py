@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 import nozzleflow
+import nozzleflow._kernels as _k
 from nozzleflow.cli import main, parse_config
 from nozzleflow.errors import ConfigError
 
@@ -220,7 +221,6 @@ cutoff = off
 
 class TestCellBuildFailure:
     def test_reported_as_an_error(self, tmp_path, monkeypatch, capsys):
-        import nozzleflow._kernels as _k
         monkeypatch.setattr(_k, "gap_fill_k",
                             lambda *a: (0.0, 0.0, 0.0, 0.0, _k.ERR_GAP_CONV))
         path = write_cfg(tmp_path, MINIMAL + f"out_dir = {tmp_path}/out\n")
