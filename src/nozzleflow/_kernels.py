@@ -54,13 +54,15 @@ W_SHOCK = 2
 # [rl, ml, rr, mr, rM, vM, k1, k2, s1lo, s1hi, s2lo, s2hi]
 RSOL_LEN = 12
 
-# cell construction case codes
-CASE_AWAY_BASE = 1          # 1..4: away-from-vacuum construction, by wave pattern
-CASE_VAC_ALLVAC = 50
-CASE_VAC_1 = 11             # +0.x subcases returned separately
+# cell construction case codes: away from vacuum, the wave case 1..4 of
+# ``_wave_case``; near vacuum, 10 * wave case + 1 (subcases returned
+# separately), or all vacuum, or inert
+CASE_VAC_1 = 11
 CASE_VAC_2 = 21
 CASE_VAC_3 = 31
 CASE_VAC_4 = 41
+CASE_VAC_ALLVAC = 50
+CASE_VAC_INERT = 51
 SUB_NONE = 0
 SUB_11 = 1
 SUB_12I = 2
@@ -1279,6 +1281,15 @@ def _build_vac_case1_k(j, rsol, par, geo):
     return cell, sub, clamped, OK
 
 
+def _wave_case(k1, k2):
+    """The wave case of a Riemann solution with wave kinds k1, k2: 1 for a
+    2-shock alone, 2 for a 1-shock alone, 3 for no shock, 4 for two
+    shocks."""
+    if k1 != W_SHOCK:
+        return 1 if k2 == W_SHOCK else 3
+    return 4 if k2 == W_SHOCK else 2
+
+
 def build_vac_cell_k(j, rsol, par, geo, geor):
     """Construction dispatch for near-vacuum middle states.
 
@@ -1295,22 +1306,21 @@ def build_vac_cell_k(j, rsol, par, geo, geor):
     ml = rsol[1]
     rr = rsol[2]
     mr = rsol[3]
-    k1 = int(rsol[6])
-    k2 = int(rsol[7])
     if rl < RHO_FLOOR and rr < RHO_FLOOR:
         return [_const(0.0, 0.0)], CASE_VAC_ALLVAC, SUB_NONE, 0, OK
     if _cell_is_inert(j, rsol, dx, geo):
-        return [_const(rl, ml)], CASE_VAC_ALLVAC + 1, SUB_NONE, 0, OK
-    if k1 != W_SHOCK and k2 == W_SHOCK:
+        return [_const(rl, ml)], CASE_VAC_INERT, SUB_NONE, 0, OK
+    case = _wave_case(int(rsol[6]), int(rsol[7]))
+    if case == 1:
         cell, sub, clamped, st = _build_vac_case1_k(j, rsol, par, geo)
         return cell, CASE_VAC_1, sub, clamped, st
     cell = []
-    if k1 == W_SHOCK and k2 != W_SHOCK:
+    if case == 2:
         refl, sub, clamped, st = _build_vac_case1_k(
             -j, _mirrored(rsol), par, geor)
         _unreflect_append(refl, cell)
         return cell, CASE_VAC_2, sub, clamped, st
-    if k1 == W_SHOCK and k2 == W_SHOCK:
+    if case == 4:
         flatten_riemann_k(rsol, xc, -BIG, BIG, theta, cell)
         return cell, CASE_VAC_4, SUB_NONE, 0, OK
     # Case 3: two rarefactions (or degenerate waves)
@@ -1342,14 +1352,15 @@ def build_vac_cell_k(j, rsol, par, geo, geor):
 # whole-step drivers
 # ---------------------------------------------------------------------------
 
-def build_step_pass_a(jcells, lrho, lm, rrho, rm, par, rsols):
+def build_step_pass_a(jcells, rho, m, par, rsols):
     """Solve all cell Riemann problems, appending each packed solution to
-    rsols."""
+    rsols; cell c lies between entries c and c + 1 of the node row
+    (rho, m)."""
     gamma = par[0]
     theta = par[1]
     for c in range(len(jcells)):
-        rsols.append(riemann_solve_k(lrho[c], lm[c], rrho[c], rm[c], gamma,
-                                     theta))
+        rsols.append(riemann_solve_k(rho[c], m[c], rho[c + 1], m[c + 1],
+                                     gamma, theta))
 
 
 def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
@@ -1376,16 +1387,7 @@ def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
         rM = rsol[4]
         if rM > thr:
             cell, st = build_away_cell_k(j, rsol, par, geo, geor)
-            k1 = int(rsol[6])
-            k2 = int(rsol[7])
-            if k1 != W_SHOCK and k2 == W_SHOCK:
-                case = 1
-            elif k1 == W_SHOCK and k2 != W_SHOCK:
-                case = 2
-            elif k1 != W_SHOCK and k2 != W_SHOCK:
-                case = 3
-            else:
-                case = 4
+            case = _wave_case(int(rsol[6]), int(rsol[7]))
             sub = SUB_NONE
             clamped = 0
         else:
@@ -1422,21 +1424,3 @@ def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
         cclamp.append(clamped)
         cerr.append(st)
     offs.append(len(kinds))
-
-
-def _gauss5_piece(kind, q, a, b, tau, geo, gamma, theta):
-    """Integral of (rho, m) over [a, b] for one piece at time offset tau."""
-    if kind == K_CONST:
-        return q[0] * (b - a), q[1] * (b - a)
-    Bd = anchor_B(kind, q, geo)
-    xm = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    acc_r = 0.0
-    acc_m = 0.0
-    for g in range(5):
-        x = xm + half * _G5X[g]
-        rho, m, _cl = eval_piece_at(kind, q, Bd, x, tau, geo, gamma, theta)
-        acc_r += _G5W[g] * rho
-        acc_m += _G5W[g] * m
-    return acc_r * half, acc_m * half
-

@@ -171,6 +171,14 @@ def flux(rho, m, gamma):
     return np.where(ok, m, 0.0), np.where(ok, f2, 0.0)
 
 
+def source(a, rho, m):
+    """The geometry source (a m, a m^2/rho) with the coefficients a, zero
+    at vacuum (rho = 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.where(rho > 0, a * m, 0.0),
+                np.where(rho > 0, a * m * m / rho, 0.0))
+
+
 class _Pieces:
     """Every piece of a step record (the cells' pieces back to back) with
     its cell: cell index, centre, whether it is the first or last piece of

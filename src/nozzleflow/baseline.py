@@ -41,11 +41,6 @@ def run_baseline(u0, params: SchemeParameters, geom: NozzleGeometry,
     energy = []
     mass = []
 
-    def source(a, rho, m):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (np.where(rho > 0, a * m, 0.0),
-                    np.where(rho > 0, a * m * m / rho, 0.0))
-
     def record(state):
         """Append the node totals of a state; pass it to the snapshot
         callback."""
@@ -60,17 +55,15 @@ def run_baseline(u0, params: SchemeParameters, geom: NozzleGeometry,
     for n in range(N):
         j_lo, j_hi = _window_bounds(n + 1, mesh.W0)
         js = np.arange(j_lo, j_hi + 1, 2)
-        rl, ml, rr, mr = gather_neighbors(state, js, mesh)
-        f1l, f2l = _traces.flux(rl, ml, g)
-        f1r, f2r = _traces.flux(rr, mr, g)
-        # a at the old nodes (j - 1) dx and (j + 1) dx of every new node j
+        # the row of old nodes: new node i lies between entries i and i + 1
+        r0, m0 = gather_neighbors(state, js, mesh)
+        f1, f2 = _traces.flux(r0, m0, g)
         a = geom.a(np.arange(j_lo - 1, j_hi + 2, 2) * dx)
-        s1l, s2l = source(a[:-1], rl, ml)
-        s1r, s2r = source(a[1:], rr, mr)
-        rho = 0.5 * (rl + rr) - 0.5 * dt / dx * (f1r - f1l) \
-            + 0.5 * dt * (s1l + s1r)
-        m = 0.5 * (ml + mr) - 0.5 * dt / dx * (f2r - f2l) \
-            + 0.5 * dt * (s2l + s2r)
+        s1, s2 = _traces.source(a, r0, m0)
+        rho = 0.5 * (r0[:-1] + r0[1:]) - 0.5 * dt / dx * (f1[1:] - f1[:-1]) \
+            + 0.5 * dt * (s1[:-1] + s1[1:])
+        m = 0.5 * (m0[:-1] + m0[1:]) - 0.5 * dt / dx * (f2[1:] - f2[:-1]) \
+            + 0.5 * dt * (s2[:-1] + s2[1:])
         floor = rho <= _k.RHO_FLOOR
         neg += int(np.count_nonzero(rho < 0.0))
         rho = np.where(floor, 0.0, rho)

@@ -13,7 +13,7 @@ and bookkeeping counters (projection clamps, vacuum-threshold events,
 half-time Rankine-Hugoniot residuals, the accumulated squared time jumps
 of the traces).
 
-The monitors read what the step built: the neighbour states, the cell
+The monitors read what the step built: the row of old nodes, the cell
 records, the parameters and the geometry bundle of its ``StepRecord``.  The
 quantities themselves (R, the area term, node areas, the envelope) are
 whole-array code in :mod:`nozzleflow._traces`.
@@ -121,20 +121,19 @@ def envelope_violation(state: StaggeredState, params: SchemeParameters,
 def audit_recurrence(record: StepRecord, state_np1: StaggeredState,
                      slack_coeff=1.0) -> RecurrenceAudit:
     """Evaluate both sides of the energy recurrence at every new node (the
-    record's cells, in order), from the neighbour states the step used."""
+    record's cells, in order), from the row of old nodes the step used:
+    each old node's eta, q and R once, shared by its two new nodes."""
     params, c = record.params, record.constants
     dx, dt = params.dx, params.dt
     jc = record.jcells
-    tables = record.bundle.tables
-    lrho, lm, rrho, rm = record.neighbors
+    rho, m = record.neighbors
     lhs, _q = _traces.eta_q(state_np1.rho, state_np1.m, c.gamma)
-    eta_l, q_l = _traces.eta_q(lrho, lm, c.gamma)
-    eta_r, q_r = _traces.eta_q(rrho, rm, c.gamma)
-    R_r = _traces.correction_R((jc + 1) * dx, rrho, rm, params, c, tables)
-    R_l = _traces.correction_R((jc - 1) * dx, lrho, lm, params, c, tables)
-    rhs = (0.5 * (eta_l + eta_r)
-           - 0.5 * dt / dx * (q_r - q_l)
-           + (R_r - R_l) * dt
+    eta, q = _traces.eta_q(rho, m, c.gamma)
+    x = (jc[0] - 1 + 2 * np.arange(rho.size)) * dx
+    R = _traces.correction_R(x, rho, m, params, c, record.bundle.tables)
+    rhs = (0.5 * (eta[:-1] + eta[1:])
+           - 0.5 * dt / dx * (q[1:] - q[:-1])
+           + (R[1:] - R[:-1]) * dt
            - _traces.cell_aq_integrals(record) / (2.0 * dx))
     raw = np.maximum(lhs - rhs, 0.0)
     slacked = np.maximum(lhs - rhs - slack_coeff * dx ** 1.5, 0.0)

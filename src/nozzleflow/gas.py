@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
+from . import _traces
 
 VACUUM_RHO = _k.RHO_FLOOR   # densities below this are normalized to vacuum
 
@@ -112,11 +113,11 @@ def flux(u: GasState, c: GasConstants):
 
 
 def source(x, u: GasState, a):
-    """g(x, u) = (a(x) m, a(x) m^2 / rho) for the nozzle coefficient a."""
-    if u.is_vacuum:
-        return np.zeros(2)
-    ax = float(a(x))
-    return np.array([ax * u.m, ax * u.m * u.m / u.rho])
+    """g(x, u) = (a(x) m, a(x) m^2 / rho) for the nozzle coefficient a:
+    :func:`nozzleflow._traces.source` of one-element arrays."""
+    s1, s2 = _traces.source(np.array([float(a(x))]), np.array([u.rho]),
+                            np.array([u.m]))
+    return np.concatenate([s1, s2])
 
 
 def mechanical_pair(u: GasState, c: GasConstants) -> EntropyPairValue:

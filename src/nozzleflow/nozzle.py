@@ -417,8 +417,7 @@ class BoundFunction:
                  dx, margin=0.01):
         """Tightest admissible bound: b ~ (1+margin) |a|/mu, dilated over a
         window of width max(dx, support/100) and mollified to C^1.  Raises
-        ValueError when that takes more than AUTO_MAX_SAMPLES samples (the
-        dilation visits each sample in Python)."""
+        ValueError when that takes more than AUTO_MAX_SAMPLES samples."""
         mu = consts.mu
         span = geom.X
         hf = min(float(dx), span / 100.0) / 4.0
@@ -431,11 +430,7 @@ class BoundFunction:
         xs = np.arange(-span - pad, span + pad + hf, hf)
         raw = np.abs(geom.a(xs)) / mu
         win = max(2, int(round(max(float(dx), 4.0 * hf) / hf)))
-        dil = np.empty_like(raw)
-        for i in range(raw.size):
-            a = max(0, i - win)
-            b = min(raw.size, i + win + 1)
-            dil[i] = raw[a:b].max()
+        dil = _dilate(raw, win)
         # C^2 bump kernel of half-width win//2 lattice steps
         kw = max(1, win // 2)
         t = np.linspace(-1.0, 1.0, 2 * kw + 1)
@@ -444,6 +439,15 @@ class BoundFunction:
         smooth = np.convolve(dil, ker, mode="same")
         bvals = (1.0 + margin) * np.where(dil > 0.0, np.maximum(smooth, raw), 0.0)
         return cls.from_samples(xs, bvals, label="auto")
+
+
+def _dilate(raw, win):
+    """Maximum of raw over the samples i - win .. i + win, at every i (the
+    window cut at both ends)."""
+    pad = np.full(win, -np.inf)
+    padded = np.concatenate([pad, raw, pad])
+    return np.lib.stride_tricks.sliding_window_view(
+        padded, 2 * win + 1).max(axis=1)
 
 
 def envelope(M, b: BoundFunction, x):

@@ -281,9 +281,10 @@ def cell_average(cell: CellSolution) -> GasState:
 class StepRecord:
     """Packed cell constructions for one step n -> n+1, plus counters.
 
-    ``neighbors`` are the (lrho, lm, rrho, rm) node states of step n left
-    and right of each cell, as ``gather_neighbors`` returned them; the
-    cells are the nodes of step n+1, in order."""
+    ``neighbors`` is the row (rho, m) of step n's nodes with the frozen
+    ambient states at both ends, as ``gather_neighbors`` returned it; the
+    cells are the nodes of step n+1, in order, and cell i lies between
+    row entries i and i + 1."""
 
     n: int
     jcells: np.ndarray
@@ -424,20 +425,17 @@ def select_M(u0, b: BoundFunction, c: GasConstants, safety=1.01,
 
 
 def gather_neighbors(state: StaggeredState, jcells, mesh: Mesh):
-    """Left/right node states for the cells centered at jcells, with the
-    frozen ambient values beyond the window."""
-    nn_old = state.rho.size
-    il = (jcells - 1 - state.j0) // 2
-    ok_l = (il >= 0) & (il < nn_old)
-    ilc = np.clip(il, 0, nn_old - 1)
-    lrho = np.where(ok_l, state.rho[ilc], mesh.ambient_left.rho)
-    lm = np.where(ok_l, state.m[ilc], mesh.ambient_left.m)
-    ir = (jcells + 1 - state.j0) // 2
-    ok_r = (ir >= 0) & (ir < nn_old)
-    irc = np.clip(ir, 0, nn_old - 1)
-    rrho = np.where(ok_r, state.rho[irc], mesh.ambient_right.rho)
-    rm = np.where(ok_r, state.m[irc], mesh.ambient_right.m)
-    return lrho, lm, rrho, rm
+    """The row (rho, m) of the cells centred at jcells: the state's nodes
+    with the frozen ambient states at both ends, so that cell i lies
+    between row entries i and i + 1.  The cells must be the next step's
+    window, one node wider than the state's on each side."""
+    if jcells[0] != state.j0 - 1 or jcells.size != state.rho.size + 1:
+        raise ValueError(
+            f"cells from j = {jcells[0]} ({jcells.size} cells) are not the "
+            f"step after nodes from j = {state.j0} ({state.rho.size} nodes)")
+    amb_l, amb_r = mesh.ambient_left, mesh.ambient_right
+    return (np.concatenate(([amb_l.rho], state.rho, [amb_r.rho])),
+            np.concatenate(([amb_l.m], state.m, [amb_r.m])))
 
 
 def _build_cells(jcells, neighbors, n, params: SchemeParameters,
@@ -445,8 +443,9 @@ def _build_cells(jcells, neighbors, n, params: SchemeParameters,
     """Pass A (the cell Riemann solves), then pass B (the cell
     constructions), into one packed record.
 
-    ``neighbors`` are the (lrho, lm, rrho, rm) arrays of the cells centred
-    at jcells.  Returns (offs, kinds, pars, spds, fflag, ncount, ccase,
+    ``neighbors`` is the row (rho, m) of the cells centred at jcells, one
+    entry longer than jcells: cell i lies between entries i and i + 1.
+    Returns (offs, kinds, pars, spds, fflag, ncount, ccase,
     csub, cclamp): the cells' pieces back to back, cell i's from offs[i];
     raises CellBuildError for the first cell that failed.
     """
@@ -505,8 +504,8 @@ def advance(state: StaggeredState, params: SchemeParameters,
 def build_cell(u_left, u_right, j, n, params, geom, b, c) -> CellSolution:
     """Construct one cell, dispatching on rho_M vs dx^beta automatically."""
     bundle = get_bundle(geom, b)
-    neighbors = tuple(np.array([v]) for v in (u_left.rho, u_left.m,
-                                              u_right.rho, u_right.m))
+    neighbors = (np.array([u_left.rho, u_right.rho]),
+                 np.array([u_left.m, u_right.m]))
     (_offs, kinds, pars, spds, fflag, ncount, ccase, csub,
      _cclamp) = _build_cells(np.array([j], dtype=np.int64), neighbors, n,
                              params, bundle, c)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nozzleflow._traces as _traces
 from nozzleflow import (GasConstants, select_M, total_energy_nodes,
                         total_mass_nodes)
 from nozzleflow.baseline import run_baseline
@@ -50,6 +51,25 @@ class TestStraightDuct:
         for n in range(params.n_steps):
             change = series.mass[n + 1] - series.mass[n]
             assert change == pytest.approx(inflow, abs=1e-12 * series.mass[n])
+
+
+class TestNodeRow:
+    def test_one_flux_per_step(self, monkeypatch):
+        # each old node's flux is computed once, on the row of old nodes
+        # around the new ones
+        sizes = []
+        flux = _traces.flux
+
+        def counted(rho, *args):
+            sizes.append(rho.size)
+            return flux(rho, *args)
+
+        monkeypatch.setattr(_traces, "flux", counted)
+        u0 = GaussianBumpData(rho_inf=1.0, rho_amp=0.3, v_inf=0.2,
+                              width=0.3)
+        params, snaps, _series = _duct_run(u0)
+        assert len(sizes) == params.n_steps > 10
+        assert sizes == [rho.size + 1 for rho, _m in snaps[1:]]
 
 
 class TestSeries:

@@ -15,8 +15,7 @@ from nozzleflow.initialdata import (GaussianBumpData, RiemannStepData,
                                     TableData)
 from nozzleflow.nozzle import (BoundFunction, NozzleGeometry,
                                admissibility_constants, get_bundle)
-from nozzleflow.scheme import (SchemeParameters, StaggeredState,
-                               gather_neighbors)
+from nozzleflow.scheme import SchemeParameters, StaggeredState
 
 C14 = GasConstants.for_gamma(1.4)
 
@@ -58,6 +57,24 @@ def _R_scalar(x, rho, m, params, geo, c):
         + (g + 3.0 * th + 4.0) / (2.0 * th) * m ** 3 * rt / rho ** 2
         + m ** 5 / (2.0 * _k.pow_g(rho, th + 4.0)))
     return t1 + t2 + t3
+
+
+def _gauss5_piece(kind, q, a, b, tau, geo, gamma, theta):
+    """Integral of (rho, m) over [a, b] for one piece at time offset tau."""
+    if kind == _k.K_CONST:
+        return q[0] * (b - a), q[1] * (b - a)
+    Bd = _k.anchor_B(kind, q, geo)
+    xm = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    acc_r = 0.0
+    acc_m = 0.0
+    for g in range(5):
+        x = xm + half * _k._G5X[g]
+        rho, m, _cl = _k.eval_piece_at(kind, q, Bd, x, tau, geo, gamma,
+                                       theta)
+        acc_r += _k._G5W[g] * rho
+        acc_m += _k._G5W[g] * m
+    return acc_r * half, acc_m * half
 
 
 def nozzle_setup(dx=0.025, eps=0.15):
@@ -193,8 +210,8 @@ class TestTotalEnergy:
         bundle = get_bundle(geom, b)
         q = np.array([0.1, -4.8, 5.1, -1.0, 1.0, 0.0])
         a, bb = 0.05, 0.15
-        got = _k._gauss5_piece(_k.K_PROFILE, q, a, bb, 0.0, bundle.geo,
-                               1.4, 0.2)
+        got = _gauss5_piece(_k.K_PROFILE, q, a, bb, 0.0, bundle.geo, 1.4,
+                            0.2)
 
         def rho_of(x):
             r, m, _c = _k.eval_piece(_k.K_PROFILE, q, x, 0.0, bundle.geo,
@@ -340,9 +357,9 @@ class TestRecurrenceAudit:
         assert aud.worst_raw < params.dx
 
     def test_record_neighbors_are_the_step_inputs(self):
-        # the audit reads the neighbour states the step gathered; they are
-        # the old nodes left and right of each cell, ambient beyond the
-        # window
+        # the audit reads the row of old nodes the step gathered: the old
+        # nodes with the ambient states at both ends, cell i between row
+        # entries i and i + 1
         geom, b = nozzle_setup(dx=0.05)
         u0 = GaussianBumpData(rho_inf=1.0, rho_amp=0.2, v_inf=0.3,
                               width=0.3)
@@ -360,11 +377,31 @@ class TestRecurrenceAudit:
                       observers=(EnergyMonitor(), RecurrenceAuditor(),
                                  Keep()))
         assert len(steps) == 4
+        amb_l, amb_r = mesh.ambient_left, mesh.ambient_right
         for prev, rec in steps:
-            want = gather_neighbors(prev, rec.jcells, mesh)
-            assert rec.neighbors[0][0] == mesh.ambient_left.rho
-            for got_side, want_side in zip(rec.neighbors, want):
-                assert got_side.tobytes() == want_side.tobytes()
+            assert np.array_equal(prev.js, rec.jcells[:-1] + 1)
+            rho, m = rec.neighbors
+            want_rho = np.concatenate(([amb_l.rho], prev.rho, [amb_r.rho]))
+            want_m = np.concatenate(([amb_l.m], prev.m, [amb_r.m]))
+            assert rho.tobytes() == want_rho.tobytes()
+            assert m.tobytes() == want_m.tobytes()
+
+    def test_one_correction_R_per_step(self, monkeypatch):
+        # every old node's R is computed once, on the row of C + 1 old
+        # nodes around the step's C cells
+        geom, b = nozzle_setup(dx=0.05)
+        u0 = GaussianBumpData(rho_inf=1.0, rho_amp=0.2, v_inf=0.3,
+                              width=0.3)
+        sizes = []
+        R = _traces.correction_R
+
+        def counted(x, *args):
+            sizes.append(x.size)
+            return R(x, *args)
+
+        monkeypatch.setattr(_traces, "correction_R", counted)
+        _, _mon, aud, _ = _run_monitored(u0, geom, b, 3, 0.05)
+        assert sizes == [a.js.size + 1 for a in aud.audits]
 
     def test_audit_records_both_sides(self):
         geom, b = nozzle_setup(dx=0.05)
@@ -512,10 +549,10 @@ class TestWholeArrayTraces:
                     ir = rec.pars[o + p, 0] * (b - a)
                     im = rec.pars[o + p, 1] * (b - a)
                 else:
-                    ir, im = _k._gauss5_piece(int(rec.kinds[o + p]),
-                                              rec.pars[o + p], j * dx + a,
-                                              j * dx + b, dt, geo, C14.gamma,
-                                              C14.theta)
+                    ir, im = _gauss5_piece(int(rec.kinds[o + p]),
+                                           rec.pars[o + p], j * dx + a,
+                                           j * dx + b, dt, geo, C14.gamma,
+                                           C14.theta)
                 acc_r += ir
                 acc_m += im
             e_r, e_m = acc_r / (2.0 * dx), acc_m / (2.0 * dx)

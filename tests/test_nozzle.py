@@ -168,6 +168,23 @@ class TestBoundFunction:
         with pytest.raises(ValueError):
             BoundFunction.piecewise_constant([0, 1], [-0.1])
 
+    def test_auto_dilation_matches_loop(self):
+        # the sliding-window maximum equals the per-sample loop bit for bit
+        rng = np.random.default_rng(16)
+        geom = NozzleGeometry.laval(0.1, X=1.0)
+        xs = np.linspace(-1.5, 1.5, 3001)
+        mu = admissibility_constants(C14).mu
+        cases = [(np.abs(geom.a(xs)) / mu, 4), (np.abs(geom.a(xs)) / mu, 37)]
+        for n, win in ((1, 2), (3, 10), (50, 4), (400, 17)):
+            raw = rng.uniform(0.0, 1.0, n)
+            raw[rng.uniform(size=n) < 0.3] = 0.0
+            cases.append((raw, win))
+        for raw, win in cases:
+            want = np.empty_like(raw)
+            for i in range(raw.size):
+                want[i] = raw[max(0, i - win):min(raw.size, i + win + 1)].max()
+            assert nozzle._dilate(raw, win).tobytes() == want.tobytes()
+
     def test_auto_dominates_a(self):
         geom = NozzleGeometry.bump(0.25, X=1.0)
         ad = admissibility_constants(C14)

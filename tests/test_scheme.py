@@ -18,7 +18,8 @@ from nozzleflow.initialdata import (GaussianBumpData, RiemannStepData,
 from nozzleflow.nozzle import (BoundFunction, NozzleGeometry,
                                admissibility_constants, envelope,
                                get_bundle, steady_profile)
-from nozzleflow.scheme import SchemeParameters, _build_cells
+from nozzleflow.scheme import (SchemeParameters, _build_cells,
+                               gather_neighbors)
 
 C14 = GasConstants.for_gamma(1.4)
 
@@ -593,22 +594,41 @@ class TestPassBCapacity:
         geom = getattr(NozzleGeometry, family)(0.1, X=1.0)
         b = BoundFunction.auto_for(geom, admissibility_constants(c), dx=dx)
         rng = np.random.default_rng([round(100 * gamma), len(family)])
-        # 400 cells at 40 positions across the nozzle
-        jcells = (2 * (np.arange(400) % 40) - 39).astype(np.int64)
-        neighbors = _neighbor_pairs(rng, jcells.size)
+        # 400 generated pairs, back to back in one row of node states: 799
+        # cells at 40 positions across the nozzle, the generated pairs
+        # and the pairs across them
+        lrho, lm, rrho, rm = _neighbor_pairs(rng, 400)
+        row = (np.stack([lrho, rrho], axis=1).ravel(),
+               np.stack([lm, rm], axis=1).ravel())
+        jcells = (2 * (np.arange(799) % 40) - 39).astype(np.int64)
         # the smallest envelope constant holding every node state
         M = 0.0
-        for off, rho, m in ((-1,) + neighbors[:2], (1,) + neighbors[2:]):
-            z, w = _traces.invariants(rho, m, c.theta)
+        for off, sl in ((-1, slice(None, -1)), (1, slice(1, None))):
+            z, w = _traces.invariants(row[0][sl], row[1][sl], c.theta)
             B = b.B((jcells + off) * dx)
             M = max(M, np.max(-z * np.exp(B)), np.max(w * np.exp(-B)))
         params = SchemeParameters.create(dx=dx, M=1.01 * M, b=b, T=0.0, c=c)
         (offs, _kinds, pars, _spds, _fflag, ncount, ccase, _csub,
-         _cclamp) = _build_cells(jcells, neighbors, 0, params,
+         _cclamp) = _build_cells(jcells, row, 0, params,
                                  get_bundle(geom, b), c)
         assert {1, 2, 3, 4, 11, 21, 31, 41, 50} <= set(ccase.tolist())
         assert np.array_equal(np.diff(offs), ncount)
         assert len(pars) == ncount.sum()
+
+
+class TestNodeRow:
+    def test_gather_refuses_other_windows(self):
+        # the row is the state's nodes with the ambient states at both
+        # ends, so the cells must be the next step's window
+        c, geom, b, u0, params = nozzle_setup()
+        state, mesh = initialize(u0, params, geom, b, c)
+        jcells = np.append(state.js - 1, state.js[-1] + 1)
+        rho, m = gather_neighbors(state, jcells, mesh)
+        assert rho.size == m.size == jcells.size + 1
+        for bad in (jcells + 2, jcells - 2, jcells[:-1], jcells[1:],
+                    np.append(jcells, jcells[-1] + 2)):
+            with pytest.raises(ValueError):
+                gather_neighbors(state, bad, mesh)
 
 
 class TestOneRiemannSolvePerCell:
