@@ -30,14 +30,18 @@ Conventions used throughout:
     spatial shape is ``z(x) = z_d*exp(sz*(B(x)-B(x_d)))`` and likewise for
     ``w`` with ``sw``; ``corr=1`` applies the linear-in-time correction
     ``z_t = -lam1*z_x - a*v*rho^theta``, ``w_t = -lam2*w_x + a*v*rho^theta``
-    (steady profiles use ``sz=-1, sw=+1``; the near-vacuum decay profile
-    uses ``sz=sw=-1``; its mirror ``sz=sw=+1``);
+    with ``v = (z+w)/2`` and ``rho^theta = theta*(w-z)/2`` read from the
+    steady invariants, only where ``rho^theta`` reaches
+    ``sound_floor(theta) = RHO_FLOOR^theta`` (steady profiles use ``sz=-1,
+    sw=+1``; the near-vacuum decay profile uses ``sz=sw=-1``; its mirror
+    ``sz=sw=+1``);
   - ``K_RAREF1``   params ``(x_center, w0)``: centered 1-rarefaction wedge;
   - ``K_RAREF2``   params ``(x_center, z0)``: centered 2-rarefaction wedge.
 """
 
 import math
 from bisect import bisect_right
+from functools import lru_cache
 
 # piece kinds
 K_CONST = 0
@@ -161,6 +165,13 @@ def state_k(z, w, theta):
 
 def sound_k(rho, theta):
     return pow_g(rho, theta)
+
+
+@lru_cache(maxsize=16)
+def sound_floor(theta):
+    """RHO_FLOOR^theta, the sound speed rho^theta at the vacuum floor; the
+    power is taken once per theta."""
+    return pow_g(RHO_FLOOR, theta)
 
 
 def lambdas_k(rho, m, theta):
@@ -522,9 +533,10 @@ def eval_piece_at(kind, q, Bd, x, tau, geo, gamma, theta):
             return 0.0, 0.0, 0
         rho, m = raref2_state_k((x - q[0]) / tau, q[1], theta)
         return rho, m, 0
-    if q[5] != 0.0 and tau > 0.0:
-        return profile_at(q, Bd, geo_at(geo, x), tau, theta)
-    return profile_at(q, Bd, (geo_B(geo, x), 0.0, 0.0), tau, theta)
+    Bx, ax, bx = (geo_at(geo, x) if q[5] != 0.0 and tau > 0.0
+                  else (geo_B(geo, x), 0.0, 0.0))
+    return profile_at(q[1], q[2], q[3], q[4], q[5], Bx - Bd, ax, bx, tau,
+                      theta, sound_floor(theta))
 
 
 def geo_at(geo, x):
@@ -532,28 +544,27 @@ def geo_at(geo, x):
     return geo_B(geo, x), geo_a(geo, x), geo_b(geo, x)
 
 
-def profile_at(q, Bd, g, tau, theta):
-    """Profile piece q at time offset tau and a point with geometry
-    g = geo_at(geo, x) (only g[0] is read without time correction), given
-    the anchor value Bd.  Returns (rho, m, clamped)."""
-    dB = g[0] - Bd
-    zb = q[1] * math.exp(q[3] * dB)
-    wb = q[2] * math.exp(q[4] * dB)
-    if q[5] != 0.0 and tau > 0.0:
-        rb, mb = state_k(zb, wb, theta)
-        if rb >= RHO_FLOOR:
-            vb = mb / rb
-            c = sound_k(rb, theta)
-            av = g[1] * vb * c
-            bx = g[2]
-            zt = -(vb - c) * (q[3] * bx * zb) - av
-            wt = -(vb + c) * (q[4] * bx * wb) + av
-            zb += tau * zt
-            wb += tau * wt
+def profile_at(zd, wd, sz, sw, corr, dB, ax, bx, tau, theta, cfloor):
+    """(rho, m, clamped) of the profile piece (., zd, wd, sz, sw, corr) at
+    time offset tau where B(x) - B(x_d) = dB, a = ax, b = bx; the
+    correction reads vb and c = rhob^theta from the steady invariants
+    where c >= cfloor = sound_floor(theta).  clamped = 1 flags w < z."""
+    zb = zd * math.exp(sz * dB)
+    wb = wd * math.exp(sw * dB)
+    c = theta * (wb - zb) / 2.0
+    if corr != 0.0 and tau > 0.0 and c >= cfloor:
+        vb = (wb + zb) / 2.0
+        av = ax * vb * c
+        zb += tau * (-(vb - c) * (sz * bx * zb) - av)
+        wb += tau * (-(vb + c) * (sw * bx * wb) + av)
+        c = theta * (wb - zb) / 2.0
     if wb < zb:
         return 0.0, 0.0, 1
-    rho, m = state_k(zb, wb, theta)
-    return rho, m, 0
+    # the state as state_k(zb, wb, theta) gives it
+    rho = math.exp(1.0 / theta * math.log(c)) if c > 0.0 else 0.0
+    if rho < RHO_FLOOR:
+        return 0.0, 0.0, 0
+    return rho, rho * (wb + zb) / 2.0, 0
 
 
 def eval_cell(kinds, pars, spds, npieces, xc, x, tau, geo, gamma, theta):
@@ -722,25 +733,6 @@ def _rh_residual(s, rl, ml, rr, mr, gamma):
     return f1r - f1l - s * (rr - rl), f2r - f2l - s * (mr - ml)
 
 
-def _gap_outer(O, ga, gb, lq, lBd, rq, rBd, tau, theta):
-    """Outer traces O = (rho, m) of the left profile lq at the left front
-    and of the right profile rq at the right front (geometry ga, gb there);
-    they depend on the front speeds only, not on the middle anchor."""
-    O[0], O[1], _c1 = profile_at(lq, lBd, ga, tau, theta)
-    O[2], O[3], _c2 = profile_at(rq, rBd, gb, tau, theta)
-
-
-def _gap_residual(F, X, O, ga, gb, mq, mBd, tau, gamma, theta):
-    """Half-time RH residuals of both gap fronts at X = (sa, sb, zm, wm),
-    given the outer traces O and the geometry ga, gb at the two fronts."""
-    mq[1] = X[2]
-    mq[2] = X[3]
-    rra, mra, _c1 = profile_at(mq, mBd, ga, tau, theta)
-    F[0], F[1] = _rh_residual(X[0], O[0], O[1], rra, mra, gamma)
-    rlb, mlb, _c2 = profile_at(mq, mBd, gb, tau, theta)
-    F[2], F[3] = _rh_residual(X[1], rlb, mlb, O[2], O[3], gamma)
-
-
 def _solve4(A, b):
     """4x4 linear solve with partial pivoting; A is row-major flat (16,).
     Returns (x, ok)."""
@@ -788,106 +780,107 @@ def gap_fill_k(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0, fscale):
     fronts and the outer traces are reused for the zm and wm columns.
     """
     tau = 0.5 * dt
-    X = [0.0] * 4
-    X[0] = sa0
-    X[1] = sb0
-    X[2] = zm0
-    X[3] = wm0
-    Xt = [0.0] * 4
-    mq = [0.0] * 6
-    mq[0] = xc
-    mq[3] = -1.0
-    mq[4] = 1.0
-    mq[5] = 1.0
-    lBd = geo_B(geo, lq[0])
-    rBd = geo_B(geo, rq[0])
+    cf = sound_floor(theta)
+    xl, lz, lw, lsz, lsw, lcorr = lq
+    xr, rz, rw, rsz, rsw, rcorr = rq
+    lBd = geo_B(geo, xl)
+    rBd = geo_B(geo, xr)
     mBd = geo_B(geo, xc)
-    O = [0.0] * 4
-    Ot = [0.0] * 4
-    F = [0.0] * 4
-    Fp = [0.0] * 4
-    Ft = [0.0] * 4
-    J = [0.0] * 16          # row-major 4x4
+    sa, sb, zm, wm = sa0, sb0, zm0, wm0
     atol = 1e-12 * fscale
-    ga = geo_at(geo, xc + X[0] * tau)
-    gb = geo_at(geo, xc + X[1] * tau)
-    _gap_outer(O, ga, gb, lq, lBd, rq, rBd, tau, theta)
-    _gap_residual(F, X, O, ga, gb, mq, mBd, tau, gamma, theta)
-    fn = max(max(abs(F[0]), abs(F[1])), max(abs(F[2]), abs(F[3])))
+    Ba, aa, ba = geo_at(geo, xc + sa * tau)
+    Bb, ab, bb = geo_at(geo, xc + sb * tau)
+    olr, olm, _c = profile_at(lz, lw, lsz, lsw, lcorr, Ba - lBd, aa, ba, tau,
+                              theta, cf)
+    orr, orm, _c = profile_at(rz, rw, rsz, rsw, rcorr, Bb - rBd, ab, bb, tau,
+                              theta, cf)
+    mlr, mlm, _c = profile_at(zm, wm, -1.0, 1.0, 1.0, Ba - mBd, aa, ba, tau,
+                              theta, cf)
+    F0, F1 = _rh_residual(sa, olr, olm, mlr, mlm, gamma)
+    mrr, mrm, _c = profile_at(zm, wm, -1.0, 1.0, 1.0, Bb - mBd, ab, bb, tau,
+                              theta, cf)
+    F2, F3 = _rh_residual(sb, mrr, mrm, orr, orm, gamma)
+    fn = max(max(abs(F0), abs(F1)), max(abs(F2), abs(F3)))
     if fn <= 1e-13 * fscale:
-        return X[0], X[1], X[2], X[3], OK
-    for it in range(80):
+        return sa, sb, zm, wm, OK
+    for _ in range(80):
         if fn <= atol:
-            return X[0], X[1], X[2], X[3], OK
+            return sa, sb, zm, wm, OK
         # sa column: left outer trace and middle profile at the moved front
-        h = 1e-7 * (1.0 + abs(X[0]))
-        s = X[0] + h
-        g = geo_at(geo, xc + s * tau)
-        rl, ml, _c1 = profile_at(lq, lBd, g, tau, theta)
-        mq[1] = X[2]
-        mq[2] = X[3]
-        rr, mr, _c2 = profile_at(mq, mBd, g, tau, theta)
-        f0, f1 = _rh_residual(s, rl, ml, rr, mr, gamma)
-        J[0] = (f0 - F[0]) / h
-        J[4] = (f1 - F[1]) / h
-        J[8] = 0.0
-        J[12] = 0.0
+        ha = 1e-7 * (1.0 + abs(sa))
+        s = sa + ha
+        Bs, as_, bs = geo_at(geo, xc + s * tau)
+        r1, m1, _c = profile_at(lz, lw, lsz, lsw, lcorr, Bs - lBd, as_, bs,
+                                tau, theta, cf)
+        r2, m2, _c = profile_at(zm, wm, -1.0, 1.0, 1.0, Bs - mBd, as_, bs,
+                                tau, theta, cf)
+        f0, f1 = _rh_residual(s, r1, m1, r2, m2, gamma)
         # sb column
-        h = 1e-7 * (1.0 + abs(X[1]))
-        s = X[1] + h
-        g = geo_at(geo, xc + s * tau)
-        rl, ml, _c1 = profile_at(mq, mBd, g, tau, theta)
-        rr, mr, _c2 = profile_at(rq, rBd, g, tau, theta)
-        f2, f3 = _rh_residual(s, rl, ml, rr, mr, gamma)
-        J[1] = 0.0
-        J[5] = 0.0
-        J[9] = (f2 - F[2]) / h
-        J[13] = (f3 - F[3]) / h
+        hb = 1e-7 * (1.0 + abs(sb))
+        s = sb + hb
+        Bs, as_, bs = geo_at(geo, xc + s * tau)
+        r1, m1, _c = profile_at(zm, wm, -1.0, 1.0, 1.0, Bs - mBd, as_, bs,
+                                tau, theta, cf)
+        r2, m2, _c = profile_at(rz, rw, rsz, rsw, rcorr, Bs - rBd, as_, bs,
+                                tau, theta, cf)
+        f2, f3 = _rh_residual(s, r1, m1, r2, m2, gamma)
+        J = [(f0 - F0) / ha, 0.0, 0.0, 0.0,
+             (f1 - F1) / ha, 0.0, 0.0, 0.0,
+             0.0, (f2 - F2) / hb, 0.0, 0.0,
+             0.0, (f3 - F3) / hb, 0.0, 0.0]         # row-major 4x4
         # zm and wm columns: the fronts and outer traces stay put
-        for cdx in range(2, 4):
-            h = 1e-7 * (1.0 + abs(X[cdx]))
-            Xs = X[cdx]
-            X[cdx] = Xs + h
-            _gap_residual(Fp, X, O, ga, gb, mq, mBd, tau, gamma, theta)
-            X[cdx] = Xs
-            for r in range(4):
-                J[4 * r + cdx] = (Fp[r] - F[r]) / h
-        rhs = [0.0] * 4
-        for r in range(4):
-            rhs[r] = -F[r]
+        for cdx, v in ((2, zm), (3, wm)):
+            h = 1e-7 * (1.0 + abs(v))
+            z, w = (v + h, wm) if cdx == 2 else (zm, v + h)
+            r1, m1, _c = profile_at(z, w, -1.0, 1.0, 1.0, Ba - mBd, aa, ba,
+                                    tau, theta, cf)
+            f0, f1 = _rh_residual(sa, olr, olm, r1, m1, gamma)
+            r2, m2, _c = profile_at(z, w, -1.0, 1.0, 1.0, Bb - mBd, ab, bb,
+                                    tau, theta, cf)
+            f2, f3 = _rh_residual(sb, r2, m2, orr, orm, gamma)
+            J[cdx] = (f0 - F0) / h
+            J[4 + cdx] = (f1 - F1) / h
+            J[8 + cdx] = (f2 - F2) / h
+            J[12 + cdx] = (f3 - F3) / h
+        rhs = [-F0, -F1, -F2, -F3]
         dX, ok = _solve4(J, rhs)
         if not ok:
             for r in range(4):
                 J[5 * r] += 1e-9 * (1.0 + abs(J[5 * r]))
             dX, ok = _solve4(J, rhs)
             if not ok:
-                return X[0], X[1], X[2], X[3], ERR_GAP_CONV
+                return sa, sb, zm, wm, ERR_GAP_CONV
+        d0, d1, d2, d3 = dX
         lam = 1.0
-        improved = False
         for _ in range(40):
-            for r in range(4):
-                Xt[r] = X[r] + lam * dX[r]
-            gat = geo_at(geo, xc + Xt[0] * tau)
-            gbt = geo_at(geo, xc + Xt[1] * tau)
-            _gap_outer(Ot, gat, gbt, lq, lBd, rq, rBd, tau, theta)
-            _gap_residual(Ft, Xt, Ot, gat, gbt, mq, mBd, tau, gamma, theta)
-            fnew = max(max(abs(Ft[0]), abs(Ft[1])), max(abs(Ft[2]), abs(Ft[3])))
+            ta = sa + lam * d0
+            tb = sb + lam * d1
+            tz = zm + lam * d2
+            tw = wm + lam * d3
+            Bta, ata, bta = geo_at(geo, xc + ta * tau)
+            Btb, atb, btb = geo_at(geo, xc + tb * tau)
+            tlr, tlm, _c = profile_at(lz, lw, lsz, lsw, lcorr, Bta - lBd, ata,
+                                      bta, tau, theta, cf)
+            trr, trm, _c = profile_at(rz, rw, rsz, rsw, rcorr, Btb - rBd, atb,
+                                      btb, tau, theta, cf)
+            r1, m1, _c = profile_at(tz, tw, -1.0, 1.0, 1.0, Bta - mBd, ata,
+                                    bta, tau, theta, cf)
+            f0, f1 = _rh_residual(ta, tlr, tlm, r1, m1, gamma)
+            r2, m2, _c = profile_at(tz, tw, -1.0, 1.0, 1.0, Btb - mBd, atb,
+                                    btb, tau, theta, cf)
+            f2, f3 = _rh_residual(tb, r2, m2, trr, trm, gamma)
+            fnew = max(max(abs(f0), abs(f1)), max(abs(f2), abs(f3)))
             if fnew < fn * (1.0 - 1e-4 * lam) or fnew <= atol:
-                for r in range(4):
-                    X[r] = Xt[r]
-                    F[r] = Ft[r]
-                    O[r] = Ot[r]
-                ga = gat
-                gb = gbt
+                sa, sb, zm, wm = ta, tb, tz, tw
+                F0, F1, F2, F3 = f0, f1, f2, f3
+                olr, olm, orr, orm = tlr, tlm, trr, trm
+                Ba, aa, ba, Bb, ab, bb = Bta, ata, bta, Btb, atb, btb
                 fn = fnew
-                improved = True
                 break
             lam *= 0.5
-        if not improved:
-            return X[0], X[1], X[2], X[3], ERR_GAP_CONV
-    if fn <= atol:
-        return X[0], X[1], X[2], X[3], OK
-    return X[0], X[1], X[2], X[3], ERR_GAP_CONV
+        else:
+            return sa, sb, zm, wm, ERR_GAP_CONV
+    return sa, sb, zm, wm, (OK if fn <= atol else ERR_GAP_CONV)
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +926,8 @@ def _const(rho, m):
 
 def invert_correction_k(x_a, z_r, w_r, tau, geo, gamma, theta):
     """Anchor invariants (z_d, w_d) of a steady profile at x_a whose
-    time-corrected value at (x_a, tau) equals (z_r, w_r).
+    time-corrected value at (x_a, tau), as :func:`profile_at` corrects it,
+    equals (z_r, w_r).
 
     Keeps the half-time trace on the solved Hugoniot state so the
     Rankine-Hugoniot conditions hold exactly at the middle time; the
@@ -945,15 +939,15 @@ def invert_correction_k(x_a, z_r, w_r, tau, geo, gamma, theta):
     bx = geo_b(geo, x_a)
     if tau <= 0.0 or (ax == 0.0 and bx == 0.0):
         return zd, wd
+    cfloor = sound_floor(theta)
     for _ in range(60):
-        rb, mb = state_k(zd, wd, theta)
-        if rb < RHO_FLOOR:
+        c = theta * (wd - zd) / 2.0
+        if c < cfloor:
             break
-        vb = mb / rb
-        cs = sound_k(rb, theta)
-        av = ax * vb * cs
-        zc = zd + tau * ((vb - cs) * bx * zd - av)
-        wc = wd + tau * (-(vb + cs) * bx * wd + av)
+        vb = (wd + zd) / 2.0
+        av = ax * vb * c
+        zc = zd + tau * ((vb - c) * (bx * zd) - av)
+        wc = wd + tau * (-(vb + c) * (bx * wd) + av)
         ez = zc - z_r
         ew = wc - w_r
         zd -= ez

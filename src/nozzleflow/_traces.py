@@ -12,9 +12,12 @@ projection and the node areas are the package's only implementations of
 those quantities, and scalar callers pass one-element arrays.  The
 formulas, their order of operations and the order of every sum are those
 of the scalar kernels in :mod:`nozzleflow._kernels` (``eval_piece``,
-``eta_q_k``, ``flux_k``, ``invariants_k``, ``state_k``), and ``exp``,
-``log`` and integer powers are ``math``'s and Python's, applied element by
-element, so the results equal the scalar kernels' bit for bit.
+``profile_at``, ``eta_q_k``, ``flux_k``, ``invariants_k``, ``state_k``),
+and ``exp``, ``log`` and integer powers are ``math``'s and Python's,
+applied element by element, so the results equal the scalar kernels' bit
+for bit.  As in ``profile_at``, the time correction of a profile reads
+v = (z + w)/2 and rho^theta = theta (w - z)/2 from its steady invariants,
+so a profile value costs two exponentials and one power, its density.
 """
 
 import math
@@ -124,15 +127,16 @@ def _rows_at(kinds, q, Bd, x, tau, tables, theta):
 
 
 def _profiles_at(q, Bd, x, tau, tables, theta):
+    """``_kernels.profile_at`` of the profile pieces q at the points x."""
     dB = ppoly_values(tables["B"], x) - Bd
     zb = q[:, 1] * exp(q[:, 3] * dB)
     wb = q[:, 2] * exp(q[:, 4] * dB)
-    rb, mb = _state(zb, wb, theta)
-    corr = np.nonzero((q[:, 5] != 0.0) & (tau > 0.0) & (rb >= _k.RHO_FLOOR))[0]
+    c = theta * (wb - zb) / 2.0
+    corr = np.nonzero((q[:, 5] != 0.0) & (tau > 0.0)
+                      & (c >= _k.sound_floor(theta)))[0]
     if corr.size:
-        xc, qc, zc, wc = x[corr], q[corr], zb[corr], wb[corr]
-        vb = mb[corr] / rb[corr]
-        c = _pow(rb[corr], theta)
+        xc, qc, zc, wc, c = x[corr], q[corr], zb[corr], wb[corr], c[corr]
+        vb = (wc + zc) / 2.0
         av = ppoly_values(tables["a"], xc) * vb * c
         bx = ppoly_values(tables["b"], xc)
         zt = -(vb - c) * (qc[:, 3] * bx * zc) - av

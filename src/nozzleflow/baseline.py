@@ -11,7 +11,7 @@ import numpy as np
 
 from . import _kernels as _k
 from . import _traces
-from .diagnostics import node_areas, total_energy_nodes, total_mass_nodes
+from .diagnostics import RunNodeAreas, total_energy_nodes, total_mass_nodes
 from .gas import GasConstants
 from .nozzle import BoundFunction, NozzleGeometry, get_bundle
 from .scheme import (SchemeParameters, StaggeredState, _window_bounds,
@@ -40,11 +40,12 @@ def run_baseline(u0, params: SchemeParameters, geom: NozzleGeometry,
     neg = 0
     energy = []
     mass = []
+    areas_of = RunNodeAreas(params, bundle)
 
     def record(state):
         """Append the node totals of a state; pass it to the snapshot
         callback."""
-        areas = node_areas(state, params, bundle)
+        areas = areas_of(state)
         energy.append(total_energy_nodes(state, geom, b, c, params, areas))
         mass.append(total_mass_nodes(state, geom, b, c, params, areas))
         if snapshot_cb is not None:

@@ -83,6 +83,28 @@ def node_areas(state: StaggeredState, params: SchemeParameters, bundle):
                               bundle.tables)
 
 
+class RunNodeAreas:
+    """:func:`node_areas` of the states of one run, computed once over each
+    j (both parities) from the first state's window widened by one node
+    per step on each side, and sliced per state.  The widening is at most
+    the window's size, so a long run holds a few windows' areas at a time:
+    a state reaching past them is the centre of new ones."""
+
+    def __init__(self, params: SchemeParameters, bundle):
+        self._args = (params.dx, bundle.geom.A0, bundle.tables)
+        self._n = params.n_steps
+        self.lo, self.areas = 0, np.zeros(0)
+
+    def __call__(self, state: StaggeredState):
+        js = state.js
+        if js[0] < self.lo or js[-1] >= self.lo + self.areas.size:
+            pad = min(self._n, js.size)
+            self.lo = js[0] - pad
+            self.areas = _traces.node_areas(
+                np.arange(self.lo, js[-1] + pad + 1), *self._args)
+        return self.areas[js[0] - self.lo::2][:js.size]
+
+
 def total_energy_nodes(state: StaggeredState, geom: NozzleGeometry,
                        b: BoundFunction, c: GasConstants,
                        params: SchemeParameters, areas=None):
@@ -157,7 +179,8 @@ class EnergyMonitor:
         params = ctx["params"]
         geom, b, c = ctx["geom"], ctx["bound"], ctx["constants"]
         bundle = get_bundle(geom, b)
-        areas = node_areas(state, params, bundle)
+        self._areas = RunNodeAreas(params, bundle)
+        areas = self._areas(state)
         e0 = total_energy_nodes(state, geom, b, c, params, areas)
         m0 = total_mass_nodes(state, geom, b, c, params, areas)
         self.energy_bound = e0
@@ -171,7 +194,7 @@ class EnergyMonitor:
     def on_step(self, prev, new, record: StepRecord):
         params, c, bundle = record.params, record.constants, record.bundle
         geom, b = bundle.geom, bundle.bound
-        areas = node_areas(new, params, bundle)
+        areas = self._areas(new)
         e = total_energy_nodes(new, geom, b, c, params, areas)
         mass = total_mass_nodes(new, geom, b, c, params, areas)
         jump = _traces.jump_integral(record, new.z, new.w)

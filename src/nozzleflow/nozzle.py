@@ -104,23 +104,20 @@ class PiecewisePoly:
 
     def antiderivative(self):
         """Antiderivative vanishing at x[0].  Piece ip starts at the power
-        sum of piece ip-1 at x[ip] - x[ip-1], one piece after the other."""
+        sum of piece ip-1 at x[ip] - x[ip-1], one piece after the other:
+        one running sum from 0.0 over the terms, lowest power first and
+        piece by piece (``cumsum`` adds in order, and a sum from +0.0 never
+        turns -0.0, as scipy's does not), read at every k-th term."""
         k = self.c.shape[0]
         c = np.zeros((k + 1, self.c.shape[1]))
         c[:-1] = self.c / np.arange(k, 0, -1.0)[:, None]
         s = np.diff(self.x)[:-1]
         z = np.ones_like(s)
-        terms = []
-        for row in c[-2::-1, :-1]:
+        terms = np.zeros((s.size, k))
+        for p, row in enumerate(c[-2::-1, :-1]):
             z = z * s
-            terms.append(row * z)
-        const = [0.0]
-        for piece in np.array(terms).T.tolist():
-            res = 0.0 + const[-1]       # a sum from 0.0, as scipy's: -0 -> +0
-            for term in piece:
-                res = res + term
-            const.append(res)
-        c[-1] = const
+            terms[:, p] = row * z
+        c[-1] = np.cumsum(np.concatenate(([0.0], terms.ravel())))[::k]
         return PiecewisePoly(c, self.x)
 
 

@@ -10,7 +10,9 @@ from nozzleflow import (EnergyMonitor, GasConstants, GasState,
                         RecurrenceAuditor, advance, correction_R,
                         initialize, mechanical_pair, run, select_M,
                         total_energy_nodes, total_energy_trace)
-from nozzleflow.diagnostics import envelope_violation, node_areas
+from nozzleflow.baseline import run_baseline
+from nozzleflow.diagnostics import (RunNodeAreas, envelope_violation,
+                                    node_areas)
 from nozzleflow.initialdata import (GaussianBumpData, RiemannStepData,
                                     TableData)
 from nozzleflow.nozzle import (BoundFunction, NozzleGeometry,
@@ -261,6 +263,94 @@ class TestNodeAreas:
                     A = geom.A0 * math.exp(-_k.ppoly_eval(xs, c, x))
                     want += _k._G5W[g] * A * half
             assert area == want
+
+
+class TestRunNodeAreas:
+    def test_slices_equal_per_step_areas(self, monkeypatch):
+        # one table over every node the run reaches, both parities; each
+        # step's slice is node_areas of that step's window, byte for byte
+        geom, b = nozzle_setup(dx=0.05)
+        u0 = GaussianBumpData(rho_inf=1.0, rho_amp=0.2, v_amp=0.1, width=0.3)
+        params = SchemeParameters.create(dx=0.05, M=select_M(u0, b, C14),
+                                         b=b, T=0.0, c=C14)
+        params = SchemeParameters.create(dx=0.05, M=params.M, b=b,
+                                         T=12 * params.dt, c=C14)
+        bundle = get_bundle(geom, b)
+        states = []
+
+        class Keep:
+            def on_start(self, state, ctx):
+                states.append(state)
+
+            def on_step(self, prev, new, record):
+                states.append(new)
+
+        run(u0, params, geom, b, C14, observers=(Keep(),))
+        calls = []
+        areas = _traces.node_areas
+
+        def counted(js, *args):
+            calls.append(js.size)
+            return areas(js, *args)
+
+        monkeypatch.setattr(_traces, "node_areas", counted)
+        table = RunNodeAreas(params, bundle)
+        got = [table(st) for st in states]
+        assert len(calls) == 1
+        assert calls[0] == states[-1].rho.size * 2 - 1
+        monkeypatch.setattr(_traces, "node_areas", areas)
+        assert len(got) == params.n_steps + 1
+        for st, sliced in zip(states, got):
+            assert sliced.tobytes() == node_areas(st, params,
+                                                  bundle).tobytes()
+
+    def test_state_past_the_table_widens_it(self):
+        geom, b = nozzle_setup(dx=0.05)
+        params = SchemeParameters.create(dx=0.05, M=6.0, b=b, T=0.0, c=C14)
+        bundle = get_bundle(geom, b)
+        table = RunNodeAreas(params, bundle)
+        for j0, size in ((-11, 12), (-13, 14), (4, 3), (-40, 5)):
+            st = StaggeredState(n=j0 % 2, j0=j0, rho=np.zeros(size),
+                                m=np.zeros(size), z=None, w=None)
+            assert table(st).tobytes() == node_areas(st, params,
+                                                     bundle).tobytes()
+
+    def test_long_run_holds_a_few_windows(self):
+        # 10^6 steps widen a 30-node window by at most its size per side
+        geom, b = nozzle_setup(dx=0.05)
+        params = SchemeParameters.create(dx=0.05, M=6.0, b=b, T=0.0, c=C14)
+        params = SchemeParameters.create(dx=0.05, M=6.0, b=b,
+                                         T=1e6 * params.dt, c=C14)
+        assert params.n_steps >= 10 ** 6
+        bundle = get_bundle(geom, b)
+        table = RunNodeAreas(params, bundle)
+        st = StaggeredState(n=1, j0=-29, rho=np.zeros(30), m=np.zeros(30),
+                            z=None, w=None)
+        assert table(st).tobytes() == node_areas(st, params,
+                                                 bundle).tobytes()
+        assert table.areas.size == 2 * 30 + 59
+
+    def test_one_node_areas_call_per_reader(self, monkeypatch):
+        geom, b = nozzle_setup(dx=0.05)
+        u0 = GaussianBumpData(rho_inf=1.0, rho_amp=0.2, v_amp=0.1, width=0.3)
+        params = SchemeParameters.create(dx=0.05, M=select_M(u0, b, C14),
+                                         b=b, T=0.0, c=C14)
+        params = SchemeParameters.create(dx=0.05, M=params.M, b=b,
+                                         T=8 * params.dt, c=C14)
+        calls = [0]
+        areas = _traces.node_areas
+
+        def counted(*args):
+            calls[0] += 1
+            return areas(*args)
+
+        monkeypatch.setattr(_traces, "node_areas", counted)
+        mon = EnergyMonitor()
+        run(u0, params, geom, b, C14, observers=(mon,))
+        assert len(mon.reports) == params.n_steps + 1 > 5
+        assert calls[0] == 1
+        run_baseline(u0, params, geom, b, C14)
+        assert calls[0] == 2
 
 
 def _run_monitored(u0, geom, b, steps, dx, M=None, slack_coeff=1.0,

@@ -658,3 +658,50 @@ class TestSameBitsAsScipy:
             ys = rng.normal(size=xs.size)
             _assert_matches_scipy(nozzle._clamped_spline(xs, ys),
                                   CubicSpline(xs, ys, bc_type="clamped"), rng)
+
+
+def _antiderivative_loop(pp):
+    """The per-piece Python loop the cumulative sum replaced: piece ip
+    starts at 0.0 plus the previous start plus its power terms, in order."""
+    k = pp.c.shape[0]
+    c = np.zeros((k + 1, pp.c.shape[1]))
+    c[:-1] = pp.c / np.arange(k, 0, -1.0)[:, None]
+    s = np.diff(pp.x)[:-1]
+    z = np.ones_like(s)
+    terms = []
+    for row in c[-2::-1, :-1]:
+        z = z * s
+        terms.append(row * z)
+    const = [0.0]
+    for piece in np.array(terms).T.tolist():
+        res = 0.0 + const[-1]
+        for term in piece:
+            res = res + term
+        const.append(res)
+    c[-1] = const
+    return c
+
+
+class TestAntiderivativeSum:
+    def test_equals_the_piece_loop(self):
+        rng = np.random.default_rng(13)
+        for i in range(200):
+            k = int(rng.integers(1, 6))
+            xs = np.unique(rng.uniform(-3.0, 3.0, int(rng.integers(2, 40))))
+            c = rng.normal(size=(k, xs.size - 1)) * 10.0 ** rng.uniform(
+                -8, 3, (k, xs.size - 1))
+            c[rng.random(c.shape) < 0.2] = -0.0
+            c[rng.random(c.shape) < 0.1] = 0.0
+            if i % 10 == 0:
+                c[:] = -0.0
+            pp = nozzle.PiecewisePoly(c, xs)
+            assert pp.antiderivative().c.tobytes() == \
+                _antiderivative_loop(pp).tobytes()
+
+    def test_bound_function_data(self):
+        geom = NozzleGeometry.laval(0.3)
+        b = BoundFunction.auto_for(geom, admissibility_constants(C14),
+                                   dx=1e-3)
+        assert b.b_pp.x.size > 5000
+        assert b.b_pp.antiderivative().c.tobytes() == \
+            _antiderivative_loop(b.b_pp).tobytes()

@@ -816,3 +816,323 @@ class TestRun:
                                           T=10 * params.dt, c=c)
         run(u0, params2, geom, b, c, observers=(Obs(),))
         assert calls == list(range(1, 11))
+
+
+# ---------------------------------------------------------------------------
+# the time-corrected profile evaluation and the gap fill
+# ---------------------------------------------------------------------------
+
+SHAPES = ((-1.0, 1.0), (-1.0, -1.0), (1.0, 1.0))
+
+
+def _profile_reference(q, dB, ax, bx, tau, theta):
+    """A profile piece's value from the definition: the steady invariants
+    z, w, then the linear-in-time correction with v = (z + w)/2 and
+    c = rho^theta = theta (w - z)/2 wherever c >= RHO_FLOOR^theta, then the
+    state, vacuum (clamped) for w < z."""
+    z = q[1] * math.exp(q[3] * dB)
+    w = q[2] * math.exp(q[4] * dB)
+    v = (w + z) / 2.0
+    c = theta * (w - z) / 2.0
+    if q[5] != 0.0 and tau > 0.0 and c >= _k.pow_g(_k.RHO_FLOOR, theta):
+        z, w = (z + tau * (-(v - c) * (q[3] * bx * z) - ax * v * c),
+                w + tau * (-(v + c) * (q[4] * bx * w) + ax * v * c))
+    if w < z:
+        return 0.0, 0.0, 1
+    rho, m = _k.state_k(z, w, theta)
+    return rho, m, 0
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _generated_profiles(rng, count, theta):
+    """count profile pieces (x_d, z_d, w_d, sz, sw, corr) of all three
+    shapes, corrected or not; every fifth has c = theta (w - z)/2 at its
+    anchor on the double next to RHO_FLOOR^theta, alternately below it and
+    at or above it."""
+    floor = _k.sound_floor(theta)
+    out = []
+    for i in range(count):
+        sz, sw = SHAPES[i % 3]
+        v = rng.uniform(-2.0, 2.0)
+        c = math.exp(rng.uniform(math.log(1e-4), math.log(3.0)))
+        z, w = v - c / theta, v + c / theta
+        if i % 5 == 4:
+            z = v - floor / theta
+            w = z + 2.0 * floor / theta
+            above = i % 10 == 4
+            while (theta * (w - z) / 2.0 >= floor) != above:
+                w = math.nextafter(w, math.inf if above else -math.inf)
+        out.append((rng.uniform(-0.9, 0.9), z, w, sz, sw,
+                    float(rng.uniform() < 0.8)))
+    return out
+
+
+class TestProfileEvaluation:
+    """The profile value, its time correction in closed form from the
+    invariants, and the inversion of that correction at a fan front."""
+
+    @pytest.mark.parametrize("gamma", [1.2, 1.4, 5.0 / 3.0])
+    def test_profile_at_matches_reference(self, gamma):
+        theta = 0.5 * (gamma - 1.0)
+        floor = _k.sound_floor(theta)
+        assert floor == _k.pow_g(_k.RHO_FLOOR, theta)
+        rng = np.random.default_rng([7, round(100 * gamma)])
+        near = {False: 0, True: 0}
+        for q in _generated_profiles(rng, 3000, theta):
+            dB = 0.0 if rng.uniform() < 0.3 else rng.uniform(-0.4, 0.4)
+            ax, bx = rng.uniform(-3.0, 3.0), rng.uniform(0.0, 3.0)
+            tau = 0.0 if rng.uniform() < 0.1 else rng.uniform(0.0, 0.05)
+            got = _k.profile_at(q[1], q[2], q[3], q[4], q[5], dB, ax, bx,
+                                tau, theta, floor)
+            assert _bits(*got) == _bits(*_profile_reference(
+                q, dB, ax, bx, tau, theta))
+            c = theta * (q[2] - q[1]) / 2.0
+            if dB == 0.0 and abs(c / floor - 1.0) < 1e-9:
+                near[c >= floor] += 1
+        # anchors on both sides of the correction's guard
+        assert near[False] > 5 and near[True] > 5
+
+    def test_clamped_pair(self):
+        theta = C14.theta
+        floor = _k.sound_floor(theta)
+        # a correction driving w below z is vacuum, flagged clamped
+        got = _k.profile_at(4.9, 5.1, -1.0, 1.0, 1.0, 0.0, 0.0, 40.0, 0.5,
+                            theta, floor)
+        assert got == (0.0, 0.0, 1)
+        assert _profile_reference((0.0, 4.9, 5.1, -1.0, 1.0, 1.0), 0.0, 0.0,
+                                  40.0, 0.5, theta) == got
+
+    @pytest.mark.parametrize("gamma", [1.2, 1.4, 5.0 / 3.0])
+    def test_whole_array_pieces_match(self, gamma):
+        # _traces.pieces_at against profile_at, on the same generated
+        # pieces at their anchors and around them in a Laval nozzle
+        c = GasConstants.for_gamma(gamma)
+        geom = NozzleGeometry.laval(0.1, X=1.0)
+        b = BoundFunction.auto_for(geom, admissibility_constants(c), dx=0.025)
+        bundle = get_bundle(geom, b)
+        rng = np.random.default_rng([8, round(100 * gamma)])
+        q = np.array(_generated_profiles(rng, 2000, c.theta))
+        x = np.where(rng.uniform(size=q.shape[0]) < 0.3, q[:, 0],
+                     q[:, 0] + rng.uniform(-0.1, 0.1, q.shape[0]))
+        kinds = np.full(q.shape[0], _k.K_PROFILE)
+        floor = _k.sound_floor(c.theta)
+        for tau in (0.0, 0.004, 0.01):
+            rho, m = _traces.pieces_at(kinds, q, x, tau, bundle.tables,
+                                       c.theta)
+            for i, qi in enumerate(q.tolist()):
+                Bx, ax, bx = _k.geo_at(bundle.geo, x[i])
+                r0, m0, _cl = _k.profile_at(
+                    qi[1], qi[2], qi[3], qi[4], qi[5],
+                    Bx - _k.geo_B(bundle.geo, qi[0]), ax, bx, tau, c.theta,
+                    floor)
+                assert _bits(rho[i], m[i]) == _bits(r0, m0)
+
+    @pytest.mark.parametrize("family", ["bump", "laval"])
+    def test_inversion_round_trips(self, family):
+        c = C14
+        dx = 0.025
+        geom = getattr(NozzleGeometry, family)(0.1, X=1.0)
+        b = BoundFunction.auto_for(geom, admissibility_constants(c), dx=dx)
+        geo = get_bundle(geom, b).geo
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(500):
+            x_a = rng.uniform(-0.9, 0.9)
+            rho, v = rng.uniform(0.05, 2.5), rng.uniform(-1.5, 1.5)
+            z_r, w_r = _k.invariants_k(rho, rho * v, c.theta)
+            tau = rng.uniform(0.001, 0.01)
+            zd, wd = _k.invert_correction_k(x_a, z_r, w_r, tau, geo, c.gamma,
+                                            c.theta)
+            r1, m1, cl = _k.eval_piece(_k.K_PROFILE,
+                                       (x_a, zd, wd, -1.0, 1.0, 1.0), x_a,
+                                       tau, geo, c.gamma, c.theta)
+            assert cl == 0
+            z1, w1 = _k.invariants_k(r1, m1, c.theta)
+            err = (abs(z1 - z_r) + abs(w1 - w_r)) / (1.0 + abs(z_r)
+                                                    + abs(w_r))
+            worst = max(worst, err)
+        assert worst <= 1e-15
+
+
+def _old_profile_at(q, Bd, g, tau, theta):
+    """The old call form profile_at(q, Bd, g, tau, theta), on the new
+    evaluation."""
+    return _k.profile_at(q[1], q[2], q[3], q[4], q[5], g[0] - Bd, g[1], g[2],
+                         tau, theta, _k.sound_floor(theta))
+
+
+def _gap_fill_lists(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0,
+                    fscale):
+    """The gap fill as it was written with the helpers _gap_outer and
+    _gap_residual and the per-call lists X, Xt, mq, O, Ot, F, Fp and Ft,
+    on the new profile evaluation: gap_fill_k must equal it bit for bit."""
+
+    def gap_outer(O, ga, gb, lq, lBd, rq, rBd, tau, theta):
+        O[0], O[1], _c1 = _old_profile_at(lq, lBd, ga, tau, theta)
+        O[2], O[3], _c2 = _old_profile_at(rq, rBd, gb, tau, theta)
+
+    def gap_residual(F, X, O, ga, gb, mq, mBd, tau, gamma, theta):
+        mq[1] = X[2]
+        mq[2] = X[3]
+        rra, mra, _c1 = _old_profile_at(mq, mBd, ga, tau, theta)
+        F[0], F[1] = _k._rh_residual(X[0], O[0], O[1], rra, mra, gamma)
+        rlb, mlb, _c2 = _old_profile_at(mq, mBd, gb, tau, theta)
+        F[2], F[3] = _k._rh_residual(X[1], rlb, mlb, O[2], O[3], gamma)
+
+    geo_at = _k.geo_at
+    tau = 0.5 * dt
+    X = [sa0, sb0, zm0, wm0]
+    Xt = [0.0] * 4
+    mq = [xc, 0.0, 0.0, -1.0, 1.0, 1.0]
+    lBd = _k.geo_B(geo, lq[0])
+    rBd = _k.geo_B(geo, rq[0])
+    mBd = _k.geo_B(geo, xc)
+    O, Ot, F, Fp, Ft = ([0.0] * 4 for _ in range(5))
+    J = [0.0] * 16
+    atol = 1e-12 * fscale
+    ga = geo_at(geo, xc + X[0] * tau)
+    gb = geo_at(geo, xc + X[1] * tau)
+    gap_outer(O, ga, gb, lq, lBd, rq, rBd, tau, theta)
+    gap_residual(F, X, O, ga, gb, mq, mBd, tau, gamma, theta)
+    fn = max(max(abs(F[0]), abs(F[1])), max(abs(F[2]), abs(F[3])))
+    if fn <= 1e-13 * fscale:
+        return X[0], X[1], X[2], X[3], _k.OK
+    for it in range(80):
+        if fn <= atol:
+            return X[0], X[1], X[2], X[3], _k.OK
+        h = 1e-7 * (1.0 + abs(X[0]))
+        s = X[0] + h
+        g = geo_at(geo, xc + s * tau)
+        rl, ml, _c1 = _old_profile_at(lq, lBd, g, tau, theta)
+        mq[1] = X[2]
+        mq[2] = X[3]
+        rr, mr, _c2 = _old_profile_at(mq, mBd, g, tau, theta)
+        f0, f1 = _k._rh_residual(s, rl, ml, rr, mr, gamma)
+        J[0] = (f0 - F[0]) / h
+        J[4] = (f1 - F[1]) / h
+        J[8] = 0.0
+        J[12] = 0.0
+        h = 1e-7 * (1.0 + abs(X[1]))
+        s = X[1] + h
+        g = geo_at(geo, xc + s * tau)
+        rl, ml, _c1 = _old_profile_at(mq, mBd, g, tau, theta)
+        rr, mr, _c2 = _old_profile_at(rq, rBd, g, tau, theta)
+        f2, f3 = _k._rh_residual(s, rl, ml, rr, mr, gamma)
+        J[1] = 0.0
+        J[5] = 0.0
+        J[9] = (f2 - F[2]) / h
+        J[13] = (f3 - F[3]) / h
+        for cdx in range(2, 4):
+            h = 1e-7 * (1.0 + abs(X[cdx]))
+            Xs = X[cdx]
+            X[cdx] = Xs + h
+            gap_residual(Fp, X, O, ga, gb, mq, mBd, tau, gamma, theta)
+            X[cdx] = Xs
+            for r in range(4):
+                J[4 * r + cdx] = (Fp[r] - F[r]) / h
+        rhs = [-F[r] for r in range(4)]
+        dX, ok = _k._solve4(J, rhs)
+        if not ok:
+            for r in range(4):
+                J[5 * r] += 1e-9 * (1.0 + abs(J[5 * r]))
+            dX, ok = _k._solve4(J, rhs)
+            if not ok:
+                return X[0], X[1], X[2], X[3], _k.ERR_GAP_CONV
+        lam = 1.0
+        improved = False
+        for _ in range(40):
+            for r in range(4):
+                Xt[r] = X[r] + lam * dX[r]
+            gat = geo_at(geo, xc + Xt[0] * tau)
+            gbt = geo_at(geo, xc + Xt[1] * tau)
+            gap_outer(Ot, gat, gbt, lq, lBd, rq, rBd, tau, theta)
+            gap_residual(Ft, Xt, Ot, gat, gbt, mq, mBd, tau, gamma, theta)
+            fnew = max(max(abs(Ft[0]), abs(Ft[1])),
+                       max(abs(Ft[2]), abs(Ft[3])))
+            if fnew < fn * (1.0 - 1e-4 * lam) or fnew <= atol:
+                X[:], F[:], O[:] = Xt, Ft, Ot
+                ga = gat
+                gb = gbt
+                fn = fnew
+                improved = True
+                break
+            lam *= 0.5
+        if not improved:
+            return X[0], X[1], X[2], X[3], _k.ERR_GAP_CONV
+    if fn <= atol:
+        return X[0], X[1], X[2], X[3], _k.OK
+    return X[0], X[1], X[2], X[3], _k.ERR_GAP_CONV
+
+
+def _captured_gap_fills(monkeypatch, family, gamma, seed):
+    """The arguments of every gap fill pass B makes on 400 generated
+    neighbour pairs (799 cells) in a bump or Laval nozzle."""
+    c = GasConstants.for_gamma(gamma)
+    dx = 0.025
+    geom = getattr(NozzleGeometry, family)(0.1, X=1.0)
+    b = BoundFunction.auto_for(geom, admissibility_constants(c), dx=dx)
+    lrho, lm, rrho, rm = _neighbor_pairs(np.random.default_rng(seed), 400)
+    row = (np.stack([lrho, rrho], axis=1).ravel(),
+           np.stack([lm, rm], axis=1).ravel())
+    jcells = (2 * (np.arange(799) % 40) - 39).astype(np.int64)
+    params = SchemeParameters.create(dx=dx, M=40.0, b=b, T=0.0, c=c)
+    calls = []
+    fill = _k.gap_fill_k
+
+    def captured(*args):
+        calls.append(args)
+        return fill(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_k, "gap_fill_k", captured)
+        _build_cells(jcells, row, 0, params, get_bundle(geom, b), c)
+    return calls
+
+
+class TestGapFillInPlace:
+    def test_equals_the_list_based_loop(self, monkeypatch):
+        calls = []
+        for family in ("bump", "laval"):
+            for gamma in (1.2, 1.4, 5.0 / 3.0):
+                calls += _captured_gap_fills(monkeypatch, family, gamma,
+                                             [round(100 * gamma), 3])
+        assert len(calls) >= 500
+        statuses = set()
+        for args in calls:
+            got = _k.gap_fill_k(*args)
+            assert _bits(*got) == _bits(*_gap_fill_lists(*args))
+            statuses.add(got[4])
+        assert _k.OK in statuses
+
+    def test_first_guess_takes_four_profile_evaluations(self, monkeypatch):
+        # two colliding streams in a straight duct: the exact Riemann
+        # solution is the gap fill's first guess, and its root
+        geom, b, params = straight_setup()
+        row = (np.array([1.0, 0.8]), np.array([0.9, -0.6]))
+        calls = []
+        fill = _k.gap_fill_k
+
+        def captured(*args):
+            calls.append(args)
+            return fill(*args)
+
+        monkeypatch.setattr(_k, "gap_fill_k", captured)
+        _build_cells(np.array([1], dtype=np.int64), row, 0, params,
+                     get_bundle(geom, b), C14)
+        monkeypatch.setattr(_k, "gap_fill_k", fill)
+        (args,) = calls
+        evals = [0]
+        profile = _k.profile_at
+
+        def counted(*a):
+            evals[0] += 1
+            return profile(*a)
+
+        monkeypatch.setattr(_k, "profile_at", counted)
+        sa, sb, zm, wm, st = _k.gap_fill_k(*args)
+        assert st == _k.OK
+        assert (sa, sb, zm, wm) == args[7:11]
+        assert evals[0] == 4
