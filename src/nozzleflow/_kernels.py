@@ -37,10 +37,27 @@ Conventions used throughout:
     ``sz=sw=+1``);
   - ``K_RAREF1``   params ``(x_center, w0)``: centered 1-rarefaction wedge;
   - ``K_RAREF2``   params ``(x_center, z0)``: centered 2-rarefaction wedge.
+
+Straight cells.  The packed geometry ``geo`` (see :func:`geo_at`) ends with
+the duct's flat runs, the x-intervals where every piece of the a-table and
+the b-table is zero (``nozzle.flat_runs``).  An away-from-vacuum cell
+[(j-1)dx, (j+1)dx] inside one flat run is built with the *straight view*
+``geo = None`` in both frames, for which :func:`geo_a`, :func:`geo_b`,
+:func:`geo_B` and :func:`geo_at` answer 0 without a lookup, and
+:func:`profile_at` then skips its exponentials and its time correction.
+This changes no bit: there the tables give a = b = 0.0, and B, the
+antiderivative of b, one constant, which the away-cell construction reads
+only as differences (``anchor_B``, ``dB``), exactly 0.0 either way; and
+``exp(+-0.0)`` is 1.0 and a correction with a = b = 0 adds +-0.0.  The
+construction reads the geometry at its anchors (j-1)dx, jdx, (j+1)dx and at
+fronts xc + s dt/2, all in the cell while the trial speeds s stay within
+twice the speed bound dx/dt that every accepted front meets.  The
+near-vacuum constructions keep the tables, because ``vac_left_side_k``
+reads exp(-B) absolutely, through its floor ``Lj``.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 # piece kinds
@@ -483,17 +500,41 @@ def riemann_sample_k(rsol, xi, theta):
     return rsol[2], rsol[3]
 
 
-# geometry bundle index helpers: geo = (ax, ac, bx, bc, Bx, Bc)
+# geometry bundle index helpers: geo = (ax, ac, bx, bc, Bx, Bc, flats), or
+# None for the straight view (see the module docstring)
 def geo_a(geo, x):
+    if geo is None:
+        return 0.0
     return ppoly_eval(geo[0], geo[1], x)
 
 
 def geo_b(geo, x):
+    if geo is None:
+        return 0.0
     return ppoly_eval(geo[2], geo[3], x)
 
 
 def geo_B(geo, x):
+    if geo is None:
+        return 0.0
     return ppoly_eval(geo[4], geo[5], x)
+
+
+def geo_at(geo, x):
+    """(B, a, b) at x: the geometry a time-corrected profile needs there."""
+    if geo is None:
+        return 0.0, 0.0, 0.0
+    return (ppoly_eval(geo[4], geo[5], x), ppoly_eval(geo[0], geo[1], x),
+            ppoly_eval(geo[2], geo[3], x))
+
+
+def in_flat_run(flats, x0, x1):
+    """Whether [x0, x1] lies strictly inside one of the flat runs
+    ``flats = (starts, ends)``.  Strictly, because the lookup at a run's
+    end reads the next piece, in the mirrored frame at its start."""
+    starts, ends = flats
+    i = bisect_left(starts, x0) - 1
+    return i >= 0 and x1 < ends[i]
 
 
 # ---------------------------------------------------------------------------
@@ -539,20 +580,22 @@ def eval_piece_at(kind, q, Bd, x, tau, geo, gamma, theta):
                       theta, sound_floor(theta))
 
 
-def geo_at(geo, x):
-    """(B, a, b) at x: the geometry a time-corrected profile needs there."""
-    return geo_B(geo, x), geo_a(geo, x), geo_b(geo, x)
-
-
 def profile_at(zd, wd, sz, sw, corr, dB, ax, bx, tau, theta, cfloor):
     """(rho, m, clamped) of the profile piece (., zd, wd, sz, sw, corr) at
     time offset tau where B(x) - B(x_d) = dB, a = ax, b = bx; the
     correction reads vb and c = rhob^theta from the steady invariants
-    where c >= cfloor = sound_floor(theta).  clamped = 1 flags w < z."""
-    zb = zd * math.exp(sz * dB)
-    wb = wd * math.exp(sw * dB)
+    where c >= cfloor = sound_floor(theta).  clamped = 1 flags w < z.
+    dB = 0.0 skips the exponentials (exp(+-0.0) is 1.0), and a = b = 0
+    the correction (it adds +-0.0 there)."""
+    if dB == 0.0:
+        zb = zd
+        wb = wd
+    else:
+        zb = zd * math.exp(sz * dB)
+        wb = wd * math.exp(sw * dB)
     c = theta * (wb - zb) / 2.0
-    if corr != 0.0 and tau > 0.0 and c >= cfloor:
+    if (corr != 0.0 and tau > 0.0 and c >= cfloor
+            and (ax != 0.0 or bx != 0.0)):
         vb = (wb + zb) / 2.0
         av = ax * vb * c
         zb += tau * (-(vb - c) * (sz * bx * zb) - av)
@@ -1064,15 +1107,11 @@ def _unreflect_append(src, out):
 
 
 def _cell_is_inert(j, rsol, dx, geo):
-    """Equal node states in a locally straight duct stay constant exactly."""
+    """Equal node states in a cell inside a flat run (or under the straight
+    view) stay constant exactly."""
     if rsol[0] != rsol[2] or rsol[1] != rsol[3]:
         return False
-    xc = j * dx
-    for k in range(5):
-        x = xc + (k - 2) * 0.5 * dx
-        if geo_a(geo, x) != 0.0 or geo_b(geo, x) != 0.0:
-            return False
-    return True
+    return geo is None or in_flat_run(geo[6], (j - 1) * dx, (j + 1) * dx)
 
 
 def build_away_cell_k(j, rsol, par, geo, geor):
@@ -1360,7 +1399,8 @@ def build_step_pass_a(jcells, rho, m, par, rsols):
 def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
                       kinds, pars, spds, fflag,
                       ncount, ccase, csub, cclamp, cerr):
-    """Build every cell record for one step.
+    """Build every cell record for one step; an away-from-vacuum cell inside
+    a flat run of geo is built with the straight view (module docstring).
 
     The cells' pieces go back to back onto the output lists: kinds, pars
     (six floats a piece), spds and fflag (the ray to the piece's right;
@@ -1374,13 +1414,17 @@ def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
     beta = par[5]
     thr = pow_g(dx, beta)
     speed_bound = dx / dt
+    flats = geo[6]
     C = len(jcells)
     for c in range(C):
         j = jcells[c]
         rsol = rsols[c]
         rM = rsol[4]
         if rM > thr:
-            cell, st = build_away_cell_k(j, rsol, par, geo, geor)
+            if in_flat_run(flats, (j - 1) * dx, (j + 1) * dx):
+                cell, st = build_away_cell_k(j, rsol, par, None, None)
+            else:
+                cell, st = build_away_cell_k(j, rsol, par, geo, geor)
             case = _wave_case(int(rsol[6]), int(rsol[7]))
             sub = SUB_NONE
             clamped = 0

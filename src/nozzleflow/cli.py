@@ -29,6 +29,9 @@ from .riemann import sample, solve_riemann, wave_breakpoints
 from .scheme import SchemeParameters, run, select_M
 
 RH_HARD_THRESHOLD = 1e-9
+# Most steps a run may take.  Nothing else bounds t_final / dt, which grows
+# like 1/theta: gamma = 1.0000001 asks for 10^8 steps in a unit duct.
+MAX_STEPS = 10 ** 6
 
 
 def _fmt(x):
@@ -212,6 +215,10 @@ def parse_config(path, overrides=None) -> RunConfig:
             alpha=_getf(d, "alpha"), beta=_getf(d, "beta"), delta=delta)
     except ConfigError:
         raise
+    if params.n_steps > MAX_STEPS:
+        raise ConfigError(
+            f"keys 't_final', 'dx' and 'gamma': the run needs "
+            f"{params.n_steps} steps, more than {MAX_STEPS}")
     mode = d["mode"].lower()
     if mode not in ("modified", "baseline-lf"):
         raise ConfigError(f"key 'mode': must be modified|baseline-lf")

@@ -509,19 +509,47 @@ def validate_condition(geom: NozzleGeometry, b: BoundFunction,
 # kernel bundle: geometry + bound packed for the jitted kernels
 # ---------------------------------------------------------------------------
 
-def _pack_geo(a_pp, b_pp, B_pp):
-    """Kernel geometry tuple (ax, ac, bx, bc, Bx, Bc): the PPoly data of a,
-    b and B as packed by ``_kernels.pack_ppoly``."""
+def flat_runs(a_table, b_table):
+    """The duct's flat runs: the maximal x-intervals on which every piece
+    of both the a-table and the b-table (PPoly data (xs, c)) has all-zero
+    coefficients, as the lists (starts, ends), in increasing order.  End
+    pieces extend to -inf and +inf, as the clamped evaluation reads them.
+
+    There a = b = 0, and B, the antiderivative of b, is one constant, so
+    the steady profiles are constant and their time correction vanishes
+    (see ``_kernels.in_flat_run``)."""
+    # the breakpoints of both tables, merged by a list sort: np.union1d
+    # imports numpy.ma and np.sort pages in its SIMD kernels, 1.6 and 0.4
+    # MiB of resident memory.  A repeated breakpoint adds an empty
+    # interval, flat or not as the next one is: it never splits a run
+    edges = np.array([-math.inf] + sorted(a_table[0].tolist()
+                                          + b_table[0].tolist())
+                     + [math.inf])
+    # the piece of each table that holds on [edges[k], edges[k + 1]]
+    flat = np.ones(edges.size - 1, dtype=bool)
+    for xs, c in (a_table, b_table):
+        piece = np.clip(np.searchsorted(xs, edges[:-1], "right") - 1,
+                        0, xs.size - 2)
+        flat &= np.all(c == 0.0, axis=0)[piece]
+    bounds = np.flatnonzero(np.diff(np.concatenate(([0], flat, [0]))))
+    return edges[bounds[0::2]].tolist(), edges[bounds[1::2]].tolist()
+
+
+def _pack_geo(a_pp, b_pp, B_pp, flats):
+    """Kernel geometry tuple (ax, ac, bx, bc, Bx, Bc, flats): the PPoly
+    data of a, b and B as packed by ``_kernels.pack_ppoly``, and the flat
+    runs of a and b (:func:`flat_runs`)."""
     ax, ac = _k.pack_ppoly(*_ppoly_arrays(a_pp))
     bx, bc = _k.pack_ppoly(*_ppoly_arrays(b_pp))
     Bx, Bc = _k.pack_ppoly(*_ppoly_arrays(B_pp))
-    return ax, ac, bx, bc, Bx, Bc
+    return ax, ac, bx, bc, Bx, Bc, flats
 
 
 class KernelBundle:
     """Geometry data consumed by the kernels, plus the mirrored variant used
     by the reflected (2-family) constructions, and the PPoly data of a, IA,
-    b and B as arrays (``tables``) for the whole-array diagnostics."""
+    b and B as arrays (``tables``) for the whole-array diagnostics.  Both
+    kernel tuples carry their frame's flat runs, computed once here."""
 
     def __init__(self, geom: NozzleGeometry, bound: BoundFunction):
         self.geom = geom
@@ -530,10 +558,14 @@ class KernelBundle:
                        "IA": _ppoly_arrays(geom.IA_pp),
                        "b": _ppoly_arrays(bound.b_pp),
                        "B": _ppoly_arrays(bound.B_pp)}
-        self.geo = _pack_geo(geom.a_pp, bound.b_pp, bound.B_pp)
-        self.geo_reflected = _pack_geo(reflect_ppoly(geom.a_pp, -1.0),
-                                       reflect_ppoly(bound.b_pp, 1.0),
-                                       reflect_ppoly(bound.B_pp, -1.0))
+        starts, ends = flat_runs(self.tables["a"], self.tables["b"])
+        self.geo = _pack_geo(geom.a_pp, bound.b_pp, bound.B_pp,
+                             (starts, ends))
+        # reflect_ppoly maps zero pieces, and only those, to zero pieces
+        self.geo_reflected = _pack_geo(
+            reflect_ppoly(geom.a_pp, -1.0), reflect_ppoly(bound.b_pp, 1.0),
+            reflect_ppoly(bound.B_pp, -1.0),
+            ([-x for x in ends[::-1]], [-x for x in starts[::-1]]))
 
 
 # the bundle of the latest (geometry, bound) pair, keyed by their ids

@@ -75,7 +75,11 @@ class TestParseConfig:
             ("geometry_x = 0", "'geometry_x': must be positive"),
             ("geometry_a0 = 0", "'geometry_a0': must be positive"),
             # refused before the sample grid (8e9 points) is allocated
-            ("dx = 1e-9", "'dx': the auto bound function needs"))])
+            ("dx = 1e-9", "'dx': the auto bound function needs"),
+            # 8,080,000 steps of dt = 1.2e-9
+            ("gamma = 1.0000001", "'t_final', 'dx' and 'gamma': the run "
+                                  "needs 8080000 steps, more than 1000000"),
+            ("t_final = 1e5", "the run needs \\d+ steps"))])
     def test_bad_value_rejected(self, tmp_path, line, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(write_cfg(tmp_path, MINIMAL + line + "\n"))

@@ -537,6 +537,58 @@ class TestBundleMemo:
         assert get_bundle(g2, b) is second
 
 
+def _table(xs, cols):
+    """PPoly data (xs, c) with one coefficient column per piece."""
+    return np.array(xs, dtype=float), np.array(cols, dtype=float).T
+
+
+ZERO_B = _table([-5.0, 5.0], [[0.0, 0.0]])
+
+
+class TestFlatRuns:
+    def test_zero_piece_between_nonzero_pieces(self):
+        a = _table([0.0, 1.0, 2.0, 3.0], [[0.0, 1.0], [0.0, 0.0], [2.0, 0.0]])
+        assert nozzle.flat_runs(a, ZERO_B) == ([1.0], [2.0])
+
+    def test_zero_end_pieces_extend_past_the_table(self):
+        # the kernels clamp x to the table, so the end pieces hold beyond it
+        a = _table([0.0, 1.0, 2.0, 3.0], [[0.0, 0.0], [0.0, 0.5], [0.0, 0.0]])
+        assert nozzle.flat_runs(a, ZERO_B) == ([-math.inf, 2.0],
+                                               [1.0, math.inf])
+        assert nozzle.flat_runs(ZERO_B, ZERO_B) == ([-math.inf], [math.inf])
+
+    def test_top_coefficient_alone_is_not_flat(self):
+        # the piece vanishes at its left end, with a zero constant term
+        a = _table([0.0, 1.0, 2.0], [[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+        assert nozzle.flat_runs(a, ZERO_B) == ([-math.inf], [1.0])
+
+    def test_adjacent_zero_pieces_merge_and_tables_intersect(self):
+        a = _table([0.0, 1.0, 2.0, 3.0, 4.0],
+                   [[1.0, 0.0], [0.0, -0.0], [0.0, 0.0], [1.0, 0.0]])
+        b = _table([-1.0, 1.5, 2.5, 3.5],
+                   [[0.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+        assert nozzle.flat_runs(a, b) == ([1.0, 2.5], [1.5, 3.0])
+        # breakpoints shared by both tables
+        assert nozzle.flat_runs(a, a) == nozzle.flat_runs(a, ZERO_B) == \
+            ([1.0], [3.0])
+
+    def test_bundle_frames_mirror_each_other(self):
+        c = GasConstants.for_gamma(1.4)
+        geom = NozzleGeometry.bump(0.1, X=1.0)
+        b = BoundFunction.auto_for(geom, admissibility_constants(c), dx=0.02)
+        bundle = get_bundle(geom, b)
+        starts, ends = bundle.geo[6]
+        assert starts[0] == -math.inf and ends[-1] == math.inf
+        assert len(starts) == 2 and -1.05 < ends[0] < -1.0 < 1.0 < starts[1]
+        mirrored = ([-e for e in ends[::-1]], [-s for s in starts[::-1]])
+        assert bundle.geo_reflected[6] == mirrored
+        tables = [nozzle._ppoly_arrays(reflect_ppoly(pp, sign))
+                  for pp, sign in ((geom.a_pp, -1.0), (b.b_pp, 1.0))]
+        assert nozzle.flat_runs(*tables) == mirrored
+        assert get_bundle(NozzleGeometry.laval(0.1, X=1.0), b).geo[6] == \
+            ([], [])
+
+
 # ---------------------------------------------------------------------------
 # the in-house piecewise polynomials against scipy.interpolate, bit for bit
 # ---------------------------------------------------------------------------

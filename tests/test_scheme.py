@@ -15,7 +15,7 @@ from nozzleflow import (ConfigError, GasConstants, GasState, advance,
 from nozzleflow.gas import from_invariants, InvariantPair
 from nozzleflow.initialdata import (GaussianBumpData, RiemannStepData,
                                     TableData)
-from nozzleflow.nozzle import (BoundFunction, NozzleGeometry,
+from nozzleflow.nozzle import (BoundFunction, NozzleGeometry, PiecewisePoly,
                                admissibility_constants, envelope,
                                get_bundle, steady_profile)
 from nozzleflow.scheme import (SchemeParameters, _build_cells,
@@ -1136,3 +1136,144 @@ class TestGapFillInPlace:
         assert st == _k.OK
         assert (sa, sb, zm, wm) == args[7:11]
         assert evals[0] == 4
+
+
+def _sliver_setup(x_lo, x_hi, slope=0.4):
+    """A duct whose a = slope and b = |slope|/mu (1.01) only on [x_lo, x_hi],
+    straight elsewhere: IA is piecewise linear and B its antiderivative."""
+    xs = np.array([-2.0, x_lo, x_hi, 2.0])
+    c = np.zeros((2, 3))
+    c[0, 1] = slope
+    c[1, 2] = slope * (x_hi - x_lo)
+    ia = PiecewisePoly(c, xs)
+    geom = NozzleGeometry(A0=1.0, X=2.0, IA_pp=ia, a_pp=ia.derivative())
+    mu = admissibility_constants(C14).mu
+    b = BoundFunction.piecewise_constant([x_lo, x_hi],
+                                         [1.01 * abs(slope) / mu])
+    return geom, b
+
+
+def _pass_b_lists(jcells, row, params, c, geo, geor):
+    """Everything pass B appends, for the cells centred at jcells."""
+    par = params.par_array(c)
+    rsols = []
+    _k.build_step_pass_a(jcells, *(a.tolist() for a in row), par, rsols)
+    out = [[] for _ in range(10)]
+    _k.build_step_pass_b(jcells, rsols, out[0], par, geo, geor, *out[1:])
+    return out
+
+
+class TestStraightCells:
+    """Away-from-vacuum cells inside a flat run of the duct are built with
+    the straight view: no geometry lookups, the same bytes."""
+
+    @pytest.mark.parametrize("rho", [1.0, 0.5])
+    def test_geometry_between_samples_is_not_inert(self, rho):
+        # a and b are nonzero only on (0.055, 0.07), between the points
+        # xc, xc + dx/2 of the cell at j = 1 (xc = 0.05): equal node states
+        # there are not a constant solution
+        geom, b = _sliver_setup(0.055, 0.07)
+        params = SchemeParameters.create(dx=0.05, M=6.0, b=b, T=0.0, c=C14)
+        assert 0.5 < params.dx ** params.beta < 1.0    # 1.0 away, 0.5 near
+        u = GasState.from_primitive(rho, 0.3)
+        cell = build_cell(u, u, 1, 0, params, geom, b, C14)
+        assert cell.case != _k.CASE_VAC_INERT
+        if rho == 1.0:
+            assert _k.K_PROFILE in cell.kinds.tolist()
+        # the same states in the flat run beyond the sliver stay constant
+        far = build_cell(u, u, 11, 0, params, geom, b, C14)
+        assert far.kinds.tolist() == [_k.K_CONST]
+        assert far.case == (3 if rho == 1.0 else _k.CASE_VAC_INERT)
+
+    @pytest.mark.parametrize("gamma", [1.2, 1.4, 5.0 / 3.0])
+    @pytest.mark.parametrize("family", ["bump", "constant"])
+    def test_straight_view_builds_the_same_bytes(self, family, gamma):
+        c = GasConstants.for_gamma(gamma)
+        dx = 0.025
+        if family == "bump":
+            geom = NozzleGeometry.bump(0.1, X=1.0)
+            b = BoundFunction.auto_for(geom, admissibility_constants(c),
+                                       dx=dx)
+        else:
+            geom = NozzleGeometry.constant(X=1.0)
+            b = BoundFunction.zero(domain=(-2.0, 2.0))
+        rng = np.random.default_rng([round(100 * gamma), len(family), 15])
+        lrho, lm, rrho, rm = _neighbor_pairs(rng, 400)
+        row = (np.stack([lrho, rrho], axis=1).ravel(),
+               np.stack([lm, rm], axis=1).ravel())
+        # 799 cells at 60 positions j = -59 .. 59: in the bump those at
+        # |j| >= 43 lie in its straight stretches, |x| > 1.0225
+        jcells = (2 * (np.arange(799) % 60) - 59).astype(np.int64)
+        M = 0.0
+        for off, sl in ((-1, slice(None, -1)), (1, slice(1, None))):
+            z, w = _traces.invariants(row[0][sl], row[1][sl], c.theta)
+            B = b.B((jcells + off) * dx)
+            M = max(M, np.max(-z * np.exp(B)), np.max(w * np.exp(-B)))
+        params = SchemeParameters.create(dx=dx, M=1.01 * M, b=b, T=0.0, c=c)
+        bundle = get_bundle(geom, b)
+        tables = bundle.geo[:6] + (([], []),)
+        tables_r = bundle.geo_reflected[:6] + (([], []),)
+        jl = jcells.tolist()
+        got = _pass_b_lists(jl, row, params, c, bundle.geo,
+                            bundle.geo_reflected)
+        want = _pass_b_lists(jl, row, params, c, tables, tables_r)
+        for i in (2, 3):            # pars and spds, bit for bit
+            assert _bits(*got[i]) == _bits(*want[i])
+            got[i] = want[i] = None
+        assert got == want
+        ccase = np.array(want[6])
+        straight = np.array([_k.in_flat_run(bundle.geo[6], (j - 1) * dx,
+                                            (j + 1) * dx) for j in jl])
+        assert set(ccase[straight].tolist()) >= {1, 2, 3, 4}
+        if family == "bump":
+            assert set(ccase[~straight].tolist()) >= {1, 2, 3, 4}
+
+    def test_straight_cells_make_no_lookups(self, monkeypatch):
+        calls = [0]
+        lookup = _k.ppoly_eval
+
+        def counted(*a):
+            calls[0] += 1
+            return lookup(*a)
+
+        monkeypatch.setattr(_k, "ppoly_eval", counted)
+        # a whole step in a straight duct, every cell away from vacuum
+        geom, b, params = straight_setup()
+        u0 = GaussianBumpData(rho_inf=1.0, rho_amp=0.3, width=0.3,
+                              v_inf=0.2)
+        state, mesh = initialize(u0, params, geom, b, C14, cutoff=False)
+        calls[0] = 0
+        _new, rec = advance(state, params, geom, b, C14, mesh)
+        assert rec.ccase.max() <= 4 and rec.ncount.max() > 1
+        assert calls[0] == 0
+        # a cell in the curved middle of a bump still reads the tables
+        c, geom, b, u0, params = nozzle_setup()
+        row = (np.array([1.0, 0.8]), np.array([0.9, -0.6]))
+        got = _build_cells(np.array([1], dtype=np.int64), row, 0, params,
+                           get_bundle(geom, b), c)
+        assert got[6][0] <= 4
+        assert calls[0] > 0
+
+    def test_flat_run_holds_open_intervals(self):
+        flats = ([-math.inf, 1.0], [0.0, math.inf])
+        inside = [(-5.0, -0.1), (1.5, 9.0), (-1e300, -1e-300)]
+        ends = [(-0.5, 0.0), (1.0, 1.5), (-0.5, 0.5), (0.2, 0.8)]
+        assert [_k.in_flat_run(flats, *c) for c in inside + ends] == \
+            [True] * 3 + [False] * 4
+        assert not _k.in_flat_run(([], []), -1.0, 1.0)
+
+    @pytest.mark.parametrize("ax, bx", [(0.0, 0.0), (-0.0, 0.0),
+                                        (0.0, -0.0), (0.3, 0.0),
+                                        (0.0, 0.3)])
+    def test_zero_geometry_skips_match_reference(self, ax, bx):
+        # a = b = 0 skips the correction, dB = +-0.0 the exponentials
+        theta = C14.theta
+        floor = _k.sound_floor(theta)
+        rng = np.random.default_rng(17)
+        for i, q in enumerate(_generated_profiles(rng, 600, theta)):
+            dB = (0.0, -0.0, rng.uniform(-0.4, 0.4))[i % 3]
+            tau = (0.0, 0.01)[i % 2]
+            got = _k.profile_at(q[1], q[2], q[3], q[4], q[5], dB, ax, bx,
+                                tau, theta, floor)
+            assert _bits(*got) == _bits(*_profile_reference(
+                q, dB, ax, bx, tau, theta))
