@@ -53,7 +53,18 @@ construction reads the geometry at its anchors (j-1)dx, jdx, (j+1)dx and at
 fronts xc + s dt/2, all in the cell while the trial speeds s stay within
 twice the speed bound dx/dt that every accepted front meets.  The
 near-vacuum constructions keep the tables, because ``vac_left_side_k``
-reads exp(-B) absolutely, through its floor ``Lj``.
+reads exp(-B) absolutely, through its floor ``Lj``.  Under the straight view
+no trace depends on where it is read, so :func:`gap_fill_k` evaluates the
+outer traces once per call and the middle profile once per point, for both
+fronts, and reuses their fluxes: a fresh evaluation would give the same
+bits.
+
+Node row.  Pass A takes each node's sound speed c = rho^theta once per
+step.  The cell's Riemann solve reads rho^theta / theta as c / theta and
+rho^theta as c, and packs the two states' invariants (z, w) and rho_M^theta
+into its solution (``RSOL_LEN``), where pass B reads them.  These are the
+operations of ``kfun``, ``sound_k`` and ``invariants_k`` in their order, so
+no bit changes.
 """
 
 import math
@@ -71,9 +82,11 @@ W_NONE = 0
 W_RAREF = 1
 W_SHOCK = 2
 
-# packed Riemann solution layout (12 floats)
-# [rl, ml, rr, mr, rM, vM, k1, k2, s1lo, s1hi, s2lo, s2hi]
-RSOL_LEN = 12
+# packed Riemann solution layout (17 floats)
+# [rl, ml, rr, mr, rM, vM, k1, k2, s1lo, s1hi, s2lo, s2hi, zl, wl, zr, wr, cM]
+# with the invariants (z, w) of the two states as ``invariants_k`` gives
+# them and cM = rM^theta
+RSOL_LEN = 17
 
 # cell construction case codes: away from vacuum, the wave case 1..4 of
 # ``_wave_case``; near vacuum, 10 * wave case + 1 (subcases returned
@@ -300,9 +313,11 @@ def _phi_right(rho, rho_r, v_r, z_r, gamma, theta):
     return v_r + h, dh
 
 
-def riemann_middle_k(rho_l, v_l, rho_r, v_r, gamma, theta):
+def riemann_middle_k(rho_l, v_l, rho_r, v_r, gamma, theta, cl=None,
+                     cr=None):
     """Middle state (rho_M, v_M) where the 1-curve through uL meets the
-    2-curve through uR.
+    2-curve through uR; cl and cr are rho_l^theta and rho_r^theta when the
+    caller has them.
 
     The gap f = phi_L - phi_R decreases strictly from f(0) = w_L - z_R.
     Newton's method on f with its exact slope (Toro, ch. 4) starts from the
@@ -319,8 +334,12 @@ def riemann_middle_k(rho_l, v_l, rho_r, v_r, gamma, theta):
     typical inputs.  Every step is mirror-symmetric, so the mirrored states
     give the same rho_M and the negated v_M.
     """
-    w_l = v_l + kfun(rho_l, theta)
-    z_r = v_r - kfun(rho_r, theta)
+    if cl is None:
+        cl = pow_g(rho_l, theta)
+    if cr is None:
+        cr = pow_g(rho_r, theta)
+    w_l = v_l + cl / theta
+    z_r = v_r - cr / theta
     f0 = w_l - z_r
     if f0 <= 0.0:
         return 0.0, 0.5 * (w_l + z_r)
@@ -369,8 +388,14 @@ def riemann_middle_k(rho_l, v_l, rho_r, v_r, gamma, theta):
                          + _phi_right(rho_m, rho_r, v_r, z_r, gamma, theta)[0])
 
 
-def riemann_solve_k(rho_l, m_l, rho_r, m_r, gamma, theta):
-    """Solve the Riemann problem; return the packed 12-float description."""
+def riemann_solve_k(rho_l, m_l, rho_r, m_r, gamma, theta, cl=None, cr=None):
+    """Solve the Riemann problem; return the packed description (RSOL_LEN
+    floats).  cl and cr are rho_l^theta and rho_r^theta when the caller
+    has them (pass A takes them once per node)."""
+    if cl is None:
+        cl = pow_g(rho_l, theta)
+    if cr is None:
+        cr = pow_g(rho_r, theta)
     out = [0.0] * RSOL_LEN
     out[0] = rho_l
     out[1] = m_l
@@ -378,6 +403,16 @@ def riemann_solve_k(rho_l, m_l, rho_r, m_r, gamma, theta):
     out[3] = m_r
     lvac = rho_l < RHO_FLOOR
     rvac = rho_r < RHO_FLOOR
+    if not lvac:
+        v_l = m_l / rho_l
+        k = cl / theta
+        out[12] = v_l - k
+        out[13] = w_l = v_l + k
+    if not rvac:
+        v_r = m_r / rho_r
+        k = cr / theta
+        out[14] = z_r = v_r - k
+        out[15] = v_r + k
     if lvac and rvac:
         out[8] = -BIG
         out[9] = -BIG
@@ -385,56 +420,51 @@ def riemann_solve_k(rho_l, m_l, rho_r, m_r, gamma, theta):
         out[11] = BIG
         return out
     if lvac:
-        v_r = m_r / rho_r
-        z_r = v_r - kfun(rho_r, theta)
         out[6] = W_NONE
         out[7] = W_RAREF
         out[8] = -BIG
         out[9] = -BIG
         out[10] = z_r
-        out[11] = v_r + sound_k(rho_r, theta)
+        out[11] = v_r + cr
         return out
     if rvac:
-        v_l = m_l / rho_l
-        w_l = v_l + kfun(rho_l, theta)
         out[6] = W_RAREF
         out[7] = W_NONE
-        out[8] = v_l - sound_k(rho_l, theta)
+        out[8] = v_l - cl
         out[9] = w_l
         out[10] = BIG
         out[11] = BIG
         return out
 
-    v_l = m_l / rho_l
-    v_r = m_r / rho_r
-    w_l = v_l + kfun(rho_l, theta)
-    z_r = v_r - kfun(rho_r, theta)
     if w_l <= z_r:
         # rarefactions separated by vacuum
         out[4] = 0.0
         out[5] = 0.5 * (w_l + z_r)
         out[6] = W_RAREF
         out[7] = W_RAREF
-        out[8] = v_l - sound_k(rho_l, theta)
+        out[8] = v_l - cl
         out[9] = w_l
         out[10] = z_r
-        out[11] = v_r + sound_k(rho_r, theta)
+        out[11] = v_r + cr
         return out
 
-    rho_m, v_m = riemann_middle_k(rho_l, v_l, rho_r, v_r, gamma, theta)
+    rho_m, v_m = riemann_middle_k(rho_l, v_l, rho_r, v_r, gamma, theta, cl,
+                                  cr)
+    c_m = pow_g(rho_m, theta)
     out[4] = rho_m
     out[5] = v_m
+    out[16] = c_m
 
     sc1 = 1.0 + rho_l + rho_m
     if abs(rho_m - rho_l) <= 1e-14 * sc1 and abs(v_m - v_l) <= 1e-14 * (1.0 + abs(v_l)):
         out[6] = W_NONE
-        lam = v_l - sound_k(rho_l, theta)
+        lam = v_l - cl
         out[8] = lam
         out[9] = lam
     elif rho_m <= rho_l:
         out[6] = W_RAREF
-        out[8] = v_l - sound_k(rho_l, theta)
-        out[9] = v_m - sound_k(rho_m, theta)
+        out[8] = v_l - cl
+        out[9] = v_m - c_m
     else:
         out[6] = W_SHOCK
         s = sigma1_k(rho_l, v_l, rho_m, gamma)
@@ -444,13 +474,13 @@ def riemann_solve_k(rho_l, m_l, rho_r, m_r, gamma, theta):
     sc2 = 1.0 + rho_r + rho_m
     if abs(rho_m - rho_r) <= 1e-14 * sc2 and abs(v_m - v_r) <= 1e-14 * (1.0 + abs(v_r)):
         out[7] = W_NONE
-        lam = v_r + sound_k(rho_r, theta)
+        lam = v_r + cr
         out[10] = lam
         out[11] = lam
     elif rho_m <= rho_r:
         out[7] = W_RAREF
-        out[10] = v_m + sound_k(rho_m, theta)
-        out[11] = v_r + sound_k(rho_r, theta)
+        out[10] = v_m + c_m
+        out[11] = v_r + cr
     else:
         out[7] = W_SHOCK
         s = sigma2_k(rho_r, v_r, rho_m, gamma)
@@ -771,9 +801,14 @@ def solve_front_k(kind, q, z_t, sigma_prev, sigma0, xc, dt, geo, gamma, theta,
 def _rh_residual(s, rl, ml, rr, mr, gamma):
     """Rankine-Hugoniot residuals (mass, momentum) of the jump from
     (rl, ml) to (rr, mr) moving with speed s."""
-    f1l, f2l = flux_k(rl, ml, gamma)
-    f1r, f2r = flux_k(rr, mr, gamma)
-    return f1r - f1l - s * (rr - rl), f2r - f2l - s * (mr - ml)
+    return _rh_jump(s, rl, ml, flux_k(rl, ml, gamma), rr, mr,
+                    flux_k(rr, mr, gamma))
+
+
+def _rh_jump(s, rl, ml, fl, rr, mr, fr):
+    """:func:`_rh_residual` given the fluxes fl of (rl, ml) and fr of
+    (rr, mr)."""
+    return fr[0] - fl[0] - s * (rr - rl), fr[1] - fl[1] - s * (mr - ml)
 
 
 def _solve4(A, b):
@@ -819,11 +854,16 @@ def gap_fill_k(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0, fscale):
     lq and rq are the (time-corrected) profiles outside the two fronts.
     Damped Newton with finite-difference Jacobian on X = (sa, sb, zm, wm).
     The left-front residuals do not depend on sb nor the right-front ones
-    on sa, so those Jacobian entries are exact zeros; the geometry at the
-    fronts and the outer traces are reused for the zm and wm columns.
+    on sa, so those Jacobian entries are exact zeros.  Each trace is kept
+    with its flux: the zm and wm columns reuse the geometry at the fronts
+    and the outer traces.  Under the straight view no trace depends on the
+    front positions (module docstring): the outer traces are evaluated
+    once per call, the middle profile once per point, as one trace at both
+    fronts, and the sa and sb columns reuse every trace.
     """
     tau = 0.5 * dt
     cf = sound_floor(theta)
+    straight = geo is None
     xl, lz, lw, lsz, lsw, lcorr = lq
     xr, rz, rw, rsz, rsw, rcorr = rq
     lBd = geo_B(geo, xl)
@@ -837,36 +877,46 @@ def gap_fill_k(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0, fscale):
                               theta, cf)
     orr, orm, _c = profile_at(rz, rw, rsz, rsw, rcorr, Bb - rBd, ab, bb, tau,
                               theta, cf)
+    olf = flux_k(olr, olm, gamma)
+    orf = flux_k(orr, orm, gamma)
     mlr, mlm, _c = profile_at(zm, wm, -1.0, 1.0, 1.0, Ba - mBd, aa, ba, tau,
                               theta, cf)
-    F0, F1 = _rh_residual(sa, olr, olm, mlr, mlm, gamma)
-    mrr, mrm, _c = profile_at(zm, wm, -1.0, 1.0, 1.0, Bb - mBd, ab, bb, tau,
-                              theta, cf)
-    F2, F3 = _rh_residual(sb, mrr, mrm, orr, orm, gamma)
+    mlf = flux_k(mlr, mlm, gamma)
+    if straight:
+        mrr, mrm, mrf = mlr, mlm, mlf
+    else:
+        mrr, mrm, _c = profile_at(zm, wm, -1.0, 1.0, 1.0, Bb - mBd, ab, bb,
+                                  tau, theta, cf)
+        mrf = flux_k(mrr, mrm, gamma)
+    F0, F1 = _rh_jump(sa, olr, olm, olf, mlr, mlm, mlf)
+    F2, F3 = _rh_jump(sb, mrr, mrm, mrf, orr, orm, orf)
     fn = max(max(abs(F0), abs(F1)), max(abs(F2), abs(F3)))
     if fn <= 1e-13 * fscale:
         return sa, sb, zm, wm, OK
     for _ in range(80):
         if fn <= atol:
             return sa, sb, zm, wm, OK
-        # sa column: left outer trace and middle profile at the moved front
+        # sa and sb columns: the traces next to the moved front
         ha = 1e-7 * (1.0 + abs(sa))
-        s = sa + ha
-        Bs, as_, bs = geo_at(geo, xc + s * tau)
-        r1, m1, _c = profile_at(lz, lw, lsz, lsw, lcorr, Bs - lBd, as_, bs,
-                                tau, theta, cf)
-        r2, m2, _c = profile_at(zm, wm, -1.0, 1.0, 1.0, Bs - mBd, as_, bs,
-                                tau, theta, cf)
-        f0, f1 = _rh_residual(s, r1, m1, r2, m2, gamma)
-        # sb column
         hb = 1e-7 * (1.0 + abs(sb))
-        s = sb + hb
-        Bs, as_, bs = geo_at(geo, xc + s * tau)
-        r1, m1, _c = profile_at(zm, wm, -1.0, 1.0, 1.0, Bs - mBd, as_, bs,
-                                tau, theta, cf)
-        r2, m2, _c = profile_at(rz, rw, rsz, rsw, rcorr, Bs - rBd, as_, bs,
-                                tau, theta, cf)
-        f2, f3 = _rh_residual(s, r1, m1, r2, m2, gamma)
+        if straight:
+            f0, f1 = _rh_jump(sa + ha, olr, olm, olf, mlr, mlm, mlf)
+            f2, f3 = _rh_jump(sb + hb, mrr, mrm, mrf, orr, orm, orf)
+        else:
+            s = sa + ha
+            Bs, as_, bs = geo_at(geo, xc + s * tau)
+            r1, m1, _c = profile_at(lz, lw, lsz, lsw, lcorr, Bs - lBd, as_,
+                                    bs, tau, theta, cf)
+            r2, m2, _c = profile_at(zm, wm, -1.0, 1.0, 1.0, Bs - mBd, as_, bs,
+                                    tau, theta, cf)
+            f0, f1 = _rh_residual(s, r1, m1, r2, m2, gamma)
+            s = sb + hb
+            Bs, as_, bs = geo_at(geo, xc + s * tau)
+            r1, m1, _c = profile_at(zm, wm, -1.0, 1.0, 1.0, Bs - mBd, as_, bs,
+                                    tau, theta, cf)
+            r2, m2, _c = profile_at(rz, rw, rsz, rsw, rcorr, Bs - rBd, as_,
+                                    bs, tau, theta, cf)
+            f2, f3 = _rh_residual(s, r1, m1, r2, m2, gamma)
         J = [(f0 - F0) / ha, 0.0, 0.0, 0.0,
              (f1 - F1) / ha, 0.0, 0.0, 0.0,
              0.0, (f2 - F2) / hb, 0.0, 0.0,
@@ -877,10 +927,15 @@ def gap_fill_k(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0, fscale):
             z, w = (v + h, wm) if cdx == 2 else (zm, v + h)
             r1, m1, _c = profile_at(z, w, -1.0, 1.0, 1.0, Ba - mBd, aa, ba,
                                     tau, theta, cf)
-            f0, f1 = _rh_residual(sa, olr, olm, r1, m1, gamma)
-            r2, m2, _c = profile_at(z, w, -1.0, 1.0, 1.0, Bb - mBd, ab, bb,
-                                    tau, theta, cf)
-            f2, f3 = _rh_residual(sb, r2, m2, orr, orm, gamma)
+            fl = flux_k(r1, m1, gamma)
+            if straight:
+                r2, m2, fr = r1, m1, fl
+            else:
+                r2, m2, _c = profile_at(z, w, -1.0, 1.0, 1.0, Bb - mBd, ab,
+                                        bb, tau, theta, cf)
+                fr = flux_k(r2, m2, gamma)
+            f0, f1 = _rh_jump(sa, olr, olm, olf, r1, m1, fl)
+            f2, f3 = _rh_jump(sb, r2, m2, fr, orr, orm, orf)
             J[cdx] = (f0 - F0) / h
             J[4 + cdx] = (f1 - F1) / h
             J[8 + cdx] = (f2 - F2) / h
@@ -900,23 +955,35 @@ def gap_fill_k(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0, fscale):
             tb = sb + lam * d1
             tz = zm + lam * d2
             tw = wm + lam * d3
-            Bta, ata, bta = geo_at(geo, xc + ta * tau)
-            Btb, atb, btb = geo_at(geo, xc + tb * tau)
-            tlr, tlm, _c = profile_at(lz, lw, lsz, lsw, lcorr, Bta - lBd, ata,
-                                      bta, tau, theta, cf)
-            trr, trm, _c = profile_at(rz, rw, rsz, rsw, rcorr, Btb - rBd, atb,
-                                      btb, tau, theta, cf)
+            if straight:
+                Bta = ata = bta = Btb = atb = btb = 0.0
+                tlr, tlm, tlf, trr, trm, trf = olr, olm, olf, orr, orm, orf
+            else:
+                Bta, ata, bta = geo_at(geo, xc + ta * tau)
+                Btb, atb, btb = geo_at(geo, xc + tb * tau)
+                tlr, tlm, _c = profile_at(lz, lw, lsz, lsw, lcorr, Bta - lBd,
+                                          ata, bta, tau, theta, cf)
+                trr, trm, _c = profile_at(rz, rw, rsz, rsw, rcorr, Btb - rBd,
+                                          atb, btb, tau, theta, cf)
+                tlf = flux_k(tlr, tlm, gamma)
+                trf = flux_k(trr, trm, gamma)
             r1, m1, _c = profile_at(tz, tw, -1.0, 1.0, 1.0, Bta - mBd, ata,
                                     bta, tau, theta, cf)
-            f0, f1 = _rh_residual(ta, tlr, tlm, r1, m1, gamma)
-            r2, m2, _c = profile_at(tz, tw, -1.0, 1.0, 1.0, Btb - mBd, atb,
-                                    btb, tau, theta, cf)
-            f2, f3 = _rh_residual(tb, r2, m2, trr, trm, gamma)
+            fl = flux_k(r1, m1, gamma)
+            if straight:
+                r2, m2, fr = r1, m1, fl
+            else:
+                r2, m2, _c = profile_at(tz, tw, -1.0, 1.0, 1.0, Btb - mBd,
+                                        atb, btb, tau, theta, cf)
+                fr = flux_k(r2, m2, gamma)
+            f0, f1 = _rh_jump(ta, tlr, tlm, tlf, r1, m1, fl)
+            f2, f3 = _rh_jump(tb, r2, m2, fr, trr, trm, trf)
             fnew = max(max(abs(f0), abs(f1)), max(abs(f2), abs(f3)))
             if fnew < fn * (1.0 - 1e-4 * lam) or fnew <= atol:
                 sa, sb, zm, wm = ta, tb, tz, tw
                 F0, F1, F2, F3 = f0, f1, f2, f3
-                olr, olm, orr, orm = tlr, tlm, trr, trm
+                olr, olm, olf, orr, orm, orf = tlr, tlm, tlf, trr, trm, trf
+                mlr, mlm, mlf, mrr, mrm, mrf = r1, m1, fl, r2, m2, fr
                 Ba, aa, ba, Bb, ab, bb = Bta, ata, bta, Btb, atb, btb
                 fn = fnew
                 break
@@ -1114,31 +1181,29 @@ def _cell_is_inert(j, rsol, dx, geo):
     return geo is None or in_flat_run(geo[6], (j - 1) * dx, (j + 1) * dx)
 
 
-def build_away_cell_k(j, rsol, par, geo, geor):
-    """Away-from-vacuum construction: per-family fans plus the
-    gap fill with the floating middle profile and two solved fronts.
-    Returns (pieces, status)."""
+def build_away_cell_k(j, rsol, par, h, geo, geor):
+    """Away-from-vacuum construction: per-family fans with invariant steps
+    h = dx^alpha plus the gap fill with the floating middle profile and two
+    solved fronts.  Returns (pieces, status)."""
     gamma = par[0]
     theta = par[1]
     dx = par[2]
     dt = par[3]
-    h = pow_g(dx, par[4])
     xc = j * dx
     speed_bound = dx / dt
     if _cell_is_inert(j, rsol, dx, geo):
         return [_const(rsol[0], rsol[1])], OK
 
-    rl = rsol[0]
-    ml = rsol[1]
-    rr = rsol[2]
-    mr = rsol[3]
     rM = rsol[4]
     vM = rsol[5]
     k1 = int(rsol[6])
     k2 = int(rsol[7])
-    zl, wl = invariants_k(rl, ml, theta)
-    zr, wr = invariants_k(rr, mr, theta)
-    kM = kfun(rM, theta)
+    zl = rsol[12]
+    wl = rsol[13]
+    zr = rsol[14]
+    wr = rsol[15]
+    cM = rsol[16]
+    kM = cM / theta
     zM = vM - kM
     wM = vM + kM
 
@@ -1156,7 +1221,7 @@ def build_away_cell_k(j, rsol, par, geo, geor):
         if k1 == W_SHOCK:
             guess_a = rsol[8]       # sigma1_k(rl, vl, rM), from the solve
         else:
-            guess_a = vM - sound_k(rM, theta)
+            guess_a = vM - cM
 
     # right side built in the reflected frame
     right = []
@@ -1174,7 +1239,7 @@ def build_away_cell_k(j, rsol, par, geo, geor):
         if k2 == W_SHOCK:
             guess_b = rsol[10]      # sigma2_k(rr, vr, rM), from the solve
         else:
-            guess_b = vM + sound_k(rM, theta)
+            guess_b = vM + cM
 
     # innermost right piece, mapped to the original frame
     _kind, rq = _reflected(right[-1][0], right[-1][1])
@@ -1275,7 +1340,8 @@ def _mirrored(rsol):
     ``riemann_solve_k`` is mirror-symmetric, so this is what it returns for
     the mirrored states (up to the sign of a zero)."""
     return [rsol[2], -rsol[3], rsol[0], -rsol[1], rsol[4], -rsol[5],
-            rsol[7], rsol[6], -rsol[11], -rsol[10], -rsol[9], -rsol[8]]
+            rsol[7], rsol[6], -rsol[11], -rsol[10], -rsol[9], -rsol[8],
+            -rsol[15], -rsol[14], -rsol[13], -rsol[12], rsol[16]]
 
 
 def _solution_of(rsol, rho_l, m_l, rho_r, m_r, gamma, theta):
@@ -1388,12 +1454,13 @@ def build_vac_cell_k(j, rsol, par, geo, geor):
 def build_step_pass_a(jcells, rho, m, par, rsols):
     """Solve all cell Riemann problems, appending each packed solution to
     rsols; cell c lies between entries c and c + 1 of the node row
-    (rho, m)."""
+    (rho, m), whose sound speeds rho^theta are taken once per node."""
     gamma = par[0]
     theta = par[1]
+    cs = [pow_g(r, theta) for r in rho]
     for c in range(len(jcells)):
         rsols.append(riemann_solve_k(rho[c], m[c], rho[c + 1], m[c + 1],
-                                     gamma, theta))
+                                     gamma, theta, cs[c], cs[c + 1]))
 
 
 def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
@@ -1411,8 +1478,8 @@ def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
     theta = par[1]
     dx = par[2]
     dt = par[3]
-    beta = par[5]
-    thr = pow_g(dx, beta)
+    thr = pow_g(dx, par[5])
+    h = pow_g(dx, par[4])
     speed_bound = dx / dt
     flats = geo[6]
     C = len(jcells)
@@ -1422,9 +1489,9 @@ def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
         rM = rsol[4]
         if rM > thr:
             if in_flat_run(flats, (j - 1) * dx, (j + 1) * dx):
-                cell, st = build_away_cell_k(j, rsol, par, None, None)
+                cell, st = build_away_cell_k(j, rsol, par, h, None, None)
             else:
-                cell, st = build_away_cell_k(j, rsol, par, geo, geor)
+                cell, st = build_away_cell_k(j, rsol, par, h, geo, geor)
             case = _wave_case(int(rsol[6]), int(rsol[7]))
             sub = SUB_NONE
             clamped = 0

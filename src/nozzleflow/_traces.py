@@ -17,7 +17,11 @@ and ``exp``, ``log`` and integer powers are ``math``'s and Python's,
 applied element by element, so the results equal the scalar kernels' bit
 for bit.  As in ``profile_at``, the time correction of a profile reads
 v = (z + w)/2 and rho^theta = theta (w - z)/2 from its steady invariants,
-so a profile value costs two exponentials and one power, its density.
+so a profile value costs two exponentials and one power, its density.  A
+profile of a cell inside a flat run of the duct has one value over its
+extent (a = b = 0, B constant), so it is evaluated once per piece and that
+value broadcast to every node (``_Pieces.once``); the a q* integrals skip
+those cells' pieces, whose terms are +-0.0.
 """
 
 import math
@@ -116,14 +120,30 @@ def pieces_at(kinds, q, x, tau, tables, theta, Bd=None):
     return rho, m
 
 
-def _rows_at(kinds, q, Bd, x, tau, tables, theta):
+def _rows_at(kinds, q, Bd, x, tau, tables, theta, once):
     """:func:`pieces_at` of the pieces at every row of the points x (one
     row per quadrature node, one column per piece), in one call over the
-    pieces tiled row by row."""
-    k = x.shape[0]
-    rho, m = pieces_at(np.tile(kinds, k), np.tile(q, (k, 1)), x.ravel(), tau,
-                       tables, theta, np.tile(Bd, k))
-    return rho.reshape(x.shape), m.reshape(x.shape)
+    pieces repeated row by row.  The pieces flagged in ``once`` have one
+    value over their extent (:attr:`_Pieces.once`): only their first row
+    is evaluated, and copied to the other rows.  Without such pieces the
+    rows are plain tiles, which spares the masked copies."""
+    shape = x.shape
+    if not once.any():
+        k = shape[0]
+        rho, m = pieces_at(np.tile(kinds, k), np.tile(q, (k, 1)), x.ravel(),
+                           tau, tables, theta, np.tile(Bd, k))
+        return rho.reshape(shape), m.reshape(shape)
+    live = np.ones(shape, dtype=bool)
+    live[1:, once] = False
+    rho = np.empty(shape)
+    m = np.empty(shape)
+    rho[live], m[live] = pieces_at(
+        np.broadcast_to(kinds, shape)[live],
+        np.broadcast_to(q, shape + q.shape[1:])[live], x[live], tau, tables,
+        theta, np.broadcast_to(Bd, shape)[live])
+    rho[1:, once] = rho[0, once]
+    m[1:, once] = m[0, once]
+    return rho, m
 
 
 def _profiles_at(q, Bd, x, tau, tables, theta):
@@ -183,12 +203,30 @@ def source(a, rho, m):
                 np.where(rho > 0, a * m * m / rho, 0.0))
 
 
+def in_flat_runs(flats, x0, x1):
+    """Whether each [x0, x1] lies strictly inside one of the flat runs
+    ``flats = (starts, ends)``, as ``_kernels.in_flat_run``."""
+    starts, ends = flats
+    if not starts.size:
+        return np.zeros(x0.shape, dtype=bool)
+    i = np.searchsorted(starts, x0) - 1
+    return (i >= 0) & (x1 < ends[i])
+
+
 class _Pieces:
     """Every piece of a step record (the cells' pieces back to back) with
     its cell: cell index, centre, whether it is the first or last piece of
     its cell, its kind, parameters ``q`` and ray speed ``spds`` (0.0 on a
     cell's last piece), and the profile anchors ``Bd``.  One table serves
-    every reader of the step."""
+    every reader of the step.
+
+    ``straight`` flags the pieces of cells inside a flat run of the duct
+    (``tables["flats"]``), where a = b = 0 and B is one constant, and
+    ``once`` those of them that are profiles: such a profile's value does
+    not depend on x, so the readers evaluate it at one node per piece.  The
+    cell [xc - dx, xc + dx] is widened by dx/1e6 on each side for this
+    test, so that Gauss nodes and anchors rounded past its ends stay inside
+    the run."""
 
     def __init__(self, jcells, ncount, kinds, q, spds, dx, tables, theta):
         C = jcells.size
@@ -202,6 +240,11 @@ class _Pieces:
         self.kinds, self.q, self.spds = kinds, q, spds
         self.tables, self.theta = tables, theta
         self.Bd = anchors(kinds, q, tables)
+        pad = 1e-6 * dx
+        xc = jcells * dx
+        self.straight = in_flat_runs(tables["flats"], xc - dx - pad,
+                                     xc + dx + pad)[self.cell]
+        self.once = self.straight & (kinds == _k.K_PROFILE)
 
     def extent(self, t, centre=None):
         """[a, b] of every piece at time offset t, clipped to its cell;
@@ -224,7 +267,7 @@ class _Pieces:
         half = 0.5 * (b[sel] - a[sel])
         x = xm + half * X[:, None]
         rho, m = _rows_at(self.kinds[sel], self.q[sel], self.Bd[sel], x, t,
-                          self.tables, self.theta)
+                          self.tables, self.theta, self.once[sel])
         return sel, rho, m, x, half
 
 
@@ -265,7 +308,8 @@ def cell_averages(jcells, ncount, kinds, pars, spds, params, c, tables):
     xm = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     rho, m = _rows_at(kinds[rows], pars[rows], pcs.Bd[rows],
-                      xm + half * _G5X[:, None], dt, tables, c.theta)
+                      xm + half * _G5X[:, None], dt, tables, c.theta,
+                      pcs.once[rows])
     acc_r = np.zeros(gauss.size)
     acc_m = np.zeros(gauss.size)
     for g in range(5):
@@ -347,15 +391,17 @@ def sequential_sum(terms):
 def cell_aq_integrals(record):
     """Per-cell space-time integral of a(x) q*(u) over the cell and step:
     3-point Gauss in time, piecewise 3-point Gauss in space split at the
-    front rays (the A'/A term of the energy recurrence equals minus it)."""
+    front rays (the A'/A term of the energy recurrence equals minus it).
+    Pieces at rest and pieces in a flat run (a = 0) add +-0.0 terms to sums
+    that start at +0.0, so they are skipped."""
     c, dt = record.constants, record.params.dt
     pcs = record.pieces
-    at_rest = (pcs.kinds == _k.K_CONST) & (pcs.q[:, 1] == 0.0)
+    skip = (pcs.kinds == _k.K_CONST) & (pcs.q[:, 1] == 0.0) | pcs.straight
     out = np.zeros(record.jcells.size)
     for gt in range(3):
         tau = 0.5 * dt + 0.5 * dt * _G3X[gt]
         wt = 0.5 * dt * _G3W[gt]
-        sel, rho, m, x, half = pcs.gauss(tau, _G3X, keep=~at_rest)
+        sel, rho, m, x, half = pcs.gauss(tau, _G3X, keep=~skip)
         ax = ppoly_values(pcs.tables["a"], x)
         qs = energy_flux(rho, m, c.gamma)
         acc = np.zeros(sel.size)
@@ -406,7 +452,7 @@ def jump_integral(record, new_z, new_w):
                    0.0 * one], axis=1)
     kn = np.full(sel.size, _k.K_PROFILE)
     r1, m1 = _rows_at(kn, qn, anchors(kn, qn, pcs.tables), x, 0.0,
-                      pcs.tables, c.theta)
+                      pcs.tables, c.theta, pcs.straight[sel])
     r1 = np.where(vac, 0.0, r1)
     m1 = np.where(vac, 0.0, m1)
     d = (r0 - r1) * (r0 - r1) + (m0 - m1) * (m0 - m1)

@@ -548,8 +548,9 @@ def _pack_geo(a_pp, b_pp, B_pp, flats):
 class KernelBundle:
     """Geometry data consumed by the kernels, plus the mirrored variant used
     by the reflected (2-family) constructions, and the PPoly data of a, IA,
-    b and B as arrays (``tables``) for the whole-array diagnostics.  Both
-    kernel tuples carry their frame's flat runs, computed once here."""
+    b and B as arrays (``tables``) for the whole-array diagnostics.  The
+    flat runs are computed once here; both kernel tuples carry their
+    frame's, and ``tables["flats"]`` holds them as arrays."""
 
     def __init__(self, geom: NozzleGeometry, bound: BoundFunction):
         self.geom = geom
@@ -559,6 +560,7 @@ class KernelBundle:
                        "b": _ppoly_arrays(bound.b_pp),
                        "B": _ppoly_arrays(bound.B_pp)}
         starts, ends = flat_runs(self.tables["a"], self.tables["b"])
+        self.tables["flats"] = (np.array(starts), np.array(ends))
         self.geo = _pack_geo(geom.a_pp, bound.b_pp, bound.B_pp,
                              (starts, ends))
         # reflect_ppoly maps zero pieces, and only those, to zero pieces

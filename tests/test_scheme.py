@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -631,6 +632,54 @@ class TestNodeRow:
                 gather_neighbors(state, bad, mesh)
 
 
+class TestNodeSoundSpeeds:
+    def test_pass_a_takes_rho_theta_once_per_node(self, monkeypatch):
+        # a row of generated node states of every kind: pass A takes each
+        # node's rho^theta once, and no kfun or sound_k call reads a node
+        theta = C14.theta
+        lrho, lm, rrho, rm = _neighbor_pairs(np.random.default_rng(23), 200)
+        rho = np.stack([lrho, rrho], axis=1).ravel().tolist()
+        m = np.stack([lm, rm], axis=1).ravel().tolist()
+        nodes = set(rho)
+        taken, again = [], []
+        pow_g = _k.pow_g
+
+        def counted_pow(x, e):
+            if e == theta and x in nodes:
+                taken.append(x)
+            return pow_g(x, e)
+
+        def no_node(f):
+            def wrapper(r, th):
+                if r in nodes:
+                    again.append((f.__name__, r))
+                return f(r, th)
+            return wrapper
+
+        monkeypatch.setattr(_k, "pow_g", counted_pow)
+        monkeypatch.setattr(_k, "kfun", no_node(_k.kfun))
+        monkeypatch.setattr(_k, "sound_k", no_node(_k.sound_k))
+        rsols = []
+        _k.build_step_pass_a(list(range(len(rho) - 1)), rho, m,
+                             straight_setup()[2].par_array(C14), rsols)
+        assert len(rsols) == len(rho) - 1
+        assert sorted(taken) == sorted(rho)
+        assert again == []
+
+    def test_packed_invariants_and_middle_sound_speed(self):
+        # the solution carries the nodes' invariants as invariants_k gives
+        # them and rho_M^theta, bit for bit
+        lrho, lm, rrho, rm = _neighbor_pairs(np.random.default_rng(29), 400)
+        for g in (1.2, 1.4, 5.0 / 3.0):
+            th = 0.5 * (g - 1.0)
+            for args in zip(lrho, lm, rrho, rm):
+                rsol = _k.riemann_solve_k(*args, g, th)
+                want = (_k.invariants_k(args[0], args[1], th)
+                        + _k.invariants_k(args[2], args[3], th)
+                        + (_k.sound_k(rsol[4], th),))
+                assert _bits(*rsol[12:]) == _bits(*want)
+
+
 class TestOneRiemannSolvePerCell:
     def test_near_vacuum_cells_reuse_the_pass_a_solution(self, monkeypatch):
         # compact-support data in a bump nozzle (vacuum around the support):
@@ -1069,11 +1118,16 @@ def _gap_fill_lists(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0,
 
 def _captured_gap_fills(monkeypatch, family, gamma, seed):
     """The arguments of every gap fill pass B makes on 400 generated
-    neighbour pairs (799 cells) in a bump or Laval nozzle."""
+    neighbour pairs (799 cells) in a bump or Laval nozzle, or in a constant
+    duct, where every cell is built with the straight view."""
     c = GasConstants.for_gamma(gamma)
     dx = 0.025
-    geom = getattr(NozzleGeometry, family)(0.1, X=1.0)
-    b = BoundFunction.auto_for(geom, admissibility_constants(c), dx=dx)
+    if family == "constant":
+        geom = NozzleGeometry.constant(X=1.0)
+        b = BoundFunction.zero(domain=(-2.0, 2.0))
+    else:
+        geom = getattr(NozzleGeometry, family)(0.1, X=1.0)
+        b = BoundFunction.auto_for(geom, admissibility_constants(c), dx=dx)
     lrho, lm, rrho, rm = _neighbor_pairs(np.random.default_rng(seed), 400)
     row = (np.stack([lrho, rrho], axis=1).ravel(),
            np.stack([lm, rm], axis=1).ravel())
@@ -1107,9 +1161,41 @@ class TestGapFillInPlace:
             statuses.add(got[4])
         assert _k.OK in statuses
 
-    def test_first_guess_takes_four_profile_evaluations(self, monkeypatch):
+    def test_straight_view_equals_the_list_based_loop(self, monkeypatch):
+        # in a constant duct every gap fill runs under the straight view,
+        # which reuses its traces across the Newton iteration
+        calls = []
+        for gamma in (1.2, 1.4, 5.0 / 3.0):
+            calls += _captured_gap_fills(monkeypatch, "constant", gamma,
+                                         [round(100 * gamma), 17])
+        assert len(calls) >= 500
+        assert all(args[4] is None for args in calls)
+        iterated = 0
+        for args in calls:
+            got = _k.gap_fill_k(*args)
+            assert _bits(*got) == _bits(*_gap_fill_lists(*args))
+            iterated += got[:4] != args[7:11]
+        assert iterated >= 100
+
+    @staticmethod
+    def _profile_evaluations(monkeypatch, args):
+        evals = [0]
+        profile = _k.profile_at
+
+        def counted(*a):
+            evals[0] += 1
+            return profile(*a)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(_k, "profile_at", counted)
+            got = _k.gap_fill_k(*args)
+        return got, evals[0]
+
+    def test_first_guess_takes_three_profile_evaluations(self, monkeypatch):
         # two colliding streams in a straight duct: the exact Riemann
-        # solution is the gap fill's first guess, and its root
+        # solution is the gap fill's first guess, and its root.  The
+        # straight view evaluates the two outer traces and the middle
+        # profile, which has one trace at both fronts
         geom, b, params = straight_setup()
         row = (np.array([1.0, 0.8]), np.array([0.9, -0.6]))
         calls = []
@@ -1124,18 +1210,38 @@ class TestGapFillInPlace:
                      get_bundle(geom, b), C14)
         monkeypatch.setattr(_k, "gap_fill_k", fill)
         (args,) = calls
-        evals = [0]
-        profile = _k.profile_at
-
-        def counted(*a):
-            evals[0] += 1
-            return profile(*a)
-
-        monkeypatch.setattr(_k, "profile_at", counted)
-        sa, sb, zm, wm, st = _k.gap_fill_k(*args)
+        assert args[4] is None
+        (sa, sb, zm, wm, st), evals = self._profile_evaluations(monkeypatch,
+                                                                args)
         assert st == _k.OK
         assert (sa, sb, zm, wm) == args[7:11]
-        assert evals[0] == 4
+        assert evals == 3
+
+    def test_curved_first_guess_takes_four_profile_evaluations(
+            self, monkeypatch):
+        # a curved bump cell, restarted from its own root: the outer traces
+        # and the middle profile at both fronts, nothing more
+        c, geom, b, _u0, params = nozzle_setup()
+        row = (np.array([1.0, 0.8]), np.array([0.9, -0.6]))
+        calls = []
+        fill = _k.gap_fill_k
+
+        def captured(*args):
+            calls.append(args)
+            return fill(*args)
+
+        monkeypatch.setattr(_k, "gap_fill_k", captured)
+        _build_cells(np.array([1], dtype=np.int64), row, 0, params,
+                     get_bundle(geom, b), c)
+        monkeypatch.setattr(_k, "gap_fill_k", fill)
+        (args,) = calls
+        assert args[4] is not None
+        root = _k.gap_fill_k(*args)
+        assert root[4] == _k.OK and root[:4] != args[7:11]
+        again = args[:7] + root[:4] + args[11:]
+        got, evals = self._profile_evaluations(monkeypatch, again)
+        assert got == root
+        assert evals == 4
 
 
 def _sliver_setup(x_lo, x_hi, slope=0.4):
@@ -1277,3 +1383,143 @@ class TestStraightCells:
                                 tau, theta, floor)
             assert _bits(*got) == _bits(*_profile_reference(
                 q, dB, ax, bx, tau, theta))
+
+
+def _tiled_rows_at(kinds, q, Bd, x, tau, tables, theta, once):
+    """The per-node evaluation of the step readers: ``_traces.pieces_at``
+    of every piece tiled over every row of the points x, whatever
+    ``once`` says."""
+    k = x.shape[0]
+    rho, m = _traces.pieces_at(np.tile(kinds, k), np.tile(q, (k, 1)),
+                               x.ravel(), tau, tables, theta, np.tile(Bd, k))
+    return rho.reshape(x.shape), m.reshape(x.shape)
+
+
+README_BUMP = """
+gamma        = 1.4
+geometry     = bump
+geometry_eps = 0.15
+geometry_x   = 1.0
+initial      = gaussian-density
+rho_inf      = 1.0
+rho_amp      = 0.2
+width        = 0.3
+dx           = 0.02
+t_final      = 0.05
+"""
+
+
+def _stepped_records(setup, tmp_path):
+    """(record, new state) of every step of a short run: gas everywhere in
+    a constant duct or in the sliver duct (a and b nonzero on [0.1, 0.3]
+    only, two cell ends of dx = 0.05), or the README's bump example."""
+    if setup == "readme-bump":
+        from nozzleflow.cli import parse_config
+        path = tmp_path / "run.cfg"
+        path.write_text(README_BUMP)
+        cfg = parse_config(str(path))
+        u0, params, geom, b, c = (cfg.initial, cfg.params, cfg.geometry,
+                                  cfg.bound, cfg.constants)
+        cutoff, steps = cfg.cutoff, cfg.params.n_steps
+    else:
+        if setup == "straight":
+            geom = NozzleGeometry.constant(X=1.0)
+            b = BoundFunction.zero(domain=(-2.0, 2.0))
+        else:
+            geom, b = _sliver_setup(0.1, 0.3)
+        c = C14
+        u0 = GaussianBumpData(rho_inf=1.0, rho_amp=0.3, width=0.3,
+                              v_inf=0.2)
+        params = SchemeParameters.create(dx=0.05, M=select_M(u0, b, c),
+                                         b=b, T=0.0, c=c)
+        cutoff, steps = False, 4
+    state, mesh = initialize(u0, params, geom, b, c, cutoff=cutoff)
+    out = []
+    for _ in range(steps):
+        state, rec = advance(state, params, geom, b, c, mesh)
+        out.append((rec, state))
+    return out
+
+
+def _aq_integrals_of_every_piece(record):
+    """``_traces.cell_aq_integrals`` skipping only the pieces at rest, as it
+    was before the pieces of cells in a flat run were skipped too."""
+    c, dt = record.constants, record.params.dt
+    pcs = record.pieces
+    at_rest = (pcs.kinds == _k.K_CONST) & (pcs.q[:, 1] == 0.0)
+    out = np.zeros(record.jcells.size)
+    for gt in range(3):
+        tau = 0.5 * dt + 0.5 * dt * _traces._G3X[gt]
+        wt = 0.5 * dt * _traces._G3W[gt]
+        sel, rho, m, x, half = pcs.gauss(tau, _traces._G3X, keep=~at_rest)
+        ax = _traces.ppoly_values(pcs.tables["a"], x)
+        qs = _traces.energy_flux(rho, m, c.gamma)
+        acc = np.zeros(sel.size)
+        for g in range(3):
+            acc = acc + _traces._G3W[g] * ax[g] * qs[g]
+        np.add.at(out, pcs.cell[sel], wt * acc * half)
+    return out
+
+
+def _step_readers(rec, record, new, tables, aq_integrals):
+    """Every whole-array reader of a step record, on the piece table of
+    ``record`` (the record itself or a stand-in) and the tables given."""
+    dt, c = rec.params.dt, rec.constants
+    return [
+        *_traces.cell_averages(rec.jcells, rec.ncount, rec.kinds, rec.pars,
+                               rec.spds, rec.params, c, tables),
+        [_traces.energy_trace(record, tau) for tau in (0.0, 0.5 * dt, dt)],
+        [_traces.jump_integral(record, new.z, new.w)],
+        aq_integrals(record),
+        [_traces.max_rh_residual(record.pieces, rec.fflag, dt, c)],
+    ]
+
+
+class TestStraightPieces:
+    """The step readers evaluate each profile of a cell inside a flat run
+    at one node and broadcast it, and the a q* integrals skip the pieces of
+    those cells: the same bytes as evaluating every piece at every node,
+    with a q* integrated over every piece not at rest."""
+
+    @pytest.mark.parametrize("setup", ["straight", "sliver", "readme-bump"])
+    def test_readers_match_the_per_node_evaluation(self, setup, tmp_path,
+                                                   monkeypatch):
+        once = 0
+        for rec, new in _stepped_records(setup, tmp_path):
+            once += np.count_nonzero(rec.pieces.once)
+            got = _step_readers(rec, rec, new, rec.bundle.tables,
+                                _traces.cell_aq_integrals)
+            tables = dict(rec.bundle.tables,
+                          flats=(np.array([]), np.array([])))
+            pieces = _traces._Pieces(rec.jcells, rec.ncount, rec.kinds,
+                                     rec.pars, rec.spds, rec.params.dx,
+                                     tables, rec.constants.theta)
+            assert not pieces.straight.any()
+            parent = types.SimpleNamespace(
+                pieces=pieces, constants=rec.constants, params=rec.params,
+                jcells=rec.jcells, bundle=rec.bundle)
+            with monkeypatch.context() as mp:
+                mp.setattr(_traces, "_rows_at", _tiled_rows_at)
+                want = _step_readers(rec, parent, new, tables,
+                                     _aq_integrals_of_every_piece)
+            assert [_bits(*g) for g in got] == [_bits(*w) for w in want]
+        assert once > 0
+
+    def test_cells_touching_a_run_end_are_not_straight(self, tmp_path):
+        # the runs end at the cell ends 0.1 and 0.3: the cells [0, 0.1] and
+        # [0.3, 0.4], whose outer pieces reach those ends and are anchored
+        # there, are not inside a run
+        touching = 0
+        for rec, _new in _stepped_records("sliver", tmp_path):
+            pcs = rec.pieces
+            dx = rec.params.dx
+            j = rec.jcells[pcs.cell]
+            inside = ((j + 1) * dx < 0.075) | ((j - 1) * dx > 0.325)
+            assert np.array_equal(pcs.straight, inside)
+            assert np.array_equal(pcs.once,
+                                  inside & (pcs.kinds == _k.K_PROFILE))
+            ends = (pcs.kinds == _k.K_PROFILE) & np.isin(
+                pcs.q[:, 0], [2 * dx, 6 * dx])
+            touching += np.count_nonzero(ends & np.isin(j, [1, 7]))
+            assert 0 < np.count_nonzero(pcs.straight) < pcs.cell.size
+        assert touching >= 2
