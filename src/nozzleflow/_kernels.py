@@ -1263,8 +1263,9 @@ def build_away_cell_k(j, rsol, par, h, geo, geor):
     return cell, OK
 
 
-def vac_left_side_k(j, rho_l, m_l, par, geo, out):
-    """Near-vacuum left-side construction (Case-1 sub-dispatch on u_L).
+def vac_left_side_k(j, rho_l, m_l, par, h, thr, geo, out):
+    """Near-vacuum left-side construction (Case-1 sub-dispatch on u_L),
+    with h = dx^alpha and thr = dx^beta.
 
     Returns (lam_edge, rho_star, m_star, subcode, clamped_x4, status).  The
     pieces appended to ``out`` cover the region left of the ray with speed
@@ -1276,11 +1277,8 @@ def vac_left_side_k(j, rho_l, m_l, par, geo, out):
     theta = par[1]
     dx = par[2]
     dt = par[3]
-    h = pow_g(dx, par[4])
-    beta = par[5]
     M = par[7]
     xc = j * dx
-    thr = pow_g(dx, beta)
     Lj = -M * math.exp(-geo_B(geo, (j + 1) * dx))
     if rho_l < RHO_FLOOR:
         return -BIG, 0.0, 0.0, SUB_NONE, 0, OK
@@ -1353,7 +1351,7 @@ def _solution_of(rsol, rho_l, m_l, rho_r, m_r, gamma, theta):
     return riemann_solve_k(rho_l, m_l, rho_r, m_r, gamma, theta)
 
 
-def _build_vac_case1_k(j, rsol, par, geo):
+def _build_vac_case1_k(j, rsol, par, h, thr, geo):
     """Near-vacuum Case 1 (1-rarefaction + 2-shock) of the packed solution
     rsol, which is reused wherever the construction needs the Riemann
     solution of its own states.  Returns (pieces, subcode, clamped,
@@ -1366,7 +1364,7 @@ def _build_vac_case1_k(j, rsol, par, geo):
     m_r = rsol[3]
     cell = []
     lam_edge, rs, ms, sub, clamped, st = vac_left_side_k(
-        j, rsol[0], rsol[1], par, geo, cell)
+        j, rsol[0], rsol[1], par, h, thr, geo, cell)
     if st != OK:
         return cell, sub, clamped, st
     if sub == SUB_12I or sub == SUB_NONE:
@@ -1389,8 +1387,9 @@ def _wave_case(k1, k2):
     return 4 if k2 == W_SHOCK else 2
 
 
-def build_vac_cell_k(j, rsol, par, geo, geor):
-    """Construction dispatch for near-vacuum middle states.
+def build_vac_cell_k(j, rsol, par, h, thr, geo, geor):
+    """Construction dispatch for near-vacuum middle states, with h =
+    dx^alpha and thr = dx^beta.
 
     Returns (pieces, case_code, subcode, clamped, status).  Case 2 runs the
     Case-1 machinery in the reflected frame (x -> -x, m -> -m); Case 3
@@ -1411,12 +1410,13 @@ def build_vac_cell_k(j, rsol, par, geo, geor):
         return [_const(rl, ml)], CASE_VAC_INERT, SUB_NONE, 0, OK
     case = _wave_case(int(rsol[6]), int(rsol[7]))
     if case == 1:
-        cell, sub, clamped, st = _build_vac_case1_k(j, rsol, par, geo)
+        cell, sub, clamped, st = _build_vac_case1_k(j, rsol, par, h, thr,
+                                                    geo)
         return cell, CASE_VAC_1, sub, clamped, st
     cell = []
     if case == 2:
         refl, sub, clamped, st = _build_vac_case1_k(
-            -j, _mirrored(rsol), par, geor)
+            -j, _mirrored(rsol), par, h, thr, geor)
         _unreflect_append(refl, cell)
         return cell, CASE_VAC_2, sub, clamped, st
     if case == 4:
@@ -1424,12 +1424,12 @@ def build_vac_cell_k(j, rsol, par, geo, geor):
         return cell, CASE_VAC_4, SUB_NONE, 0, OK
     # Case 3: two rarefactions (or degenerate waves)
     lamL, rsl, msl, subL, clampL, st = vac_left_side_k(
-        j, rl, ml, par, geo, cell)
+        j, rl, ml, par, h, thr, geo, cell)
     if st != OK:
         return cell, CASE_VAC_3, subL, clampL, st
     right = []
     lamRr, rsrr, msrr, subR, clampR, st = vac_left_side_k(
-        -j, rr, -mr, par, geor, right)
+        -j, rr, -mr, par, h, thr, geor, right)
     if st != OK:
         return cell, CASE_VAC_3, subR, clampR, st
     lamR = BIG if lamRr == -BIG else -lamRr
@@ -1468,6 +1468,7 @@ def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
                       ncount, ccase, csub, cclamp, cerr):
     """Build every cell record for one step; an away-from-vacuum cell inside
     a flat run of geo is built with the straight view (module docstring).
+    h = dx^alpha and thr = dx^beta are taken once, for every construction.
 
     The cells' pieces go back to back onto the output lists: kinds, pars
     (six floats a piece), spds and fflag (the ray to the piece's right;
@@ -1475,7 +1476,6 @@ def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
     and then the total; ncount, ccase, csub, cclamp and cerr one entry per
     cell.
     """
-    theta = par[1]
     dx = par[2]
     dt = par[3]
     thr = pow_g(dx, par[5])
@@ -1497,7 +1497,7 @@ def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
             clamped = 0
         else:
             cell, case, sub, clamped, st = build_vac_cell_k(
-                j, rsol, par, geo, geor)
+                j, rsol, par, h, thr, geo, geor)
         n = len(cell)
         if st == OK:
             # boundary sanity: ordered rays inside the cell light cone

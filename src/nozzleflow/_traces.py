@@ -3,14 +3,14 @@ envelope and projection, node areas, the recurrence correction R and the
 diagnostics.
 
 The cell averages and the diagnostics integrate the in-cell solutions of a
-step at thousands of quadrature nodes.  A step's readers share one piece
-table (``_Pieces``: the pieces, their cells and profile anchors, built once
-per ``StepRecord``), and each set of Gauss nodes is evaluated in one call:
+step at thousands of quadrature nodes.  The step builds its piece table
+(``_Pieces``: the pieces, their cells and profile anchors) once, and its
+readers here take it; each set of Gauss nodes is evaluated in one call:
 all nodes of all pieces at once with NumPy, one row per node, grouped by
-piece kind, instead of one scalar kernel call per node.  The envelope, the
-projection and the node areas are the package's only implementations of
-those quantities, and scalar callers pass one-element arrays.  The
-formulas, their order of operations and the order of every sum are those
+piece kind, instead of one scalar kernel call per node.  The envelope (its
+bounds kept by the projected state), the projection and the node areas
+are the package's only implementations of those quantities, and scalar
+callers pass one-element arrays.  The formulas, their order of operations and the order of every sum are those
 of the scalar kernels in :mod:`nozzleflow._kernels` (``eval_piece``,
 ``profile_at``, ``eta_q_k``, ``flux_k``, ``invariants_k``, ``state_k``),
 and ``exp``, ``log`` and integer powers are ``math``'s and Python's,
@@ -214,11 +214,11 @@ def in_flat_runs(flats, x0, x1):
 
 
 class _Pieces:
-    """Every piece of a step record (the cells' pieces back to back) with
+    """Every piece of the cells ``jcells`` (their pieces back to back) with
     its cell: cell index, centre, whether it is the first or last piece of
     its cell, its kind, parameters ``q`` and ray speed ``spds`` (0.0 on a
-    cell's last piece), and the profile anchors ``Bd``.  One table serves
-    every reader of the step.
+    cell's last piece), and the profile anchors ``Bd``.  A step builds one
+    table, which every reader of the step takes.
 
     ``straight`` flags the pieces of cells inside a flat run of the duct
     (``tables["flats"]``), where a = b = 0 and B is one constant, and
@@ -229,8 +229,8 @@ class _Pieces:
     the run."""
 
     def __init__(self, jcells, ncount, kinds, q, spds, dx, tables, theta):
-        C = jcells.size
-        self.cell = np.repeat(np.arange(C), ncount)
+        self.jcells = jcells
+        self.cell = np.repeat(np.arange(jcells.size), ncount)
         first_of = np.repeat(np.cumsum(ncount) - ncount, ncount)
         p = np.arange(self.cell.size) - first_of
         self.first = p == 0
@@ -274,7 +274,7 @@ class _Pieces:
 def envelope(M, B, x):
     """Invariant-region bounds (-M e^{-B(x)}, M e^{B(x)}) at the points x;
     ``B`` is the PPoly data of B.  The package's one envelope: the
-    projection clamps to it and every check and snapshot reads it."""
+    projection clamps to it, and checks and snapshots read its bounds."""
     Bx = ppoly_values(B, x)
     return -M * exp(-Bx), M * exp(Bx)
 
@@ -290,11 +290,11 @@ def invariants(rho, m, theta):
     return np.where(live, v - k, 0.0), np.where(live, v + k, 0.0)
 
 
-def cell_averages(jcells, ncount, kinds, pars, spds, params, c, tables):
-    """End-of-step averages (rho, m) of the cells' in-cell solutions, before
-    the projection; pieces are summed in order within each cell."""
+def cell_averages(pcs, params, c):
+    """End-of-step averages (rho, m) of the cells of the piece table pcs,
+    before the projection; pieces are summed in order within each cell."""
     dx, dt = params.dx, params.dt
-    pcs = _Pieces(jcells, ncount, kinds, pars, spds, dx, tables, c.theta)
+    kinds, pars = pcs.kinds, pcs.q
     # piece extents relative to the cell centre (exact 2*dx total)
     a, b = pcs.extent(dt, centre=0.0)
     sel = np.nonzero(b > a)[0]
@@ -308,7 +308,7 @@ def cell_averages(jcells, ncount, kinds, pars, spds, params, c, tables):
     xm = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     rho, m = _rows_at(kinds[rows], pars[rows], pcs.Bd[rows],
-                      xm + half * _G5X[:, None], dt, tables, c.theta,
+                      xm + half * _G5X[:, None], dt, pcs.tables, c.theta,
                       pcs.once[rows])
     acc_r = np.zeros(gauss.size)
     acc_m = np.zeros(gauss.size)
@@ -318,8 +318,8 @@ def cell_averages(jcells, ncount, kinds, pars, spds, params, c, tables):
     ir[gauss] = acc_r * half
     im[gauss] = acc_m * half
     # per-cell sums, piece by piece from zero
-    sum_r = np.bincount(pcs.cell[sel], ir, jcells.size)
-    sum_m = np.bincount(pcs.cell[sel], im, jcells.size)
+    sum_r = np.bincount(pcs.cell[sel], ir, pcs.jcells.size)
+    sum_m = np.bincount(pcs.cell[sel], im, pcs.jcells.size)
     return sum_r / (2.0 * dx), sum_m / (2.0 * dx)
 
 
@@ -356,13 +356,13 @@ def project(e_r, e_m, lo, up, params, c):
     return out + (stats,)
 
 
-def average_project(jcells, ncount, kinds, pars, spds, params, c, tables):
-    """End-of-step cell averages, projected onto the envelope at the cell
-    centres: :func:`cell_averages`, then :func:`project`."""
-    e_r, e_m = cell_averages(jcells, ncount, kinds, pars, spds, params, c,
-                             tables)
-    lo, up = envelope(params.M, tables["B"], jcells * params.dx)
-    return project(e_r, e_m, lo, up, params, c)
+def average_project(jcells, pcs, params, c):
+    """:func:`cell_averages` of the cells jcells, then :func:`project` onto
+    the envelope [lo, up] at their centres: (rho, m, z, w, lo, up, stats)."""
+    e_r, e_m = cell_averages(pcs, params, c)
+    lo, up = envelope(params.M, pcs.tables["B"], jcells * params.dx)
+    rho, m, z, w, stats = project(e_r, e_m, lo, up, params, c)
+    return rho, m, z, w, lo, up, stats
 
 
 def node_areas(js, dx, A0, tables):

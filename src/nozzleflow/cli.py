@@ -196,10 +196,13 @@ def parse_config(path, overrides=None) -> RunConfig:
     elif bkind == "zero":
         b = BoundFunction.zero(domain=(-X - 1.0, X + 1.0))
     elif bkind.startswith("const:"):
-        parts = bkind.split(":")
-        if len(parts) != 4:
-            raise ConfigError("b_function = const:VALUE:LO:HI")
-        val, lo, hi = (float(p) for p in parts[1:])
+        try:
+            val, lo, hi = map(float, bkind.split(":")[1:])
+        except ValueError:
+            val = lo = hi = math.nan
+        if not (0.0 <= val < math.inf and -math.inf < lo < hi < math.inf):
+            raise ConfigError(f"key 'b_function': expected const:VALUE:LO:HI,"
+                              f" finite, VALUE >= 0, LO < HI, got {bkind!r}")
         b = BoundFunction.piecewise_constant([lo, hi], [val])
     else:
         raise ConfigError(f"key 'b_function': unknown spec {bkind!r}")
@@ -235,15 +238,15 @@ def parse_config(path, overrides=None) -> RunConfig:
 
 class SnapshotWriter:
     """Per-node CSV snapshots every `stride` steps, in both modes: an
-    observer of the modified scheme and the baseline's snapshot callback."""
+    observer of the modified scheme, whose states keep their envelope
+    bounds, and the baseline's callback, whose states are not projected."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
 
-    def write(self, n, xs, rho, m, z, w):
+    def write(self, n, xs, rho, m, z, w, lo, up):
         """One snapshot: a row per node, with the envelope bounds at x."""
         cfg = self.cfg
-        lo, up = envelope(cfg.params.M, cfg.bound, xs)
         with np.errstate(divide="ignore", invalid="ignore"):
             v = np.where(rho > 0, m / rho, 0.0)
         path = os.path.join(cfg.out_dir, f"snapshot_{cfg.mode}_{n:05d}.csv")
@@ -261,14 +264,15 @@ class SnapshotWriter:
 
     def _emit(self, state):
         self.write(state.n, state.js * self.cfg.params.dx, state.rho,
-                   state.m, state.z, state.w)
+                   state.m, state.z, state.w, state.lo, state.up)
 
     def __call__(self, n, xs, rho, m):
         """``run_baseline``'s snapshot callback."""
-        if n % self.cfg.stride == 0:
-            z, w = invariants(np.maximum(rho, 0.0), m,
-                              self.cfg.constants.theta)
-            self.write(n, xs, rho, m, z, w)
+        cfg = self.cfg
+        if n % cfg.stride == 0:
+            z, w = invariants(np.maximum(rho, 0.0), m, cfg.constants.theta)
+            self.write(n, xs, rho, m, z, w,
+                       *envelope(cfg.params.M, cfg.bound, xs))
 
 
 # the columns of energy_modified.csv: EnergyReport fields

@@ -14,9 +14,10 @@ half-time Rankine-Hugoniot residuals, the accumulated squared time jumps
 of the traces).
 
 The monitors read what the step built: the row of old nodes, the cell
-records, the parameters and the geometry bundle of its ``StepRecord``.  The
-quantities themselves (R, the area term, node areas, the envelope) are
-whole-array code in :mod:`nozzleflow._traces`.
+records and their piece table, the parameters and the geometry bundle of
+its ``StepRecord``, and the envelope bounds each state was projected onto.
+The quantities themselves (R, the area term, node areas) are whole-array
+code in :mod:`nozzleflow._traces`.
 """
 
 import math
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import _traces
 from .gas import GasConstants, GasState
-from .nozzle import BoundFunction, NozzleGeometry, envelope, get_bundle
+from .nozzle import BoundFunction, NozzleGeometry, get_bundle
 from .scheme import SchemeParameters, StaggeredState, StepRecord
 
 
@@ -131,12 +132,11 @@ def total_energy_trace(record: StepRecord, t_offset):
     return _traces.energy_trace(record, float(t_offset))
 
 
-def envelope_violation(state: StaggeredState, params: SchemeParameters,
-                       bundle, c: GasConstants):
+def envelope_violation(state: StaggeredState):
     """Worst post-projection envelope violation over the stored invariants
-    of the non-vacuum nodes."""
-    lo, up = envelope(params.M, bundle.bound, state.js * params.dx)
-    viol = np.maximum(lo - state.z, state.w - up)[state.rho > 0.0]
+    of the non-vacuum nodes, against the bounds the state was projected
+    onto."""
+    viol = np.maximum(state.lo - state.z, state.w - state.up)[state.rho > 0.0]
     return max(0.0, float(viol.max())) if viol.size else 0.0
 
 
@@ -187,7 +187,7 @@ class EnergyMonitor:
         self.reports.append(EnergyReport(
             n=0, t=0.0, total_energy=e0, total_mass=m0, energy_bound=e0,
             slack=0.0, clamp_count=0, vacuum_count=0, max_rh_residual=0.0,
-            max_envelope_violation=envelope_violation(state, params, bundle, c),
+            max_envelope_violation=envelope_violation(state),
             max_pre_violation=0.0, jump_sum=0.0, jump_ceiling=math.inf,
             jump_flag=False))
 
@@ -211,7 +211,7 @@ class EnergyMonitor:
             energy_bound=self.energy_bound, slack=self.energy_bound - e,
             clamp_count=record.clamp_count, vacuum_count=record.vacuum_count,
             max_rh_residual=record.max_rh_residual(),
-            max_envelope_violation=envelope_violation(new, params, bundle, c),
+            max_envelope_violation=envelope_violation(new),
             max_pre_violation=record.max_pre_violation,
             jump_sum=self._jump_sum, jump_ceiling=ceiling,
             jump_flag=self._jump_sum > ceiling))

@@ -399,6 +399,8 @@ class BoundFunction:
         values = np.asarray(values, dtype=float)
         if np.any(values < 0.0):
             raise ValueError("b must be nonnegative")
+        if not np.all(np.diff(breaks) > 0.0):
+            raise ValueError("the breaks of b must increase")
         xs = np.concatenate([[breaks[0] - pad], breaks, [breaks[-1] + pad]])
         c = np.zeros((1, values.size + 2))
         c[0, 1:-1] = values
@@ -473,7 +475,7 @@ class ValidationReport:
         return self.pointwise_ok and self.integral_ok
 
     def lines(self):
-        out = [
+        return [
             f"mu                 = {self.mu:.12g}",
             f"sigma              = {self.sigma:.12g}",
             f"integral budget    = {self.budget:.12g}  (0.5 log(1/sigma))",
@@ -484,7 +486,6 @@ class ValidationReport:
             f"integral budget    : {'pass' if self.integral_ok else 'FAIL'}",
             f"admissibility      : {'pass' if self.passed else 'FAIL'}",
         ]
-        return out
 
 
 def validate_condition(geom: NozzleGeometry, b: BoundFunction,
@@ -613,14 +614,8 @@ class SteadyProfile:
         return from_invariants(InvariantPair(z, w), c)
 
     def piece_params(self, corr=1.0):
-        q = np.zeros(6)
-        q[0] = self.x_d
-        q[1] = self.z_d
-        q[2] = self.w_d
-        q[3] = self.sz
-        q[4] = self.sw
-        q[5] = corr
-        return q
+        return np.array([self.x_d, self.z_d, self.w_d, self.sz, self.sw,
+                         corr], dtype=float)
 
 
 def steady_profile(x_d, u_d: GasState, b: BoundFunction,

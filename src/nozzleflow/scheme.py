@@ -11,7 +11,6 @@ trace and projects the invariants back into the x-dependent envelope.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -95,7 +94,8 @@ class SchemeParameters:
 
 @dataclass
 class StaggeredState:
-    """Node states at one time level; nodes at j = j0 + 2*i, (j0+n) even."""
+    """Node states at one time level; nodes at j = j0 + 2*i, (j0+n) even;
+    a projected state keeps the envelope bounds [lo, up] it was clamped to."""
 
     n: int
     j0: int
@@ -103,6 +103,8 @@ class StaggeredState:
     m: np.ndarray
     z: np.ndarray
     w: np.ndarray
+    lo: np.ndarray = None
+    up: np.ndarray = None
 
     def __post_init__(self):
         if (self.j0 + self.n) % 2 != 0:
@@ -245,26 +247,25 @@ class CellSolution:
                               self.constants.gamma, self.constants.theta)
         return GasState(rho, m)
 
-    def _packed(self):
-        """This cell as a one-cell step record: (jcells, ncount, kinds,
-        pars, spds).  Step arrays hold a ray speed per piece, 0.0 on a
-        cell's last piece, hence the appended speed."""
-        return (np.array([self.j], dtype=np.int64),
-                np.array([self.kinds.size], dtype=np.int64), self.kinds,
-                self.pars, np.append(self.speeds, 0.0))
+    def _pieces(self):
+        """This cell's piece table; a table holds a ray speed per piece, 0.0
+        on a cell's last piece, hence the appended speed."""
+        return _traces._Pieces(
+            np.array([self.j], dtype=np.int64),
+            np.array([self.kinds.size], dtype=np.int64), self.kinds,
+            self.pars, np.append(self.speeds, 0.0), self.params.dx,
+            self.bundle.tables, self.constants.theta)
 
     def max_rh_residual(self):
         """Worst half-time RH residual over the solved fronts."""
-        pcs = _traces._Pieces(*self._packed(), self.params.dx,
-                              self.bundle.tables, self.constants.theta)
-        return _traces.max_rh_residual(pcs, self.is_front, self.params.dt,
-                                       self.constants)
+        return _traces.max_rh_residual(self._pieces(), self.is_front,
+                                       self.params.dt, self.constants)
 
     def average(self) -> GasState:
         """End-of-step cell average (pre-projection), as the step computes
         it."""
-        e_r, e_m = _traces.cell_averages(
-            *self._packed(), self.params, self.constants, self.bundle.tables)
+        e_r, e_m = _traces.cell_averages(self._pieces(), self.params,
+                                         self.constants)
         return GasState(max(e_r[0], 0.0), e_m[0])
 
 
@@ -284,7 +285,7 @@ class StepRecord:
     ``neighbors`` is the row (rho, m) of step n's nodes with the frozen
     ambient states at both ends, as ``gather_neighbors`` returned it; the
     cells are the nodes of step n+1, in order, and cell i lies between
-    row entries i and i + 1."""
+    row entries i and i + 1.  ``pieces`` is the step's piece table."""
 
     n: int
     jcells: np.ndarray
@@ -295,6 +296,7 @@ class StepRecord:
     pars: np.ndarray
     spds: np.ndarray
     fflag: np.ndarray
+    pieces: _traces._Pieces
     ccase: np.ndarray
     csub: np.ndarray
     cclamp: np.ndarray
@@ -319,13 +321,6 @@ class StepRecord:
                 is_front=self.fflag[o:o + nn - 1].copy(),
                 case=int(self.ccase[ci]), subcase=int(self.csub[ci])))
         return out
-
-    @cached_property
-    def pieces(self):
-        """The step's piece table, shared by every reader of the step."""
-        return _traces._Pieces(self.jcells, self.ncount, self.kinds,
-                               self.pars, self.spds, self.params.dx,
-                               self.bundle.tables, self.constants.theta)
 
     def max_rh_residual(self):
         return _traces.max_rh_residual(self.pieces, self.fflag,
@@ -375,9 +370,11 @@ def initialize(u0, params: SchemeParameters, geom: NozzleGeometry,
             f"{viol[i]:.3e} at x={xs[i]:.6g}; increase M or rescale the data")
 
     js, er, em, mesh = initial_averages(u0, params, geom, cutoff)
-    r, mm, zz, ww, _stats = _traces.project(
-        np.maximum(er, 0.0), em, *envelope(params.M, b, js * dx), params, c)
-    return StaggeredState(n=0, j0=int(js[0]), rho=r, m=mm, z=zz, w=ww), mesh
+    lo, up = envelope(params.M, b, js * dx)
+    r, mm, zz, ww, _stats = _traces.project(np.maximum(er, 0.0), em, lo, up,
+                                            params, c)
+    return StaggeredState(n=0, j0=int(js[0]), rho=r, m=mm, z=zz, w=ww,
+                          lo=lo, up=up), mesh
 
 
 def initial_averages(u0, params: SchemeParameters, geom: NozzleGeometry,
@@ -475,7 +472,8 @@ def _build_cells(jcells, neighbors, n, params: SchemeParameters,
 def advance(state: StaggeredState, params: SchemeParameters,
             geom: NozzleGeometry, b: BoundFunction, c: GasConstants,
             mesh: Mesh):
-    """One staggered step: build all cells, average, project.
+    """One staggered step: build all cells and their piece table, average,
+    project.
 
     Returns (new_state, StepRecord).  Deterministic: cells are independent
     and assembled in index order.
@@ -487,14 +485,16 @@ def advance(state: StaggeredState, params: SchemeParameters,
     neighbors = gather_neighbors(state, jcells, mesh)
     (offs, kinds, pars, spds, fflag, ncount, ccase, csub,
      cclamp) = _build_cells(jcells, neighbors, n, params, bundle, c)
-    out_rho, out_m, out_z, out_w, stats = _traces.average_project(
-        jcells, ncount, kinds, pars, spds, params, c, bundle.tables)
-    new_state = StaggeredState(n=n + 1, j0=int(jcells[0]), rho=out_rho,
-                               m=out_m, z=out_z, w=out_w)
+    pieces = _traces._Pieces(jcells, ncount, kinds, pars, spds, params.dx,
+                             bundle.tables, c.theta)
+    rho, m, z, w, lo, up, stats = _traces.average_project(jcells, pieces,
+                                                          params, c)
+    new_state = StaggeredState(n=n + 1, j0=int(jcells[0]), rho=rho, m=m,
+                               z=z, w=w, lo=lo, up=up)
     record = StepRecord(
         n=n, jcells=jcells, neighbors=neighbors, offs=offs, ncount=ncount,
-        kinds=kinds, pars=pars, spds=spds, fflag=fflag, ccase=ccase,
-        csub=csub, cclamp=cclamp,
+        kinds=kinds, pars=pars, spds=spds, fflag=fflag, pieces=pieces,
+        ccase=ccase, csub=csub, cclamp=cclamp,
         clamp_count=int(stats[0]), vacuum_count=int(stats[1]),
         inversion_count=int(stats[3]), max_pre_violation=float(stats[2]),
         params=params, constants=c, bundle=bundle)

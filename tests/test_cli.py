@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 
 import nozzleflow
 import nozzleflow._kernels as _k
+import nozzleflow._traces as _traces
 from nozzleflow.cli import main, parse_config
 from nozzleflow.errors import CellBuildError, ConfigError
 from nozzleflow.scheme import run
@@ -80,7 +81,12 @@ class TestParseConfig:
             # 8,080,000 steps of dt = 1.2e-9
             ("gamma = 1.0000001", "'t_final', 'dx' and 'gamma': the run "
                                   "needs 8080000 steps, more than 1000000"),
-            ("t_final = 1e5", "the run needs \\d+ steps"))])
+            ("t_final = 1e5", "the run needs \\d+ steps"),
+            ("b_function = const:0.1:2.0:-2.0", "'b_function': expected"),
+            ("b_function = const:nan:-2:2", "'b_function': expected"),
+            ("b_function = const:inf:-2:2", "'b_function': expected"),
+            ("b_function = const:-1:-2:2", "'b_function': expected"),
+            ("b_function = const:1:-2:x", "'b_function': expected"))])
     def test_bad_value_rejected(self, tmp_path, line, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(write_cfg(tmp_path, MINIMAL + line + "\n"))
@@ -128,6 +134,25 @@ out_dir = {tmp_path}/out
         audit = json.loads((out / "audit_modified.json").read_text())
         assert audit["max_envelope_violation"] == 0.0
         assert audit["max_rh_residual"] < 1e-9
+
+    def test_one_envelope_per_step(self, tmp_path, monkeypatch):
+        # each state keeps the bounds of its projection, which the monitor
+        # and the snapshots read: one envelope per step, plus the set-up's
+        # two (the initial-data check and the step-0 projection)
+        path = write_cfg(tmp_path, NOZZLE + f"out_dir = {tmp_path}/out\n")
+        steps = parse_config(path).params.n_steps
+        calls = []
+        envelope = _traces.envelope
+
+        def counted(*a):
+            calls.append(a)
+            return envelope(*a)
+
+        monkeypatch.setattr(_traces, "envelope", counted)
+        assert main(["run", "--config", path, "--stride", "1"]) == 0
+        assert steps > 1
+        assert len(calls) == steps + 2
+        assert len(os.listdir(tmp_path / "out")) == steps + 3
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_cfg(tmp_path, NOZZLE + f"out_dir = {tmp_path}/out1\n")

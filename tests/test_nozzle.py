@@ -168,6 +168,12 @@ class TestBoundFunction:
         with pytest.raises(ValueError):
             BoundFunction.piecewise_constant([0, 1], [-0.1])
 
+    @pytest.mark.parametrize("breaks", [[2.0, -2.0], [1.0, 1.0],
+                                        [0.0, math.nan]])
+    def test_breaks_that_do_not_increase_rejected(self, breaks):
+        with pytest.raises(ValueError, match="must increase"):
+            BoundFunction.piecewise_constant(breaks, [0.1])
+
     def test_auto_dilation_matches_loop(self):
         # the sliding-window maximum equals the per-sample loop bit for bit
         rng = np.random.default_rng(16)
@@ -491,10 +497,11 @@ class TestOneEnvelope:
         C = jcells.size
         pars = np.zeros((C, 6))
         pars[:, 0] = 1.0
-        rho, m, z, w, stats = _traces.average_project(
-            jcells, np.ones(C, dtype=np.int64),
-            np.full(C, _k.K_CONST), pars, np.zeros(C), params, C14,
-            get_bundle(geom, b).tables)
+        pcs = _traces._Pieces(jcells, np.ones(C, dtype=np.int64),
+                              np.full(C, _k.K_CONST), pars, np.zeros(C), dx,
+                              get_bundle(geom, b).tables, C14.theta)
+        rho, m, z, w, _lo, _up, stats = _traces.average_project(
+            jcells, pcs, params, C14)
         assert stats[0] == C and stats[3] == 0 and np.all(rho > 0.0)
         lo, up = envelope(M, b, jcells * dx)
         assert np.array_equal(z, lo)

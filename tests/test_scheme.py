@@ -178,11 +178,13 @@ class TestProjectNode:
         pars = np.zeros((C, 6))
         pars[:, 0] = [u.rho for u in states]
         pars[:, 1] = [u.m for u in states]
-        packed = (jcells, np.ones(C, dtype=np.int64),
-                  np.full(C, _k.K_CONST), pars, np.zeros(C), params, C14,
-                  get_bundle(geom, b).tables)
-        e_r, e_m = _traces.cell_averages(*packed)
-        rho, m, _z, _w, stats = _traces.average_project(*packed)
+        pcs = _traces._Pieces(jcells, np.ones(C, dtype=np.int64),
+                              np.full(C, _k.K_CONST), pars, np.zeros(C),
+                              params.dx, get_bundle(geom, b).tables,
+                              C14.theta)
+        e_r, e_m = _traces.cell_averages(pcs, params, C14)
+        rho, m, _z, _w, _lo, _up, stats = _traces.average_project(
+            jcells, pcs, params, C14)
         assert list(stats[[0, 1, 3]]) == [2, 1, 1]
         assert rho[0] == e_r[0] and rho[2] == 0.0 and rho[3] == 0.0
         for i, j in enumerate(jcells.tolist()):
@@ -615,6 +617,33 @@ class TestPassBCapacity:
         assert {1, 2, 3, 4, 11, 21, 31, 41, 50} <= set(ccase.tolist())
         assert np.array_equal(np.diff(offs), ncount)
         assert len(pars) == ncount.sum()
+
+
+class TestPassBPowers:
+    def test_one_pow_per_dx_power(self, monkeypatch):
+        # pass B takes dx^beta and dx^alpha once and hands them to every
+        # construction, the near-vacuum ones included
+        dx = 0.025
+        geom = NozzleGeometry.bump(0.1, X=1.0)
+        b = BoundFunction.auto_for(geom, admissibility_constants(C14), dx=dx)
+        lrho, lm, rrho, rm = _neighbor_pairs(np.random.default_rng(5), 200)
+        row = (np.stack([lrho, rrho], axis=1).ravel(),
+               np.stack([lm, rm], axis=1).ravel())
+        jcells = (2 * (np.arange(399) % 40) - 39).astype(np.int64)
+        params = SchemeParameters.create(dx=dx, M=50.0, b=b, T=0.0, c=C14)
+        calls = []
+        pow_g = _k.pow_g
+
+        def counted(x, e):
+            if x == dx:
+                calls.append(e)
+            return pow_g(x, e)
+
+        monkeypatch.setattr(_k, "pow_g", counted)
+        ccase = _build_cells(jcells, row, 0, params, get_bundle(geom, b),
+                             C14)[6]
+        assert {11, 21, 31} <= set(ccase.tolist())
+        assert calls == [params.beta, params.alpha]
 
 
 class TestNodeRow:
@@ -1461,13 +1490,12 @@ def _aq_integrals_of_every_piece(record):
     return out
 
 
-def _step_readers(rec, record, new, tables, aq_integrals):
+def _step_readers(rec, record, new, aq_integrals):
     """Every whole-array reader of a step record, on the piece table of
-    ``record`` (the record itself or a stand-in) and the tables given."""
+    ``record`` (the record itself or a stand-in) and its tables."""
     dt, c = rec.params.dt, rec.constants
     return [
-        *_traces.cell_averages(rec.jcells, rec.ncount, rec.kinds, rec.pars,
-                               rec.spds, rec.params, c, tables),
+        *_traces.cell_averages(record.pieces, rec.params, c),
         [_traces.energy_trace(record, tau) for tau in (0.0, 0.5 * dt, dt)],
         [_traces.jump_integral(record, new.z, new.w)],
         aq_integrals(record),
@@ -1487,8 +1515,7 @@ class TestStraightPieces:
         once = 0
         for rec, new in _stepped_records(setup, tmp_path):
             once += np.count_nonzero(rec.pieces.once)
-            got = _step_readers(rec, rec, new, rec.bundle.tables,
-                                _traces.cell_aq_integrals)
+            got = _step_readers(rec, rec, new, _traces.cell_aq_integrals)
             tables = dict(rec.bundle.tables,
                           flats=(np.array([]), np.array([])))
             pieces = _traces._Pieces(rec.jcells, rec.ncount, rec.kinds,
@@ -1500,7 +1527,7 @@ class TestStraightPieces:
                 jcells=rec.jcells, bundle=rec.bundle)
             with monkeypatch.context() as mp:
                 mp.setattr(_traces, "_rows_at", _tiled_rows_at)
-                want = _step_readers(rec, parent, new, tables,
+                want = _step_readers(rec, parent, new,
                                      _aq_integrals_of_every_piece)
             assert [_bits(*g) for g in got] == [_bits(*w) for w in want]
         assert once > 0

@@ -10,10 +10,12 @@ uncommitted edits included.  Pair i runs both sides on seed ``seed0 + i``,
 the parent first in odd pairs and the change first in even pairs, one run
 at a time.  Every run's metrics go to ``--out`` under the workload, with a
 summary per end-to-end metric: each side's median and quartiles, the pairs
-the change won, whether the gap between the medians exceeds the parent's
-quartile spread, and the metric's bound from ``BENCHMARK.json``.  With
-``--trace 1`` the runs are traced and their per-layer metrics go under
-``traced`` instead.  An existing ``--out`` file keeps its other workloads.
+each side won (a tie counts for neither), the gain, which is the gap
+between the medians signed to be positive where the change is better,
+whether that gain exceeds the parent's quartile spread, and the metric's
+bound from ``BENCHMARK.json``.  With ``--trace 1`` the runs are traced and
+their per-layer metrics go under ``traced`` instead.  An existing
+``--out`` file keeps its other workloads.
 """
 
 import argparse
@@ -78,7 +80,9 @@ def quartiles(values):
 
 
 def summarize(runs, bounds):
-    """Per end-to-end metric: medians, quartiles, wins and the bound."""
+    """Per end-to-end metric: medians, quartiles, wins and the bound.  The
+    gaps and wins are signed by the metric's ``better`` direction, so a
+    regression never reads as a gain."""
     out = {}
     by_pair = {}
     for r in runs:
@@ -93,6 +97,7 @@ def summarize(runs, bounds):
         pm, cm = float(np.median(par)), float(np.median(chg))
         pq = quartiles(par)
         ratios = [c / p for c, p in zip(chg, par)]
+        gain = sign * (cm - pm)
         worse = sign * (pm - cm) / pm
         out[name] = {
             "better": better,
@@ -104,9 +109,12 @@ def summarize(runs, bounds):
             "relative_change": (cm - pm) / pm,
             "pairs_change_better": sum(sign * (c - p) > 0.0
                                        for c, p in zip(chg, par)),
+            "pairs_parent_better": sum(sign * (c - p) < 0.0
+                                       for c, p in zip(chg, par)),
             "pairs": len(pairs),
-            "median_gap_exceeds_parent_quartile_spread":
-                abs(cm - pm) > pq[1] - pq[0],
+            "median_gain": gain,
+            "median_gain_exceeds_parent_quartile_spread":
+                gain > pq[1] - pq[0],
             "parent_spread_relative_to_median": (pq[1] - pq[0]) / pm,
             "change_worse_by_relative": worse,
             "within_bound": worse <= bound,
