@@ -168,17 +168,17 @@ def _profiles_at(q, Bd, x, tau, tables, theta):
     return np.where(clamped, 0.0, rho), np.where(clamped, 0.0, m)
 
 
-def eta_q(rho, m, gamma):
-    """Mechanical energy and energy flux, zero at vacuum."""
+def energy(rho, m, gamma):
+    """The mechanical energy eta*, zero at vacuum."""
     ok = rho >= _k.RHO_FLOOR
     r = np.where(ok, rho, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = 0.5 * m * m / r + _pow(r, gamma) / (gamma * (gamma - 1.0))
-    return np.where(ok, eta, 0.0), energy_flux(rho, m, gamma)
+    return np.where(ok, eta, 0.0)
 
 
 def energy_flux(rho, m, gamma):
-    """The energy flux q* alone, zero at vacuum."""
+    """The energy flux q*, zero at vacuum."""
     ok = rho >= _k.RHO_FLOOR
     r = np.where(ok, rho, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -464,7 +464,7 @@ def energy_trace(record, tau):
     """Integral of A(x) eta*(u) over all cells at time offset tau."""
     pcs = record.pieces
     sel, rho, m, x, half = pcs.gauss(tau, _G5X)
-    eta, _q = eta_q(rho, m, record.constants.gamma)
+    eta = energy(rho, m, record.constants.gamma)
     area = record.bundle.geom.A0 * exp(-ppoly_values(pcs.tables["IA"], x))
     return sequential_sum((_G5W[:, None] * area * eta * half).T)
 

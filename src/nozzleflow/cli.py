@@ -26,12 +26,15 @@ from .initialdata import (GaussianBumpData, RiemannStepData,
 from .nozzle import (BoundFunction, NozzleGeometry, admissibility_constants,
                      envelope, load_geometry_table, validate_condition)
 from .riemann import sample, solve_riemann, wave_breakpoints
-from .scheme import SchemeParameters, run, select_M
+from .scheme import SchemeParameters, run, select_M, window_extent
 
 RH_HARD_THRESHOLD = 1e-9
 # Most steps a run may take.  Nothing else bounds t_final / dt, which grows
 # like 1/theta: gamma = 1.0000001 asks for 10^8 steps in a unit duct.
 MAX_STEPS = 10 ** 6
+# Widest step-0 window: j = -W0 .. W0, about W0 nodes averaged one by one,
+# with W0 = ceil(max(X, extent of the initial data) / dx).
+MAX_NODES = 10 ** 6
 
 
 def _fmt(x):
@@ -82,12 +85,10 @@ _SWITCH = {"on": True, "1": True, "true": True, "yes": True,
 class RunConfig:
     """Fully resolved run configuration."""
 
-    raw: dict
     constants: GasConstants
     geometry: NozzleGeometry
     bound: BoundFunction
     initial: object
-    M: float
     params: SchemeParameters
     mode: str
     out_dir: str
@@ -207,21 +208,26 @@ def parse_config(path, overrides=None) -> RunConfig:
     else:
         raise ConfigError(f"key 'b_function': unknown spec {bkind!r}")
 
+    half = window_extent(u0, geom) / dx
+    if not half <= MAX_NODES:
+        raise ConfigError(
+            f"keys 'dx', 'geometry_x' and the data's 'x_step', 'center', "
+            f"'width' or 'initial_table': the step-0 window needs a "
+            f"half-width of {half:.6g} dx, more than {MAX_NODES}")
     if d["m_bound"].lower() == "auto":
         M = select_M(u0, b, c)
     else:
         M = _getf(d, "m_bound")
     delta = None if d["delta"].lower() == "auto" else _getf(d, "delta")
-    try:
-        params = SchemeParameters.create(
-            dx=dx, M=M, b=b, T=_getf(d, "t_final"), c=c,
-            alpha=_getf(d, "alpha"), beta=_getf(d, "beta"), delta=delta)
-    except ConfigError:
-        raise
-    if params.n_steps > MAX_STEPS:
+    params = SchemeParameters.create(
+        dx=dx, M=M, b=b, T=_getf(d, "t_final"), c=c,
+        alpha=_getf(d, "alpha"), beta=_getf(d, "beta"), delta=delta)
+    steps = params.T / params.dt - 1e-12    # a float: inf for a huge T
+    if steps > MAX_STEPS:
         raise ConfigError(
             f"keys 't_final', 'dx' and 'gamma': the run needs "
-            f"{params.n_steps} steps, more than {MAX_STEPS}")
+            f"{params.n_steps if steps < math.inf else steps} steps, more "
+            f"than {MAX_STEPS}")
     mode = d["mode"].lower()
     if mode not in ("modified", "baseline-lf"):
         raise ConfigError(f"key 'mode': must be modified|baseline-lf")
@@ -230,8 +236,8 @@ def parse_config(path, overrides=None) -> RunConfig:
         raise ConfigError(
             f"key 'cutoff': expected on|off|1|0|true|false|yes|no, "
             f"got {d['cutoff']!r}")
-    return RunConfig(raw=d, constants=c, geometry=geom, bound=b, initial=u0,
-                     M=M, params=params, mode=mode, out_dir=d["out_dir"],
+    return RunConfig(constants=c, geometry=geom, bound=b, initial=u0,
+                     params=params, mode=mode, out_dir=d["out_dir"],
                      stride=max(1, int(_getf(d, "stride"))),
                      cutoff=cutoff, audit_slack=_getf(d, "audit_slack"))
 
@@ -294,7 +300,7 @@ def _maybe_write_comparison(out_dir):
     pm = os.path.join(out_dir, "energy_modified.csv")
     pb = os.path.join(out_dir, "energy_baseline-lf.csv")
     if not (os.path.exists(pm) and os.path.exists(pb)):
-        return None
+        return
     rows_m = np.genfromtxt(pm, delimiter=",", names=True, ndmin=1)
     rows_b = np.genfromtxt(pb, delimiter=",", names=True, ndmin=1)
     n = min(rows_m.shape[0], rows_b.shape[0])
@@ -305,10 +311,9 @@ def _maybe_write_comparison(out_dir):
                "%d" + ",%.17g" * 4,
                zip(*(col.tolist() for col in (rows_m["n"][:n], rows_m["t"][:n],
                                               e_m, e_b, e_m - e_b))))
-    return path
 
 
-def cmd_run(cfg: RunConfig, quiet=False):
+def cmd_run(cfg: RunConfig):
     """Run the configured scheme; emit snapshots, energy series, audit."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     ad = admissibility_constants(cfg.constants)
@@ -353,7 +358,7 @@ def cmd_run(cfg: RunConfig, quiet=False):
             "steps": cfg.params.n_steps,
             "dx": cfg.params.dx,
             "dt": cfg.params.dt,
-            "M": cfg.M,
+            "M": cfg.params.M,
             "min_energy_slack": monitor.min_slack,
             "max_envelope_violation": worst_env,
             "max_rh_residual": worst_rh,
@@ -377,10 +382,9 @@ def cmd_run(cfg: RunConfig, quiet=False):
               encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     _maybe_write_comparison(cfg.out_dir)
-    if not quiet:
-        print(message)
-        if hard_fail:
-            print("AUDIT HARD FAILURE", file=sys.stderr)
+    print(message)
+    if hard_fail:
+        print("AUDIT HARD FAILURE", file=sys.stderr)
     return 2 if hard_fail else 0
 
 
@@ -430,7 +434,7 @@ def cmd_validate(cfg: RunConfig):
     rep = validate_condition(cfg.geometry, cfg.bound, ad)
     for line in rep.lines():
         print(line)
-    print(f"M (data bound)     = {_fmt(cfg.M)}")
+    print(f"M (data bound)     = {_fmt(cfg.params.M)}")
     print(f"dx                 = {_fmt(cfg.params.dx)}")
     print(f"dt                 = {_fmt(cfg.params.dt)}")
     return 0 if rep.passed else 1

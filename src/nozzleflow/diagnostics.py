@@ -61,8 +61,6 @@ class RecurrenceAudit:
     rhs: np.ndarray
     worst_raw: float           # max(0, LHS - RHS)
     worst_slacked: float       # max(0, LHS - RHS - c dx^{3/2})
-    worst_j: int
-    slack_coeff: float
 
 
 def correction_R(x, u: GasState, params: SchemeParameters,
@@ -113,7 +111,7 @@ def total_energy_nodes(state: StaggeredState, geom: NozzleGeometry,
     ``areas`` defaults to :func:`node_areas`."""
     if areas is None:
         areas = node_areas(state, params, get_bundle(geom, b))
-    eta, _q = _traces.eta_q(state.rho, state.m, c.gamma)
+    eta = _traces.energy(state.rho, state.m, c.gamma)
     return _traces.sequential_sum((eta * areas)[state.rho > 0.0])
 
 
@@ -149,8 +147,9 @@ def audit_recurrence(record: StepRecord, state_np1: StaggeredState,
     dx, dt = params.dx, params.dt
     jc = record.jcells
     rho, m = record.neighbors
-    lhs, _q = _traces.eta_q(state_np1.rho, state_np1.m, c.gamma)
-    eta, q = _traces.eta_q(rho, m, c.gamma)
+    lhs = _traces.energy(state_np1.rho, state_np1.m, c.gamma)
+    eta = _traces.energy(rho, m, c.gamma)
+    q = _traces.energy_flux(rho, m, c.gamma)
     x = (jc[0] - 1 + 2 * np.arange(rho.size)) * dx
     R = _traces.correction_R(x, rho, m, params, c, record.bundle.tables)
     rhs = (0.5 * (eta[:-1] + eta[1:])
@@ -159,18 +158,15 @@ def audit_recurrence(record: StepRecord, state_np1: StaggeredState,
            - _traces.cell_aq_integrals(record) / (2.0 * dx))
     raw = np.maximum(lhs - rhs, 0.0)
     slacked = np.maximum(lhs - rhs - slack_coeff * dx ** 1.5, 0.0)
-    worst_i = int(np.argmax(raw))
     return RecurrenceAudit(
         n=record.n, js=jc.copy(), lhs=lhs, rhs=rhs,
-        worst_raw=float(raw[worst_i]), worst_slacked=float(np.max(slacked)),
-        worst_j=int(jc[worst_i]), slack_coeff=slack_coeff)
+        worst_raw=float(np.max(raw)), worst_slacked=float(np.max(slacked)))
 
 
 class EnergyMonitor:
     """Observer producing an EnergyReport after every step."""
 
-    def __init__(self, ceiling_factor=10.0):
-        self.ceiling_factor = ceiling_factor
+    def __init__(self):
         self.reports = []
         self._jump_sum = 0.0
         self._j5 = None
@@ -203,7 +199,7 @@ class EnergyMonitor:
         if n == 5:
             self._j5 = self._jump_sum
         if self._j5 is not None and n > 5 and self._j5 > 0.0:
-            ceiling = self.ceiling_factor * (self._j5 / 5.0) * n
+            ceiling = 10.0 * (self._j5 / 5.0) * n
         else:
             ceiling = math.inf
         self.reports.append(EnergyReport(

@@ -8,10 +8,9 @@ class ConfigError(ValueError):
 class FrontSolveError(RuntimeError):
     """An implicit wave-front solve failed to converge or lost ordering."""
 
-    def __init__(self, msg, sigma=None, residual=None):
+    def __init__(self, msg, sigma):
         super().__init__(msg)
         self.sigma = sigma
-        self.residual = residual
 
 
 class CellBuildError(RuntimeError):

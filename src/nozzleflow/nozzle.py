@@ -393,15 +393,16 @@ class BoundFunction:
         return cls._finish(PiecewisePoly.zero(domain), "zero")
 
     @classmethod
-    def piecewise_constant(cls, breaks, values, pad=1.0):
-        """Exact piecewise-constant b; values[i] holds on [breaks[i], breaks[i+1])."""
+    def piecewise_constant(cls, breaks, values):
+        """Exact piecewise-constant b; values[i] holds on [breaks[i],
+        breaks[i+1]), and b = 0 on a pad of width 1 beyond each end."""
         breaks = np.asarray(breaks, dtype=float)
         values = np.asarray(values, dtype=float)
         if np.any(values < 0.0):
             raise ValueError("b must be nonnegative")
         if not np.all(np.diff(breaks) > 0.0):
             raise ValueError("the breaks of b must increase")
-        xs = np.concatenate([[breaks[0] - pad], breaks, [breaks[-1] + pad]])
+        xs = np.concatenate([[breaks[0] - 1.0], breaks, [breaks[-1] + 1.0]])
         c = np.zeros((1, values.size + 2))
         c[0, 1:-1] = values
         return cls._finish(PiecewisePoly(c, xs), "piecewise-constant")
@@ -489,20 +490,20 @@ class ValidationReport:
 
 
 def validate_condition(geom: NozzleGeometry, b: BoundFunction,
-                       consts: AdmissibilityConstants, ngrid=4001,
-                       tol=1e-12) -> ValidationReport:
-    """Check |a| <= mu b pointwise and both half-line integrals of b."""
+                       consts: AdmissibilityConstants) -> ValidationReport:
+    """Check |a| <= mu b pointwise, on 4001 samples, and both half-line
+    integrals of b, each to 1e-12."""
     lo = min(geom.a_pp.x[0], b.b_pp.x[0])
     hi = max(geom.a_pp.x[-1], b.b_pp.x[-1])
-    xs = np.linspace(lo, hi, ngrid)
+    xs = np.linspace(lo, hi, 4001)
     excess = float(np.max(np.abs(geom.a(xs)) - consts.mu * b.b(xs)))
     budget = consts.integral_budget
     return ValidationReport(
         mu=consts.mu, sigma=consts.sigma, budget=budget,
         I_plus=b.I_plus, I_minus=b.I_minus,
         max_pointwise_excess=excess,
-        pointwise_ok=excess <= tol,
-        integral_ok=max(b.I_plus, b.I_minus) <= budget + tol,
+        pointwise_ok=excess <= 1e-12,
+        integral_ok=max(b.I_plus, b.I_minus) <= budget + 1e-12,
     )
 
 
@@ -613,9 +614,9 @@ class SteadyProfile:
         z, w = self.invariants_at(x)
         return from_invariants(InvariantPair(z, w), c)
 
-    def piece_params(self, corr=1.0):
+    def piece_params(self):
         return np.array([self.x_d, self.z_d, self.w_d, self.sz, self.sw,
-                         corr], dtype=float)
+                         1.0], dtype=float)
 
 
 def steady_profile(x_d, u_d: GasState, b: BoundFunction,
@@ -644,7 +645,7 @@ def time_correct(profile: SteadyProfile, x, t_offset, geom: NozzleGeometry,
     A corrected pair with w < z is clamped to vacuum and counted.
     """
     bundle = get_bundle(geom, b)
-    rho, m, clamped = _k.eval_piece(_k.K_PROFILE, profile.piece_params(1.0),
+    rho, m, clamped = _k.eval_piece(_k.K_PROFILE, profile.piece_params(),
                                     float(x), float(t_offset), bundle.geo,
                                     c.gamma, c.theta)
     if clamped:

@@ -121,7 +121,6 @@ class FanDescriptor:
 
     p: int
     z_stars: np.ndarray
-    w_L: float
     speeds: np.ndarray
 
 
@@ -147,23 +146,22 @@ def build_fan(u_L: GasState, z_M, params: SchemeParameters,
         z_stars += [_k.fan_target(z_L, z_M, h, i, k) for i in range(1, k + 1)]
     speeds = [_k.fan_jump_speed(z_stars[i], z_stars[i + 1], w_L, c.gamma,
                                 c.theta) for i in range(len(z_stars) - 1)]
-    return FanDescriptor(p=len(z_stars), z_stars=np.array(z_stars), w_L=w_L,
+    return FanDescriptor(p=len(z_stars), z_stars=np.array(z_stars),
                          speeds=np.array(speeds))
 
 
 def solve_front(left_profile: SteadyProfile, z_target, sigma_prev, j,
                 params: SchemeParameters, geom: NozzleGeometry,
-                b: BoundFunction, c: GasConstants, sigma0=None):
-    """Implicit front solve: find (sigma, u) with z(u) = z_target and the
-    Rankine-Hugoniot conditions holding at the half time against the
-    time-corrected left profile evaluated at x = j dx + sigma dt/2."""
+                b: BoundFunction, c: GasConstants):
+    """Implicit front solve from the Lax shock speed: find (sigma, u) with
+    z(u) = z_target and the Rankine-Hugoniot conditions holding at the half
+    time against the time-corrected left profile at x = j dx + sigma dt/2."""
     bundle = get_bundle(geom, b)
     xc = j * params.dx
-    if sigma0 is None:
-        ul = left_profile(xc, c)
-        rt, _ = _k.state_k(z_target, left_profile.w_d, c.theta)
-        sigma0 = ul.v - _k.lax_S_k(rt, ul.rho, c.gamma)
-    q = left_profile.piece_params(1.0)
+    ul = left_profile(xc, c)
+    rt, _ = _k.state_k(z_target, left_profile.w_d, c.theta)
+    sigma0 = ul.v - _k.lax_S_k(rt, ul.rho, c.gamma)
+    q = left_profile.piece_params()
     sigma, r_u, m_u, st = _k.solve_front_k(
         _k.K_PROFILE, q, float(z_target), float(sigma_prev), float(sigma0),
         xc, params.dt, bundle.geo, c.gamma, c.theta, params.dx / params.dt)
@@ -347,16 +345,21 @@ class Mesh:
     ambient_right: GasState
 
 
+def window_extent(u0, geom: NozzleGeometry):
+    """Half-width in x of the step-0 window: the initial data's extent,
+    at least X.  The window reaches j = +-ceil(window_extent / dx)."""
+    return max(geom.X, u0.extent)
+
+
 def initialize(u0, params: SchemeParameters, geom: NozzleGeometry,
-               b: BoundFunction, c: GasConstants, cutoff=True,
-               safety=1e-9):
+               b: BoundFunction, c: GasConstants, cutoff=True):
     """Cell averages of the (cut-off) initial data, projected onto nodes.
 
     Returns (state, mesh).  Raises ConfigError when the data violate the
-    invariant-envelope bounds beyond the safety tolerance.
+    invariant-envelope bounds by more than 1e-9 M.
     """
     dx = params.dx
-    extent = max(geom.X, getattr(u0, "extent", geom.X))
+    extent = window_extent(u0, geom)
     # envelope check on a sample grid
     xs = np.linspace(-extent - 2 * dx, extent + 2 * dx, 2001)
     rho, m = u0.eval(xs)
@@ -364,7 +367,7 @@ def initialize(u0, params: SchemeParameters, geom: NozzleGeometry,
     lo, up = envelope(params.M, b, xs)
     viol = np.maximum(lo - z, w - up)
     i = int(np.argmax(viol))
-    if viol[i] > safety * params.M:
+    if viol[i] > 1e-9 * params.M:
         raise ConfigError(
             f"initial data violate the invariant-envelope bounds by "
             f"{viol[i]:.3e} at x={xs[i]:.6g}; increase M or rescale the data")
@@ -383,14 +386,12 @@ def initial_averages(u0, params: SchemeParameters, geom: NozzleGeometry,
     (cut-off) initial data over [(j-1) dx, (j+1) dx], not projected, and
     the mesh with its frozen ambient states."""
     dx = params.dx
-    X = geom.X
-    extent = max(X, getattr(u0, "extent", X))
-    W0 = int(math.ceil(extent / dx))
+    W0 = int(math.ceil(window_extent(u0, geom) / dx))
     j_lo, j_hi = _window_bounds(0, W0)
     js = np.arange(j_lo, j_hi + 1, 2)
     er = np.zeros(js.size)
     em = np.zeros(js.size)
-    cut = X if cutoff else math.inf
+    cut = geom.X if cutoff else math.inf
     for i, j in enumerate(js):
         a_edge = (j - 1) * dx
         b_edge = (j + 1) * dx
@@ -405,12 +406,10 @@ def initial_averages(u0, params: SchemeParameters, geom: NozzleGeometry,
     return js, er, em, mesh
 
 
-def select_M(u0, b: BoundFunction, c: GasConstants, safety=1.01,
-             n_samples=4001):
-    """Smallest M satisfying the invariant-envelope bounds on a sample
-    grid, times a safety factor."""
-    extent = getattr(u0, "extent", 1.0)
-    xs = np.linspace(-extent - 1.0, extent + 1.0, n_samples)
+def select_M(u0, b: BoundFunction, c: GasConstants, safety=1.01):
+    """Smallest M satisfying the invariant-envelope bounds on a grid of
+    4001 samples, times a safety factor."""
+    xs = np.linspace(-u0.extent - 1.0, u0.extent + 1.0, 4001)
     rho, m = u0.eval(xs)
     B = b.B(xs)
     z, w = _traces.invariants(rho, m, c.theta)

@@ -13,6 +13,7 @@ import nozzleflow._kernels as _k
 import nozzleflow._traces as _traces
 from nozzleflow.cli import main, parse_config
 from nozzleflow.errors import CellBuildError, ConfigError
+from nozzleflow.nozzle import NozzleGeometry
 from nozzleflow.scheme import run
 
 
@@ -82,6 +83,16 @@ class TestParseConfig:
             ("gamma = 1.0000001", "'t_final', 'dx' and 'gamma': the run "
                                   "needs 8080000 steps, more than 1000000"),
             ("t_final = 1e5", "the run needs \\d+ steps"),
+            # t_final / dt is inf, which int() refuses
+            ("t_final = 1e308", "the run needs inf steps"),
+            # window half-widths of inf, 2,000,020, inf and inf dx
+            ("x_step = 1e308", "'x_step'.*step-0 window needs"),
+            ("x_step = 1e5", "step-0 window needs a half-width of "
+                             "2\\.00002e\\+06 dx, more than 1000000"),
+            ("initial = gaussian-density\nwidth = 1e308",
+             "'width'.*step-0 window needs"),
+            ("initial = gaussian-density\ncenter = 1e308",
+             "'center'.*step-0 window needs"),
             ("b_function = const:0.1:2.0:-2.0", "'b_function': expected"),
             ("b_function = const:nan:-2:2", "'b_function': expected"),
             ("b_function = const:inf:-2:2", "'b_function': expected"),
@@ -101,7 +112,7 @@ class TestParseConfig:
         cfg = parse_config(write_cfg(tmp_path, MINIMAL))
         imax = max(cfg.bound.I_plus, cfg.bound.I_minus)
         assert cfg.params.dx / cfg.params.dt == pytest.approx(
-            2 * cfg.M * np.exp(imax), rel=1e-13)
+            2 * cfg.params.M * np.exp(imax), rel=1e-13)
 
 
 class TestCmdRun:
@@ -269,35 +280,87 @@ rho_inf = 1.0
 rho_amp = 0.0
 """
 
-# configs accepted by parse_config on which the gap fill does not converge
-# yet: (config, the failing cell (j, n))
+# the exact subsonic steady flow of steady_bernoulli_table, in its bump
+STEADY_IN_BUMP = """
+geometry = bump
+geometry_eps = 0.2
+cutoff = off
+initial = table
+initial_table = {table}
+t_final = 0.2
+"""
+
+
+def steady_bernoulli_table(path):
+    """Write the exact subsonic steady flow through the eps-0.2 bump as
+    (x, rho, m) rows on 2401 points of [-3, 3]: A m = Q = A(+-inf) 1 0.3
+    and v^2/2 + rho^0.4/0.4 = H (gamma 1.4, rho_inf 1, v_inf 0.3), rho by
+    200 bisections on the subsonic branch [q^(2/(gamma+1)), 10] of
+    q = Q/A, the rows written with repr."""
+    g = 1.4
+    geom = NozzleGeometry.bump(0.2)
+    xs = np.linspace(-3.0, 3.0, 2401)
+    Q = float(geom.A(3.0)) * 1.0 * 0.3
+    H = 0.3 ** 2 / 2.0 + 1.0 / (g - 1.0)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x,rho,m\n")
+        for x, area in zip(xs.tolist(), geom.A(xs).tolist()):
+            q = Q / area
+            lo, hi = q ** (2.0 / (g + 1.0)), 10.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                h = q * q / (2.0 * mid * mid) + mid ** (g - 1.0) / (g - 1.0)
+                if h > H:
+                    hi = mid
+                else:
+                    lo = mid
+            fh.write(",".join(map(repr, (x, 0.5 * (lo + hi), q))) + "\n")
+
+
+# configs accepted by parse_config on which a cell build fails yet: (config,
+# the failing cell (j, n), the error code).  The steady flow at dx 0.02 runs
+# to the end (112 steps).
 GAP_FILL_FAILURES = {
-    "rest-in-bump-dx0.04": (REST_IN_BUMP + "dx = 0.04\n", (27, 0)),
-    "rest-in-bump-dx0.03": (REST_IN_BUMP + "dx = 0.03\n", (35, 0)),
-    "rest-in-bump-dx0.02": (REST_IN_BUMP + "dx = 0.02\n", (51, 0)),
+    "rest-in-bump-dx0.04": (REST_IN_BUMP + "dx = 0.04\n", (27, 0),
+                            _k.ERR_GAP_CONV),
+    "rest-in-bump-dx0.03": (REST_IN_BUMP + "dx = 0.03\n", (35, 0),
+                            _k.ERR_GAP_CONV),
+    "rest-in-bump-dx0.02": (REST_IN_BUMP + "dx = 0.02\n", (51, 0),
+                            _k.ERR_GAP_CONV),
     "gamma-1.0001": (MINIMAL.replace("dx = 0.05", "dx = 0.02").replace(
-        "gamma = 1.4", "gamma = 1.0001"), (1, 0)),
+        "gamma = 1.4", "gamma = 1.0001"), (1, 0), _k.ERR_GAP_CONV),
     "gamma-1.0002": (MINIMAL.replace("dx = 0.05", "dx = 0.02").replace(
-        "gamma = 1.4", "gamma = 1.0002"), (-10, 19)),
+        "gamma = 1.4", "gamma = 1.0002"), (-10, 19), _k.ERR_GAP_CONV),
+    "steady-in-bump-dx0.03": (STEADY_IN_BUMP + "dx = 0.03\n", (-12, 31),
+                              _k.ERR_GAP_CONV),
+    "steady-in-bump-dx0.025": (STEADY_IN_BUMP + "dx = 0.025\n", (-12, 11),
+                               _k.ERR_ORDERING),
 }
 
 
 class TestGapFillConverges:
     """Runs that should finish, and stop at a cell whose gap fill does not
-    converge: fronts with no jump at rest in a bump's mollified tail, and a
-    rounding floor near gamma = 1.  Each fails at its known cell."""
+    converge: fronts with no jump at rest in a bump's mollified tail, a
+    rounding floor near gamma = 1, and an exact subsonic steady flow, which
+    at dx 0.025 stops on unordered cell boundaries (ERR_ORDERING) instead.
+    Each fails at its known cell with its known code."""
 
     @pytest.mark.xfail(strict=True, raises=CellBuildError,
-                       reason="gap fill does not converge (ERR_GAP_CONV)")
+                       reason="gap fill does not converge (ERR_GAP_CONV, "
+                              "one steady flow ERR_ORDERING)")
     @pytest.mark.parametrize("name", sorted(GAP_FILL_FAILURES))
     def test_run_finishes(self, tmp_path, name):
-        text, cell = GAP_FILL_FAILURES[name]
-        cfg = parse_config(write_cfg(tmp_path, text))
+        text, cell, code = GAP_FILL_FAILURES[name]
+        table = tmp_path / "steady.csv"
+        if "{table}" in text:
+            steady_bernoulli_table(table)
+        cfg = parse_config(write_cfg(tmp_path,
+                                     text.replace("{table}", str(table))))
         try:
             final, _mesh = run(cfg.initial, cfg.params, cfg.geometry,
                                cfg.bound, cfg.constants, cutoff=cfg.cutoff)
         except CellBuildError as e:
-            assert ((e.j, e.n), e.code) == (cell, _k.ERR_GAP_CONV)
+            assert ((e.j, e.n), e.code) == (cell, code)
             raise
         assert np.all(np.isfinite(final.rho)) and np.all(final.rho >= 0.0)
 

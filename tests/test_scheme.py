@@ -280,7 +280,7 @@ class TestSolveFront:
         bundle = get_bundle(geom, b)
 
         def g_of(s):
-            rl, ml, _cl = _k.eval_piece(_k.K_PROFILE, prof.piece_params(1.0),
+            rl, ml, _cl = _k.eval_piece(_k.K_PROFILE, prof.piece_params(),
                                         s * params.dt / 2, params.dt / 2,
                                         bundle.geo, 1.4, 0.2)
             vl = ml / rl
@@ -295,7 +295,7 @@ class TestSolveFront:
         assert sigma == pytest.approx(s_scan, abs=2e-6)
         # converged front satisfies RH at the half time
         xf = sigma * params.dt / 2
-        rl, ml, _cl = _k.eval_piece(_k.K_PROFILE, prof.piece_params(1.0),
+        rl, ml, _cl = _k.eval_piece(_k.K_PROFILE, prof.piece_params(),
                                     xf, params.dt / 2, bundle.geo, 1.4, 0.2)
         f1l, f2l = _k.flux_k(rl, ml, 1.4)
         f1r, f2r = _k.flux_k(u.rho, u.m, 1.4)
