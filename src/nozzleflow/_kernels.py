@@ -38,6 +38,10 @@ Conventions used throughout:
   - ``K_RAREF1``   params ``(x_center, w0)``: centered 1-rarefaction wedge;
   - ``K_RAREF2``   params ``(x_center, z0)``: centered 2-rarefaction wedge.
 
+  A piece evaluates (:func:`eval_piece`, :func:`profile_at`) to the state
+  ``(rho, m)``; a corrected profile pair with w < z, or a density below
+  ``RHO_FLOOR``, is vacuum ``(0.0, 0.0)``.
+
 Straight cells.  The packed geometry ``geo`` (see :func:`geo_at`) ends with
 the duct's flat runs, the x-intervals where every piece of the a-table and
 the b-table is zero (``nozzle.flat_runs``).  An away-from-vacuum cell
@@ -146,13 +150,6 @@ def ppoly_eval(xs, c, x):
     for coef in c[i]:
         acc = acc * t + coef
     return acc
-
-
-# Gauss-Legendre nodes and weights on [-1, 1]
-_G5X = [-0.9061798459386640, -0.5384693101056831, 0.0,
-        0.5384693101056831, 0.9061798459386640]
-_G5W = [0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
-        0.4786286704993665, 0.2369268850561891]
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +310,9 @@ def _phi_right(rho, rho_r, v_r, z_r, gamma, theta):
     return v_r + h, dh
 
 
-def riemann_middle_k(rho_l, v_l, rho_r, v_r, gamma, theta, cl=None,
-                     cr=None):
+def riemann_middle_k(rho_l, v_l, rho_r, v_r, gamma, theta, cl, cr):
     """Middle state (rho_M, v_M) where the 1-curve through uL meets the
-    2-curve through uR; cl and cr are rho_l^theta and rho_r^theta when the
-    caller has them.
+    2-curve through uR; cl and cr are rho_l^theta and rho_r^theta.
 
     The gap f = phi_L - phi_R decreases strictly from f(0) = w_L - z_R.
     Newton's method on f with its exact slope (Toro, ch. 4) starts from the
@@ -334,10 +329,6 @@ def riemann_middle_k(rho_l, v_l, rho_r, v_r, gamma, theta, cl=None,
     typical inputs.  Every step is mirror-symmetric, so the mirrored states
     give the same rho_M and the negated v_M.
     """
-    if cl is None:
-        cl = pow_g(rho_l, theta)
-    if cr is None:
-        cr = pow_g(rho_r, theta)
     w_l = v_l + cl / theta
     z_r = v_r - cr / theta
     f0 = w_l - z_r
@@ -580,30 +571,24 @@ def anchor_B(kind, q, geo):
     return 0.0
 
 
-def eval_piece(kind, q, x, tau, geo, gamma, theta):
-    """Evaluate one piece at position x, time offset tau since the step start.
-
-    Returns (rho, m, clamped) where clamped=1 flags a corrected pair with
-    w < z that was snapped to vacuum.
-    """
-    return eval_piece_at(kind, q, anchor_B(kind, q, geo), x, tau, geo,
-                         gamma, theta)
+def eval_piece(kind, q, x, tau, geo, theta):
+    """(rho, m) of one piece at position x, time offset tau since the step
+    start; a profile whose corrected pair has w < z evaluates to vacuum."""
+    return eval_piece_at(kind, q, anchor_B(kind, q, geo), x, tau, geo, theta)
 
 
-def eval_piece_at(kind, q, Bd, x, tau, geo, gamma, theta):
+def eval_piece_at(kind, q, Bd, x, tau, geo, theta):
     """:func:`eval_piece` given ``Bd = anchor_B(kind, q, geo)``."""
     if kind == K_CONST:
-        return q[0], q[1], 0
+        return q[0], q[1]
     if kind == K_RAREF1:
         if tau <= 0.0:
-            return 0.0, 0.0, 0
-        rho, m = raref1_state_k((x - q[0]) / tau, q[1], theta)
-        return rho, m, 0
+            return 0.0, 0.0
+        return raref1_state_k((x - q[0]) / tau, q[1], theta)
     if kind == K_RAREF2:
         if tau <= 0.0:
-            return 0.0, 0.0, 0
-        rho, m = raref2_state_k((x - q[0]) / tau, q[1], theta)
-        return rho, m, 0
+            return 0.0, 0.0
+        return raref2_state_k((x - q[0]) / tau, q[1], theta)
     Bx, ax, bx = (geo_at(geo, x) if q[5] != 0.0 and tau > 0.0
                   else (geo_B(geo, x), 0.0, 0.0))
     return profile_at(q[1], q[2], q[3], q[4], q[5], Bx - Bd, ax, bx, tau,
@@ -611,10 +596,10 @@ def eval_piece_at(kind, q, Bd, x, tau, geo, gamma, theta):
 
 
 def profile_at(zd, wd, sz, sw, corr, dB, ax, bx, tau, theta, cfloor):
-    """(rho, m, clamped) of the profile piece (., zd, wd, sz, sw, corr) at
-    time offset tau where B(x) - B(x_d) = dB, a = ax, b = bx; the
-    correction reads vb and c = rhob^theta from the steady invariants
-    where c >= cfloor = sound_floor(theta).  clamped = 1 flags w < z.
+    """(rho, m) of the profile piece (., zd, wd, sz, sw, corr) at time
+    offset tau where B(x) - B(x_d) = dB, a = ax, b = bx; the correction
+    reads vb and c = rhob^theta from the steady invariants where
+    c >= cfloor = sound_floor(theta).  A pair with w < z is vacuum.
     dB = 0.0 skips the exponentials (exp(+-0.0) is 1.0), and a = b = 0
     the correction (it adds +-0.0 there)."""
     if dB == 0.0:
@@ -632,21 +617,20 @@ def profile_at(zd, wd, sz, sw, corr, dB, ax, bx, tau, theta, cfloor):
         wb += tau * (-(vb + c) * (sw * bx * wb) + av)
         c = theta * (wb - zb) / 2.0
     if wb < zb:
-        return 0.0, 0.0, 1
+        return 0.0, 0.0
     # the state as state_k(zb, wb, theta) gives it
     rho = math.exp(1.0 / theta * math.log(c)) if c > 0.0 else 0.0
     if rho < RHO_FLOOR:
-        return 0.0, 0.0, 0
-    return rho, rho * (wb + zb) / 2.0, 0
+        return 0.0, 0.0
+    return rho, rho * (wb + zb) / 2.0
 
 
-def eval_cell(kinds, pars, spds, npieces, xc, x, tau, geo, gamma, theta):
+def eval_cell(kinds, pars, spds, npieces, xc, x, tau, geo, theta):
     """Evaluate a whole cell record at (x, tau)."""
     i = 0
     while i < npieces - 1 and x >= xc + spds[i] * tau:
         i += 1
-    rho, m, _ = eval_piece(kinds[i], pars[i], x, tau, geo, gamma, theta)
-    return rho, m
+    return eval_piece(kinds[i], pars[i], x, tau, geo, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +720,7 @@ def solve_front_k(kind, q, z_t, sigma_prev, sigma0, xc, dt, geo, gamma, theta,
     guess = -1.0
     for it in range(100):
         xf = xc + sigma * tau
-        rl, ml, _ = eval_piece_at(kind, q, Bd, xf, tau, geo, gamma, theta)
+        rl, ml = eval_piece_at(kind, q, Bd, xf, tau, geo, theta)
         if rl < RHO_FLOOR:
             return sigma, 0.0, 0.0, ERR_FRONT_CONV
         vl = ml / rl
@@ -760,8 +744,7 @@ def solve_front_k(kind, q, z_t, sigma_prev, sigma0, xc, dt, geo, gamma, theta,
                 for _ in range(200):
                     mid = 0.5 * (a + b)
                     xf = xc + mid * tau
-                    rl, ml, _ = eval_piece_at(kind, q, Bd, xf, tau, geo,
-                                              gamma, theta)
+                    rl, ml = eval_piece_at(kind, q, Bd, xf, tau, geo, theta)
                     vl = ml / rl if rl >= RHO_FLOOR else 0.0
                     rho_u, st = hugoniot_z_k(rl, vl, z_t, gamma, theta, guess)
                     if st != OK:
@@ -781,7 +764,7 @@ def solve_front_k(kind, q, z_t, sigma_prev, sigma0, xc, dt, geo, gamma, theta,
         sigma = sigma + damping * d
     # final refresh so the reported pair is consistent with sigma
     xf = xc + sigma * tau
-    rl, ml, _ = eval_piece_at(kind, q, Bd, xf, tau, geo, gamma, theta)
+    rl, ml = eval_piece_at(kind, q, Bd, xf, tau, geo, theta)
     if rl < RHO_FLOOR:
         return sigma, 0.0, 0.0, ERR_FRONT_CONV
     vl = ml / rl
@@ -873,20 +856,20 @@ def gap_fill_k(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0, fscale):
     atol = 1e-12 * fscale
     Ba, aa, ba = geo_at(geo, xc + sa * tau)
     Bb, ab, bb = geo_at(geo, xc + sb * tau)
-    olr, olm, _c = profile_at(lz, lw, lsz, lsw, lcorr, Ba - lBd, aa, ba, tau,
-                              theta, cf)
-    orr, orm, _c = profile_at(rz, rw, rsz, rsw, rcorr, Bb - rBd, ab, bb, tau,
-                              theta, cf)
+    olr, olm = profile_at(lz, lw, lsz, lsw, lcorr, Ba - lBd, aa, ba, tau,
+                          theta, cf)
+    orr, orm = profile_at(rz, rw, rsz, rsw, rcorr, Bb - rBd, ab, bb, tau,
+                          theta, cf)
     olf = flux_k(olr, olm, gamma)
     orf = flux_k(orr, orm, gamma)
-    mlr, mlm, _c = profile_at(zm, wm, -1.0, 1.0, 1.0, Ba - mBd, aa, ba, tau,
-                              theta, cf)
+    mlr, mlm = profile_at(zm, wm, -1.0, 1.0, 1.0, Ba - mBd, aa, ba, tau,
+                          theta, cf)
     mlf = flux_k(mlr, mlm, gamma)
     if straight:
         mrr, mrm, mrf = mlr, mlm, mlf
     else:
-        mrr, mrm, _c = profile_at(zm, wm, -1.0, 1.0, 1.0, Bb - mBd, ab, bb,
-                                  tau, theta, cf)
+        mrr, mrm = profile_at(zm, wm, -1.0, 1.0, 1.0, Bb - mBd, ab, bb,
+                              tau, theta, cf)
         mrf = flux_k(mrr, mrm, gamma)
     F0, F1 = _rh_jump(sa, olr, olm, olf, mlr, mlm, mlf)
     F2, F3 = _rh_jump(sb, mrr, mrm, mrf, orr, orm, orf)
@@ -905,17 +888,17 @@ def gap_fill_k(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0, fscale):
         else:
             s = sa + ha
             Bs, as_, bs = geo_at(geo, xc + s * tau)
-            r1, m1, _c = profile_at(lz, lw, lsz, lsw, lcorr, Bs - lBd, as_,
-                                    bs, tau, theta, cf)
-            r2, m2, _c = profile_at(zm, wm, -1.0, 1.0, 1.0, Bs - mBd, as_, bs,
-                                    tau, theta, cf)
+            r1, m1 = profile_at(lz, lw, lsz, lsw, lcorr, Bs - lBd, as_,
+                                bs, tau, theta, cf)
+            r2, m2 = profile_at(zm, wm, -1.0, 1.0, 1.0, Bs - mBd, as_, bs,
+                                tau, theta, cf)
             f0, f1 = _rh_residual(s, r1, m1, r2, m2, gamma)
             s = sb + hb
             Bs, as_, bs = geo_at(geo, xc + s * tau)
-            r1, m1, _c = profile_at(zm, wm, -1.0, 1.0, 1.0, Bs - mBd, as_, bs,
-                                    tau, theta, cf)
-            r2, m2, _c = profile_at(rz, rw, rsz, rsw, rcorr, Bs - rBd, as_,
-                                    bs, tau, theta, cf)
+            r1, m1 = profile_at(zm, wm, -1.0, 1.0, 1.0, Bs - mBd, as_, bs,
+                                tau, theta, cf)
+            r2, m2 = profile_at(rz, rw, rsz, rsw, rcorr, Bs - rBd, as_,
+                                bs, tau, theta, cf)
             f2, f3 = _rh_residual(s, r1, m1, r2, m2, gamma)
         J = [(f0 - F0) / ha, 0.0, 0.0, 0.0,
              (f1 - F1) / ha, 0.0, 0.0, 0.0,
@@ -925,14 +908,14 @@ def gap_fill_k(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0, fscale):
         for cdx, v in ((2, zm), (3, wm)):
             h = 1e-7 * (1.0 + abs(v))
             z, w = (v + h, wm) if cdx == 2 else (zm, v + h)
-            r1, m1, _c = profile_at(z, w, -1.0, 1.0, 1.0, Ba - mBd, aa, ba,
-                                    tau, theta, cf)
+            r1, m1 = profile_at(z, w, -1.0, 1.0, 1.0, Ba - mBd, aa, ba,
+                                tau, theta, cf)
             fl = flux_k(r1, m1, gamma)
             if straight:
                 r2, m2, fr = r1, m1, fl
             else:
-                r2, m2, _c = profile_at(z, w, -1.0, 1.0, 1.0, Bb - mBd, ab,
-                                        bb, tau, theta, cf)
+                r2, m2 = profile_at(z, w, -1.0, 1.0, 1.0, Bb - mBd, ab,
+                                    bb, tau, theta, cf)
                 fr = flux_k(r2, m2, gamma)
             f0, f1 = _rh_jump(sa, olr, olm, olf, r1, m1, fl)
             f2, f3 = _rh_jump(sb, r2, m2, fr, orr, orm, orf)
@@ -961,20 +944,20 @@ def gap_fill_k(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0, fscale):
             else:
                 Bta, ata, bta = geo_at(geo, xc + ta * tau)
                 Btb, atb, btb = geo_at(geo, xc + tb * tau)
-                tlr, tlm, _c = profile_at(lz, lw, lsz, lsw, lcorr, Bta - lBd,
-                                          ata, bta, tau, theta, cf)
-                trr, trm, _c = profile_at(rz, rw, rsz, rsw, rcorr, Btb - rBd,
-                                          atb, btb, tau, theta, cf)
+                tlr, tlm = profile_at(lz, lw, lsz, lsw, lcorr, Bta - lBd,
+                                      ata, bta, tau, theta, cf)
+                trr, trm = profile_at(rz, rw, rsz, rsw, rcorr, Btb - rBd,
+                                      atb, btb, tau, theta, cf)
                 tlf = flux_k(tlr, tlm, gamma)
                 trf = flux_k(trr, trm, gamma)
-            r1, m1, _c = profile_at(tz, tw, -1.0, 1.0, 1.0, Bta - mBd, ata,
-                                    bta, tau, theta, cf)
+            r1, m1 = profile_at(tz, tw, -1.0, 1.0, 1.0, Bta - mBd, ata,
+                                bta, tau, theta, cf)
             fl = flux_k(r1, m1, gamma)
             if straight:
                 r2, m2, fr = r1, m1, fl
             else:
-                r2, m2, _c = profile_at(tz, tw, -1.0, 1.0, 1.0, Btb - mBd,
-                                        atb, btb, tau, theta, cf)
+                r2, m2 = profile_at(tz, tw, -1.0, 1.0, 1.0, Btb - mBd,
+                                    atb, btb, tau, theta, cf)
                 fr = flux_k(r2, m2, gamma)
             f0, f1 = _rh_jump(ta, tlr, tlm, tlf, r1, m1, fl)
             f2, f3 = _rh_jump(tb, r2, m2, fr, trr, trm, trf)
@@ -1034,7 +1017,7 @@ def _const(rho, m):
     return [K_CONST, (rho, m, 0.0, 0.0, 0.0, 0.0), 0.0, 0]
 
 
-def invert_correction_k(x_a, z_r, w_r, tau, geo, gamma, theta):
+def invert_correction_k(x_a, z_r, w_r, tau, geo, theta):
     """Anchor invariants (z_d, w_d) of a steady profile at x_a whose
     time-corrected value at (x_a, tau), as :func:`profile_at` corrects it,
     equals (z_r, w_r).
@@ -1102,7 +1085,7 @@ def fan_chain_k(x_first, zL, wL, z_end, include_final, xc, dx, dt, h,
         left[3] = 1
         zu, wu = invariants_k(ru, mu, theta)
         x_a = xc + sigma * dt * 0.5
-        zd, wd = invert_correction_k(x_a, zu, wu, 0.5 * dt, geo, gamma, theta)
+        zd, wd = invert_correction_k(x_a, zu, wu, 0.5 * dt, geo, theta)
         out.append(_profile(x_a, zd, wd, -1.0, 1.0, 1.0))
         sigma_prev = sigma
         z_prev = zt

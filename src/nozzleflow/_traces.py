@@ -34,8 +34,10 @@ from . import _kernels as _k
 _G3X = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
 _G3W = np.array([0.5555555555555556, 0.8888888888888888, 0.5555555555555556])
 _G3W *= 2.0 / _G3W.sum()
-_G5X = np.asarray(_k._G5X, dtype=float)
-_G5W = np.asarray(_k._G5W, dtype=float)
+_G5X = np.array([-0.9061798459386640, -0.5384693101056831, 0.0,
+                 0.5384693101056831, 0.9061798459386640])
+_G5W = np.array([0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
+                 0.4786286704993665, 0.2369268850561891])
 
 
 def ppoly_values(table, x):

@@ -30,7 +30,7 @@ class BaselineSeries:
 def run_baseline(u0, params: SchemeParameters, geom: NozzleGeometry,
                  b: BoundFunction, c: GasConstants, cutoff=True,
                  snapshot_cb=None):
-    """March the baseline scheme; returns (xs, rho, m, BaselineSeries)."""
+    """March the baseline scheme; returns its BaselineSeries."""
     dx, dt = params.dx, params.dt
     g = c.gamma
     bundle = get_bundle(geom, b)
@@ -46,8 +46,8 @@ def run_baseline(u0, params: SchemeParameters, geom: NozzleGeometry,
         """Append the node totals of a state; pass it to the snapshot
         callback."""
         areas = areas_of(state)
-        energy.append(total_energy_nodes(state, geom, b, c, params, areas))
-        mass.append(total_mass_nodes(state, geom, b, c, params, areas))
+        energy.append(total_energy_nodes(state, areas, g))
+        mass.append(total_mass_nodes(state, areas))
         if snapshot_cb is not None:
             snapshot_cb(state.n, state.js * dx, state.rho, state.m)
 
@@ -73,6 +73,4 @@ def run_baseline(u0, params: SchemeParameters, geom: NozzleGeometry,
                                w=None)
         record(state)
     ns = np.arange(N + 1)
-    series = BaselineSeries(ns, ns * dt, np.array(energy), np.array(mass),
-                            neg)
-    return js * dx, rho, m, series
+    return BaselineSeries(ns, ns * dt, np.array(energy), np.array(mass), neg)

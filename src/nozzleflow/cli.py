@@ -35,6 +35,9 @@ MAX_STEPS = 10 ** 6
 # Widest step-0 window: j = -W0 .. W0, about W0 nodes averaged one by one,
 # with W0 = ceil(max(X, extent of the initial data) / dx).
 MAX_NODES = 10 ** 6
+# Largest max(I+, I-) of a bound function: the mesh ratio and the envelope
+# bounds read exp(I), finite up to here.
+MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
 def _fmt(x):
@@ -207,6 +210,12 @@ def parse_config(path, overrides=None) -> RunConfig:
         b = BoundFunction.piecewise_constant([lo, hi], [val])
     else:
         raise ConfigError(f"key 'b_function': unknown spec {bkind!r}")
+    imax = max(b.I_plus, b.I_minus)
+    if not imax <= MAX_EXP_ARG:
+        raise ConfigError(
+            f"key 'b_function' (when auto, the geometry keys): the bound "
+            f"function's max(I+, I-) is {imax:.6g}, more than "
+            f"{MAX_EXP_ARG:.6g}, where exp overflows")
 
     half = window_extent(u0, geom) / dx
     if not half <= MAX_NODES:
@@ -325,7 +334,7 @@ def cmd_run(cfg: RunConfig):
 
     writer = SnapshotWriter(cfg)
     if cfg.mode == "baseline-lf":
-        _xs, _rho, _m, series = run_baseline(
+        series = run_baseline(
             cfg.initial, cfg.params, cfg.geometry, cfg.bound, cfg.constants,
             cutoff=cfg.cutoff, snapshot_cb=writer)
         columns = ("n", "t", "total_energy", "total_mass")
@@ -480,7 +489,8 @@ def main(argv=None):
         if args.command == "run":
             return cmd_run(cfg)
         return cmd_validate(cfg)
-    except (ConfigError, ValueError, CellBuildError) as e:
+    except (ConfigError, ValueError, CellBuildError, OSError) as e:
+        # an OSError names the file or directory it could not read or make
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -104,24 +104,16 @@ class RunNodeAreas:
         return self.areas[js[0] - self.lo::2][:js.size]
 
 
-def total_energy_nodes(state: StaggeredState, geom: NozzleGeometry,
-                       b: BoundFunction, c: GasConstants,
-                       params: SchemeParameters, areas=None):
-    """sum_j eta*(u_j^n) int_{I_j} A dx over the window (node variant);
-    ``areas`` defaults to :func:`node_areas`."""
-    if areas is None:
-        areas = node_areas(state, params, get_bundle(geom, b))
-    eta = _traces.energy(state.rho, state.m, c.gamma)
+def total_energy_nodes(state: StaggeredState, areas, gamma):
+    """sum_j eta*(u_j^n) int_{I_j} A dx over the window (node variant),
+    given the state's :func:`node_areas`."""
+    eta = _traces.energy(state.rho, state.m, gamma)
     return _traces.sequential_sum((eta * areas)[state.rho > 0.0])
 
 
-def total_mass_nodes(state: StaggeredState, geom: NozzleGeometry,
-                     b: BoundFunction, c: GasConstants,
-                     params: SchemeParameters, areas=None):
-    """sum_j rho_j^n int_{I_j} A dx over the window; ``areas`` defaults to
+def total_mass_nodes(state: StaggeredState, areas):
+    """sum_j rho_j^n int_{I_j} A dx over the window, given the state's
     :func:`node_areas`."""
-    if areas is None:
-        areas = node_areas(state, params, get_bundle(geom, b))
     return _traces.sequential_sum(state.rho * areas)
 
 
@@ -172,13 +164,11 @@ class EnergyMonitor:
         self._j5 = None
 
     def on_start(self, state, ctx):
-        params = ctx["params"]
-        geom, b, c = ctx["geom"], ctx["bound"], ctx["constants"]
-        bundle = get_bundle(geom, b)
-        self._areas = RunNodeAreas(params, bundle)
+        bundle = get_bundle(ctx["geom"], ctx["bound"])
+        self._areas = RunNodeAreas(ctx["params"], bundle)
         areas = self._areas(state)
-        e0 = total_energy_nodes(state, geom, b, c, params, areas)
-        m0 = total_mass_nodes(state, geom, b, c, params, areas)
+        e0 = total_energy_nodes(state, areas, ctx["constants"].gamma)
+        m0 = total_mass_nodes(state, areas)
         self.energy_bound = e0
         self.reports.append(EnergyReport(
             n=0, t=0.0, total_energy=e0, total_mass=m0, energy_bound=e0,
@@ -188,11 +178,10 @@ class EnergyMonitor:
             jump_flag=False))
 
     def on_step(self, prev, new, record: StepRecord):
-        params, c, bundle = record.params, record.constants, record.bundle
-        geom, b = bundle.geom, bundle.bound
+        params = record.params
         areas = self._areas(new)
-        e = total_energy_nodes(new, geom, b, c, params, areas)
-        mass = total_mass_nodes(new, geom, b, c, params, areas)
+        e = total_energy_nodes(new, areas, record.constants.gamma)
+        mass = total_mass_nodes(new, areas)
         jump = _traces.jump_integral(record, new.z, new.w)
         self._jump_sum += jump
         n = new.n

@@ -4,8 +4,15 @@ The cross section A(x) enters the equations only through a(x) = -A'(x)/A(x).
 Internally the package keeps a single source of truth: a piecewise
 polynomial IA(x) = integral_0^x a, with a = IA' and A = A(0) exp(-IA).
 The bound function b >= |a|/mu with its cumulative integral B(x) is stored
-the same way; all kernels evaluate these piecewise polynomials directly so
-the scheme, its diagnostics, and the Python API agree bit for bit.
+the same way.  The scheme's kernels and its diagnostics evaluate these
+piecewise polynomials by Horner's rule (``_kernels.ppoly_eval``,
+``_traces.ppoly_values``) and agree bit for bit.  The Python API
+(``PiecewisePoly.__call__``, hence ``NozzleGeometry.a`` and
+``BoundFunction.b``/``B``) sums the powers in scipy's order, which can
+differ from Horner's rule in the last bits (up to about 1e-12 relative);
+its readers are the baseline scheme's source term, ``select_M``,
+``BoundFunction.auto_for`` (and the I+ and I- of every bound function)
+and ``validate_condition``.
 
 The piecewise polynomials (``PiecewisePoly``), the PCHIP interpolant of a
 geometry table or a sampled bound, and the clamped cubic spline of the
@@ -604,7 +611,6 @@ class SteadyProfile:
     sz: float
     sw: float
     bound: BoundFunction
-    clamp_count: int = 0
 
     def invariants_at(self, x):
         dB = float(self.bound.B(x)) - float(self.bound.B(self.x_d))
@@ -642,12 +648,9 @@ def time_correct(profile: SteadyProfile, x, t_offset, geom: NozzleGeometry,
     Implements z_t = -lam1 zbar_x - a vbar rhobar^theta and
     w_t = -lam2 wbar_x + a vbar rhobar^theta with the profile's own spatial
     derivatives, which reproduces both displayed correction variants.
-    A corrected pair with w < z is clamped to vacuum and counted.
+    A corrected pair with w < z is vacuum.
     """
     bundle = get_bundle(geom, b)
-    rho, m, clamped = _k.eval_piece(_k.K_PROFILE, profile.piece_params(),
-                                    float(x), float(t_offset), bundle.geo,
-                                    c.gamma, c.theta)
-    if clamped:
-        profile.clamp_count += 1
+    rho, m = _k.eval_piece(_k.K_PROFILE, profile.piece_params(), float(x),
+                           float(t_offset), bundle.geo, c.theta)
     return GasState(rho, m)

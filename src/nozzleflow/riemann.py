@@ -3,8 +3,8 @@
 Wave curves in the (z, w) plane: 1- and 2-rarefactions keep w resp. z
 constant; shock curves follow the Rankine-Hugoniot velocity jump
 v - v0 = -/+ sqrt((p - p0) / (rho rho0 (rho - rho0))) (rho - rho0).
-The middle state is found by bracketed regula falsi (Illinois) on density
-along the monotone curve intersection; vacuum middles arise when
+The middle density is found by safeguarded Newton on the monotone curve
+intersection (``_kernels.riemann_middle_k``); vacuum middles arise when
 w(uL) <= z(uR).
 """
 

@@ -77,6 +77,10 @@ class SchemeParameters:
                 f"delta must satisfy 1 < delta < 1/(2 theta), got {de}")
         if self.T < 0.0 or self.dx <= 0.0 or self.M <= 0.0:
             raise ConfigError("dx, M must be positive and T nonnegative")
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigError(
+                f"keys 'dx', 'm_bound' and 'b_function': dt = dx / (2 M "
+                f"exp(max(I+, I-))) is {self.dt!r}, not positive and finite")
         ratio = 2.0 * self.M * math.exp(max(b.I_plus, b.I_minus))
         if abs(self.dx / self.dt - ratio) > 1e-12 * ratio:
             raise ConfigError("dx/dt must equal 2 M exp(max(I+, I-))")
@@ -242,7 +246,7 @@ class CellSolution:
         rho, m = _k.eval_cell(self.kinds, self.pars, self.speeds,
                               self.kinds.size, self.xc, float(x),
                               float(t_offset), self.bundle.geo,
-                              self.constants.gamma, self.constants.theta)
+                              self.constants.theta)
         return GasState(rho, m)
 
     def _pieces(self):

@@ -5,10 +5,11 @@ import nozzleflow._traces as _traces
 from nozzleflow import (GasConstants, select_M, total_energy_nodes,
                         total_mass_nodes)
 from nozzleflow.baseline import run_baseline
+from nozzleflow.diagnostics import node_areas
 from nozzleflow.initialdata import (GaussianBumpData, RiemannStepData,
                                     TableData)
 from nozzleflow.nozzle import (BoundFunction, NozzleGeometry,
-                               admissibility_constants)
+                               admissibility_constants, get_bundle)
 from nozzleflow.scheme import SchemeParameters, StaggeredState
 
 C14 = GasConstants.for_gamma(1.4)
@@ -20,7 +21,7 @@ def _duct_run(u0, T=0.2, dx=0.05):
     params = SchemeParameters.create(dx=dx, M=select_M(u0, b, C14), b=b,
                                      T=T, c=C14)
     snaps = []
-    _xs, _rho, _m, series = run_baseline(
+    series = run_baseline(
         u0, params, geom, b, C14, cutoff=False,
         snapshot_cb=lambda n, xs, rho, m: snaps.append((rho.copy(),
                                                         m.copy())))
@@ -91,11 +92,11 @@ class TestSeries:
                                          rho=rho.copy(), m=m.copy(), z=None,
                                          w=None))
 
-        _xs, _rho, _m, series = run_baseline(u0, params, geom, b, C14,
-                                             snapshot_cb=keep)
+        series = run_baseline(u0, params, geom, b, C14, snapshot_cb=keep)
         assert len(states) == series.ns.size == params.n_steps + 1 > 10
         for st in states:
             assert st.rho[0] == st.rho[-1] == 0.0
-            e = total_energy_nodes(st, geom, b, C14, params)
-            mass = total_mass_nodes(st, geom, b, C14, params)
+            areas = node_areas(st, params, get_bundle(geom, b))
+            e = total_energy_nodes(st, areas, C14.gamma)
+            mass = total_mass_nodes(st, areas)
             assert series.energy[st.n] == e and series.mass[st.n] == mass

@@ -97,7 +97,18 @@ class TestParseConfig:
             ("b_function = const:nan:-2:2", "'b_function': expected"),
             ("b_function = const:inf:-2:2", "'b_function': expected"),
             ("b_function = const:-1:-2:2", "'b_function': expected"),
-            ("b_function = const:1:-2:x", "'b_function': expected"))])
+            ("b_function = const:1:-2:x", "'b_function': expected"),
+            # exp(I) of the bound overflows in select_M, in
+            # SchemeParameters.create, and for a huge auto bound
+            ("b_function = const:1e300:-1:1",
+             "'b_function'.*max\\(I\\+, I-\\) is 1e\\+300"),
+            ("b_function = const:1e300:-1:1\nm_bound = 1",
+             "'b_function'.*max\\(I\\+, I-\\) is 1e\\+300"),
+            ("geometry = bump\ngeometry_eps = 1e300",
+             "'b_function'.*exp overflows"),
+            # dt = dx / (2 M e^I) rounds to 0
+            ("b_function = const:400:-1:1", "'m_bound'.*dt = dx .* is 0\\.0"),
+            ("m_bound = 1e308", "'m_bound'.*dt = dx .* is 0\\.0"))])
     def test_bad_value_rejected(self, tmp_path, line, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(write_cfg(tmp_path, MINIMAL + line + "\n"))
@@ -268,6 +279,28 @@ class TestCellBuildFailure:
         assert main(["run", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cell (j=") and "[code 3]" in err
+
+    @pytest.mark.parametrize("command, extra, named", [
+        ("run", None, "{tmp}/missing.cfg"),
+        ("validate", None, "{tmp}/missing.cfg"),
+        ("run", None, "{tmp}"),
+        ("run", "geometry = table\ngeometry_table = {tmp}/missing.csv\n",
+         "{tmp}/missing.csv"),
+        ("run", "initial = table\ninitial_table = {tmp}/missing.csv\n",
+         "{tmp}/missing.csv"),
+        ("run", "geometry = table\ngeometry_table = {tmp}\n", "{tmp}"),
+        ("run", "out_dir = {tmp}/run.cfg\n", "{tmp}/run.cfg")])
+    def test_unreadable_path_reported(self, tmp_path, capsys, command, extra,
+                                      named):
+        # a missing config or table, a directory in their place, and an
+        # output directory that is a file: one error line naming the path
+        named = named.format(tmp=tmp_path)
+        path = (named if extra is None else
+                write_cfg(tmp_path, MINIMAL + extra.format(tmp=tmp_path)))
+        assert main([command, "--config", path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"'{named}'" in err[0]
 
 
 REST_IN_BUMP = """

@@ -61,7 +61,7 @@ def _R_scalar(x, rho, m, params, geo, c):
     return t1 + t2 + t3
 
 
-def _gauss5_piece(kind, q, a, b, tau, geo, gamma, theta):
+def _gauss5_piece(kind, q, a, b, tau, geo, theta):
     """Integral of (rho, m) over [a, b] for one piece at time offset tau."""
     if kind == _k.K_CONST:
         return q[0] * (b - a), q[1] * (b - a)
@@ -71,11 +71,10 @@ def _gauss5_piece(kind, q, a, b, tau, geo, gamma, theta):
     acc_r = 0.0
     acc_m = 0.0
     for g in range(5):
-        x = xm + half * _k._G5X[g]
-        rho, m, _cl = _k.eval_piece_at(kind, q, Bd, x, tau, geo, gamma,
-                                       theta)
-        acc_r += _k._G5W[g] * rho
-        acc_m += _k._G5W[g] * m
+        x = xm + half * _traces._G5X[g]
+        rho, m = _k.eval_piece_at(kind, q, Bd, x, tau, geo, theta)
+        acc_r += _traces._G5W[g] * rho
+        acc_m += _traces._G5W[g] * m
     return acc_r * half, acc_m * half
 
 
@@ -169,7 +168,8 @@ class TestTotalEnergy:
         params = SchemeParameters.create(dx=0.05, M=6.0, b=b, T=0.0, c=C14)
         u0 = TableData([-1, 1], [0, 0], [0, 0])
         st, mesh = initialize(u0, params, geom, b, C14)
-        assert total_energy_nodes(st, geom, b, C14, params) == 0.0
+        areas = node_areas(st, params, get_bundle(geom, b))
+        assert total_energy_nodes(st, areas, C14.gamma) == 0.0
 
     def test_constant_block(self):
         # constant (1, 0) on support of length L with A = 1: energy L/0.56
@@ -178,7 +178,9 @@ class TestTotalEnergy:
         params = SchemeParameters.create(dx=0.05, M=6.0, b=b, T=0.0, c=C14)
         u0 = RiemannStepData(1.0, 0.0, 1.0, 0.0)
         st, mesh = initialize(u0, params, geom, b, C14, cutoff=False)
-        got = total_energy_nodes(st, geom, b, C14, params)
+        got = total_energy_nodes(st, node_areas(st, params,
+                                                get_bundle(geom, b)),
+                                 C14.gamma)
         L = (st.js[-1] - st.js[0] + 2) * params.dx
         assert got == pytest.approx(L / 0.56, rel=1e-12)
 
@@ -212,12 +214,10 @@ class TestTotalEnergy:
         bundle = get_bundle(geom, b)
         q = np.array([0.1, -4.8, 5.1, -1.0, 1.0, 0.0])
         a, bb = 0.05, 0.15
-        got = _gauss5_piece(_k.K_PROFILE, q, a, bb, 0.0, bundle.geo, 1.4,
-                            0.2)
+        got = _gauss5_piece(_k.K_PROFILE, q, a, bb, 0.0, bundle.geo, 0.2)
 
         def rho_of(x):
-            r, m, _c = _k.eval_piece(_k.K_PROFILE, q, x, 0.0, bundle.geo,
-                                     1.4, 0.2)
+            r, m = _k.eval_piece(_k.K_PROFILE, q, x, 0.0, bundle.geo, 0.2)
             return r
         want = quad(rho_of, a, bb, limit=100, epsabs=1e-13)[0]
         assert got[0] == pytest.approx(want, abs=1e-9)
@@ -259,9 +259,9 @@ class TestNodeAreas:
             for p in range(4):
                 xm = a + p * step + half
                 for g in range(5):
-                    x = xm + half * _k._G5X[g]
+                    x = xm + half * _traces._G5X[g]
                     A = geom.A0 * math.exp(-_k.ppoly_eval(xs, c, x))
-                    want += _k._G5W[g] * A * half
+                    want += _traces._G5W[g] * A * half
             assert area == want
 
 
@@ -548,9 +548,9 @@ class TestWholeArrayTraces:
             rho, m = _traces.pieces_at(kinds, rec.pars[idx], x, tau,
                                        rec.bundle.tables, C14.theta)
             for i in range(idx.size):
-                r0, m0, _c = _k.eval_piece(int(kinds[i]), rec.pars[idx[i]],
-                                           float(x[i]), tau, rec.bundle.geo,
-                                           C14.gamma, C14.theta)
+                r0, m0 = _k.eval_piece(int(kinds[i]), rec.pars[idx[i]],
+                                       float(x[i]), tau, rec.bundle.geo,
+                                       C14.theta)
                 assert (rho[i], m[i]) == (r0, m0)
 
     def test_area_term_matches_loop(self, step):
@@ -565,9 +565,8 @@ class TestWholeArrayTraces:
                 acc = 0.0
                 for g in range(3):
                     x = xm + half * _traces._G3X[g]
-                    r, m, _c = _k.eval_piece(int(rec.kinds[i]), rec.pars[i],
-                                             x, tau, geo, C14.gamma,
-                                             C14.theta)
+                    r, m = _k.eval_piece(int(rec.kinds[i]), rec.pars[i],
+                                         x, tau, geo, C14.theta)
                     acc += (_traces._G3W[g] * _k.geo_a(geo, x)
                             * _k.eta_q_k(r, m, C14.gamma)[1])
                 want[ci] += wt * acc * half
@@ -586,12 +585,12 @@ class TestWholeArrayTraces:
                              -1.0, 1.0, 0.0])
             for g in range(3):
                 x = xm + half * _traces._G3X[g]
-                r0, m0, _c = _k.eval_piece(int(rec.kinds[i]), rec.pars[i], x,
-                                           dt, geo, C14.gamma, C14.theta)
+                r0, m0 = _k.eval_piece(int(rec.kinds[i]), rec.pars[i], x,
+                                       dt, geo, C14.theta)
                 r1 = m1 = 0.0
                 if z != 0.0 or w != 0.0:
-                    r1, m1, _c = _k.eval_piece(_k.K_PROFILE, node, x, 0.0,
-                                               geo, C14.gamma, C14.theta)
+                    r1, m1 = _k.eval_piece(_k.K_PROFILE, node, x, 0.0,
+                                           geo, C14.theta)
                 want += _traces._G3W[g] * ((r0 - r1) ** 2 + (m0 - m1) ** 2) \
                     * half
         got = _traces.jump_integral(rec, st.z, st.w)
@@ -608,10 +607,10 @@ class TestWholeArrayTraces:
         tau = 0.5 * rec.params.dt
         xf = cell.xc + s * tau
         g, th = C14.gamma, C14.theta
-        rl, ml, _c = _k.eval_piece(int(cell.kinds[i]), cell.pars[i], xf, tau,
-                                   rec.bundle.geo, g, th)
-        rr, mr, _c = _k.eval_piece(int(cell.kinds[i + 1]), cell.pars[i + 1],
-                                   xf, tau, rec.bundle.geo, g, th)
+        rl, ml = _k.eval_piece(int(cell.kinds[i]), cell.pars[i], xf, tau,
+                               rec.bundle.geo, th)
+        rr, mr = _k.eval_piece(int(cell.kinds[i + 1]), cell.pars[i + 1],
+                               xf, tau, rec.bundle.geo, th)
         f1l, f2l = _k.flux_k(rl, ml, g)
         f1r, f2r = _k.flux_k(rr, mr, g)
         want = max(abs(f1r - f1l - s * (rr - rl)),
@@ -641,8 +640,7 @@ class TestWholeArrayTraces:
                 else:
                     ir, im = _gauss5_piece(int(rec.kinds[o + p]),
                                            rec.pars[o + p], j * dx + a,
-                                           j * dx + b, dt, geo, C14.gamma,
-                                           C14.theta)
+                                           j * dx + b, dt, geo, C14.theta)
                 acc_r += ir
                 acc_m += im
             e_r, e_m = acc_r / (2.0 * dx), acc_m / (2.0 * dx)
@@ -664,9 +662,8 @@ class TestWholeArrayTraces:
                 xm, half = 0.5 * (a + b), 0.5 * (b - a)
                 for g in range(5):
                     x = xm + half * _traces._G5X[g]
-                    r, m, _c = _k.eval_piece(int(rec.kinds[i]), rec.pars[i],
-                                             x, tau, geo, C14.gamma,
-                                             C14.theta)
+                    r, m = _k.eval_piece(int(rec.kinds[i]), rec.pars[i],
+                                         x, tau, geo, C14.theta)
                     area = A0 * math.exp(-_k.ppoly_eval(xs, c, x))
                     eta = _k.eta_q_k(r, m, C14.gamma)[0]
                     want += _traces._G5W[g] * area * eta * half

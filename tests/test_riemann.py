@@ -387,9 +387,17 @@ def _wave_curve_evaluations(monkeypatch):
     counts = []
     for args in _middle_state_cases():
         calls[0] = 0
-        _k.riemann_middle_k(*args)
+        _middle(args)
         counts.append(calls[0])
     return counts
+
+
+def _middle(args):
+    """riemann_middle_k of (rho_l, v_l, rho_r, v_r, gamma, theta), with
+    rho_l^theta and rho_r^theta as riemann_solve_k takes them."""
+    rho_l, _v_l, rho_r, _v_r, _gamma, theta = args
+    return _k.riemann_middle_k(*args, _k.pow_g(rho_l, theta),
+                               _k.pow_g(rho_r, theta))
 
 
 class TestMiddleStateCost:
@@ -426,7 +434,7 @@ class TestMiddleStateRoot:
         of two adjacent doubles across which the gap changes sign."""
         theta = (gamma - 1.0) / 2.0
         args = (rho_l, v_l, rho_r, v_r, gamma, theta)
-        rho_m, v_m = _k.riemann_middle_k(*args)
+        rho_m, v_m = _middle(args)
         w_l = v_l + _k.kfun(rho_l, theta)
         z_r = v_r - _k.kfun(rho_r, theta)
         if w_l <= z_r:

@@ -280,9 +280,9 @@ class TestSolveFront:
         bundle = get_bundle(geom, b)
 
         def g_of(s):
-            rl, ml, _cl = _k.eval_piece(_k.K_PROFILE, prof.piece_params(),
-                                        s * params.dt / 2, params.dt / 2,
-                                        bundle.geo, 1.4, 0.2)
+            rl, ml = _k.eval_piece(_k.K_PROFILE, prof.piece_params(),
+                                   s * params.dt / 2, params.dt / 2,
+                                   bundle.geo, 0.2)
             vl = ml / rl
             rho_u, st = _k.hugoniot_z_k(rl, vl, z_t, 1.4, 0.2, -1.0)
             return _k.sigma1_k(rl, vl, rho_u, 1.4) - s
@@ -295,8 +295,8 @@ class TestSolveFront:
         assert sigma == pytest.approx(s_scan, abs=2e-6)
         # converged front satisfies RH at the half time
         xf = sigma * params.dt / 2
-        rl, ml, _cl = _k.eval_piece(_k.K_PROFILE, prof.piece_params(),
-                                    xf, params.dt / 2, bundle.geo, 1.4, 0.2)
+        rl, ml = _k.eval_piece(_k.K_PROFILE, prof.piece_params(),
+                               xf, params.dt / 2, bundle.geo, 0.2)
         f1l, f2l = _k.flux_k(rl, ml, 1.4)
         f1r, f2r = _k.flux_k(u.rho, u.m, 1.4)
         res = max(abs(f1r - f1l - sigma * (u.rho - rl)),
@@ -907,7 +907,7 @@ def _profile_reference(q, dB, ax, bx, tau, theta):
     """A profile piece's value from the definition: the steady invariants
     z, w, then the linear-in-time correction with v = (z + w)/2 and
     c = rho^theta = theta (w - z)/2 wherever c >= RHO_FLOOR^theta, then the
-    state, vacuum (clamped) for w < z."""
+    state, vacuum for w < z."""
     z = q[1] * math.exp(q[3] * dB)
     w = q[2] * math.exp(q[4] * dB)
     v = (w + z) / 2.0
@@ -916,9 +916,8 @@ def _profile_reference(q, dB, ax, bx, tau, theta):
         z, w = (z + tau * (-(v - c) * (q[3] * bx * z) - ax * v * c),
                 w + tau * (-(v + c) * (q[4] * bx * w) + ax * v * c))
     if w < z:
-        return 0.0, 0.0, 1
-    rho, m = _k.state_k(z, w, theta)
-    return rho, m, 0
+        return 0.0, 0.0
+    return _k.state_k(z, w, theta)
 
 
 def _bits(*values):
@@ -976,10 +975,10 @@ class TestProfileEvaluation:
     def test_clamped_pair(self):
         theta = C14.theta
         floor = _k.sound_floor(theta)
-        # a correction driving w below z is vacuum, flagged clamped
+        # a correction driving w below z is vacuum
         got = _k.profile_at(4.9, 5.1, -1.0, 1.0, 1.0, 0.0, 0.0, 40.0, 0.5,
                             theta, floor)
-        assert got == (0.0, 0.0, 1)
+        assert got == (0.0, 0.0)
         assert _profile_reference((0.0, 4.9, 5.1, -1.0, 1.0, 1.0), 0.0, 0.0,
                                   40.0, 0.5, theta) == got
 
@@ -1002,7 +1001,7 @@ class TestProfileEvaluation:
                                        c.theta)
             for i, qi in enumerate(q.tolist()):
                 Bx, ax, bx = _k.geo_at(bundle.geo, x[i])
-                r0, m0, _cl = _k.profile_at(
+                r0, m0 = _k.profile_at(
                     qi[1], qi[2], qi[3], qi[4], qi[5],
                     Bx - _k.geo_B(bundle.geo, qi[0]), ax, bx, tau, c.theta,
                     floor)
@@ -1022,12 +1021,10 @@ class TestProfileEvaluation:
             rho, v = rng.uniform(0.05, 2.5), rng.uniform(-1.5, 1.5)
             z_r, w_r = _k.invariants_k(rho, rho * v, c.theta)
             tau = rng.uniform(0.001, 0.01)
-            zd, wd = _k.invert_correction_k(x_a, z_r, w_r, tau, geo, c.gamma,
-                                            c.theta)
-            r1, m1, cl = _k.eval_piece(_k.K_PROFILE,
-                                       (x_a, zd, wd, -1.0, 1.0, 1.0), x_a,
-                                       tau, geo, c.gamma, c.theta)
-            assert cl == 0
+            zd, wd = _k.invert_correction_k(x_a, z_r, w_r, tau, geo, c.theta)
+            r1, m1 = _k.eval_piece(_k.K_PROFILE,
+                                   (x_a, zd, wd, -1.0, 1.0, 1.0), x_a, tau,
+                                   geo, c.theta)
             z1, w1 = _k.invariants_k(r1, m1, c.theta)
             err = (abs(z1 - z_r) + abs(w1 - w_r)) / (1.0 + abs(z_r)
                                                     + abs(w_r))
@@ -1049,15 +1046,15 @@ def _gap_fill_lists(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0,
     on the new profile evaluation: gap_fill_k must equal it bit for bit."""
 
     def gap_outer(O, ga, gb, lq, lBd, rq, rBd, tau, theta):
-        O[0], O[1], _c1 = _old_profile_at(lq, lBd, ga, tau, theta)
-        O[2], O[3], _c2 = _old_profile_at(rq, rBd, gb, tau, theta)
+        O[0], O[1] = _old_profile_at(lq, lBd, ga, tau, theta)
+        O[2], O[3] = _old_profile_at(rq, rBd, gb, tau, theta)
 
     def gap_residual(F, X, O, ga, gb, mq, mBd, tau, gamma, theta):
         mq[1] = X[2]
         mq[2] = X[3]
-        rra, mra, _c1 = _old_profile_at(mq, mBd, ga, tau, theta)
+        rra, mra = _old_profile_at(mq, mBd, ga, tau, theta)
         F[0], F[1] = _k._rh_residual(X[0], O[0], O[1], rra, mra, gamma)
-        rlb, mlb, _c2 = _old_profile_at(mq, mBd, gb, tau, theta)
+        rlb, mlb = _old_profile_at(mq, mBd, gb, tau, theta)
         F[2], F[3] = _k._rh_residual(X[1], rlb, mlb, O[2], O[3], gamma)
 
     geo_at = _k.geo_at
@@ -1084,10 +1081,10 @@ def _gap_fill_lists(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0,
         h = 1e-7 * (1.0 + abs(X[0]))
         s = X[0] + h
         g = geo_at(geo, xc + s * tau)
-        rl, ml, _c1 = _old_profile_at(lq, lBd, g, tau, theta)
+        rl, ml = _old_profile_at(lq, lBd, g, tau, theta)
         mq[1] = X[2]
         mq[2] = X[3]
-        rr, mr, _c2 = _old_profile_at(mq, mBd, g, tau, theta)
+        rr, mr = _old_profile_at(mq, mBd, g, tau, theta)
         f0, f1 = _k._rh_residual(s, rl, ml, rr, mr, gamma)
         J[0] = (f0 - F[0]) / h
         J[4] = (f1 - F[1]) / h
@@ -1096,8 +1093,8 @@ def _gap_fill_lists(lq, rq, xc, dt, geo, gamma, theta, sa0, sb0, zm0, wm0,
         h = 1e-7 * (1.0 + abs(X[1]))
         s = X[1] + h
         g = geo_at(geo, xc + s * tau)
-        rl, ml, _c1 = _old_profile_at(mq, mBd, g, tau, theta)
-        rr, mr, _c2 = _old_profile_at(rq, rBd, g, tau, theta)
+        rl, ml = _old_profile_at(mq, mBd, g, tau, theta)
+        rr, mr = _old_profile_at(rq, rBd, g, tau, theta)
         f2, f3 = _k._rh_residual(s, rl, ml, rr, mr, gamma)
         J[1] = 0.0
         J[5] = 0.0

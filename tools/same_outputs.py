@@ -8,8 +8,9 @@ the change side is this checkout's ``src/``, uncommitted edits included.
 Every config of the set runs with ``python -m nozzleflow.cli run``, in
 ``modified`` mode and then in ``baseline-lf`` mode, from each side's
 ``src`` into one output directory per side and config.  The set is the
-README's config, a constant-duct riemann-step, and the seed-4101 and
-seed-701 ``nozzle-cli`` bump and Laval configs that
+README's config, a constant-duct riemann-step, gas moving through a Laval
+duct with no vacuum (``cutoff = off``), and the seed-4101 and seed-701
+``nozzle-cli`` bump and Laval configs that
 ``perfbench/workloads.nozzle_inputs`` writes.  For each config the report
 names the files only the parent wrote (missing), the files only the change
 wrote (extra) and the files whose bytes differ, with the largest relative
@@ -42,6 +43,20 @@ t_final = 0.1
 cutoff = off
 """
 
+# no vacuum anywhere: every cell of the curved duct is built away from it
+LAVAL_FLOW = """gamma = 1.4
+geometry = laval
+geometry_eps = 0.1
+initial = gaussian-velocity
+rho_inf = 1.0
+v_inf = 0.2
+v_amp = 0.2
+width = 0.3
+dx = 0.025
+t_final = 0.1
+cutoff = off
+"""
+
 
 def readme_config():
     """The first ``ini`` block of README.md."""
@@ -57,7 +72,8 @@ def write_configs(work):
     os.makedirs(work)
     configs = {}
     for name, text in (("readme", readme_config()),
-                       ("riemann-step", RIEMANN_STEP)):
+                       ("riemann-step", RIEMANN_STEP),
+                       ("laval-flow", LAVAL_FLOW)):
         configs[name] = os.path.join(work, f"{name}.cfg")
         with open(configs[name], "w", encoding="utf-8") as fh:
             fh.write(text)
