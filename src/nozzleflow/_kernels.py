@@ -130,10 +130,10 @@ def pack_ppoly(xs, c):
     return xs.tolist(), [tuple(col) for col in c.T.tolist()]
 
 
-def ppoly_eval(xs, c, x):
-    """Value at x of PPoly data packed by :func:`pack_ppoly`, with x
-    clamped to the breakpoint range: a ``bisect`` lookup of the piece and
-    Horner's rule on Python floats."""
+def _piece(xs, x):
+    """(i, t): the piece i of the packed breakpoints xs that holds x, with
+    x clamped to their range (a ``bisect`` lookup), and x's offset t in
+    it."""
     x = float(x)
     n = len(xs) - 1
     if x <= xs[0]:
@@ -145,7 +145,14 @@ def ppoly_eval(xs, c, x):
         i = 0
     elif i > n - 1:
         i = n - 1
-    t = x - xs[i]
+    return i, x - xs[i]
+
+
+def ppoly_eval(xs, c, x):
+    """Value at x of PPoly data packed by :func:`pack_ppoly`, with x
+    clamped to the breakpoint range: :func:`_piece`, then Horner's rule on
+    Python floats."""
+    i, t = _piece(xs, x)
     acc = 0.0
     for coef in c[i]:
         acc = acc * t + coef
@@ -542,11 +549,19 @@ def geo_B(geo, x):
 
 
 def geo_at(geo, x):
-    """(B, a, b) at x: the geometry a time-corrected profile needs there."""
+    """(B, a, b) at x: the geometry a time-corrected profile needs there.
+    B is b's antiderivative on b's breakpoints (the bundle checks it when
+    it packs them), so one lookup finds the piece of both, as
+    :func:`ppoly_eval` would."""
     if geo is None:
         return 0.0, 0.0, 0.0
-    return (ppoly_eval(geo[4], geo[5], x), ppoly_eval(geo[0], geo[1], x),
-            ppoly_eval(geo[2], geo[3], x))
+    i, t = _piece(geo[4], x)
+    B = b = 0.0
+    for coef in geo[5][i]:
+        B = B * t + coef
+    for coef in geo[3][i]:
+        b = b * t + coef
+    return B, ppoly_eval(geo[0], geo[1], x), b
 
 
 def in_flat_run(flats, x0, x1):
@@ -795,38 +810,37 @@ def _rh_jump(s, rl, ml, fl, rr, mr, fr):
 
 
 def _solve4(A, b):
-    """4x4 linear solve with partial pivoting; A is row-major flat (16,).
-    Returns (x, ok)."""
+    """4x4 linear solve with partial pivoting; A is a row-major list of 16
+    floats, b a list of 4.  Returns (x, ok).  The elimination runs on
+    copies of the four rows, so that a pivot swaps two lists."""
     n = 4
-    M = A.copy()
+    M = [A[0:4], A[4:8], A[8:12], A[12:16]]
     x = b.copy()
     for col in range(n):
         piv = col
-        big = abs(M[4 * col + col])
+        big = abs(M[col][col])
         for r in range(col + 1, n):
-            if abs(M[4 * r + col]) > big:
-                big = abs(M[4 * r + col])
+            if abs(M[r][col]) > big:
+                big = abs(M[r][col])
                 piv = r
         if big < 1e-300:
             return x, False
         if piv != col:
-            for cc in range(n):
-                tmp = M[4 * col + cc]
-                M[4 * col + cc] = M[4 * piv + cc]
-                M[4 * piv + cc] = tmp
-            tmp = x[col]
-            x[col] = x[piv]
-            x[piv] = tmp
+            M[col], M[piv] = M[piv], M[col]
+            x[col], x[piv] = x[piv], x[col]
+        mc = M[col]
         for r in range(col + 1, n):
-            f = M[4 * r + col] / M[4 * col + col]
+            mr = M[r]
+            f = mr[col] / mc[col]
             for cc in range(col, n):
-                M[4 * r + cc] -= f * M[4 * col + cc]
+                mr[cc] -= f * mc[cc]
             x[r] -= f * x[col]
     for col in range(n - 1, -1, -1):
+        mc = M[col]
         s = x[col]
         for cc in range(col + 1, n):
-            s -= M[4 * col + cc] * x[cc]
-        x[col] = s / M[4 * col + col]
+            s -= mc[cc] * x[cc]
+        x[col] = s / mc[col]
     return x, True
 
 

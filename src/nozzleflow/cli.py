@@ -151,7 +151,15 @@ def parse_config(path, overrides=None) -> RunConfig:
     if gkind == "constant":
         geom = NozzleGeometry.constant(A0=A0, X=X)
     elif gkind == "bump":
-        geom = NozzleGeometry.bump(_getf(d, "geometry_eps"), X=X, A0=A0)
+        eps = _getf(d, "geometry_eps")
+        # A = A0 exp(-eps s) with s(0) = 1 and s = 0 beyond X: the area
+        # changes by exp(eps s(0)), and the auto bound samples |a| of it
+        if not abs(eps) <= MAX_EXP_ARG:
+            raise ConfigError(
+                f"key 'geometry_eps': the bump's area changes by a factor "
+                f"exp(eps s(0)) = exp({eps:.6g}), where exp overflows "
+                f"beyond exp(+-{MAX_EXP_ARG:.6g})")
+        geom = NozzleGeometry.bump(eps, X=X, A0=A0)
     elif gkind == "laval":
         geom = NozzleGeometry.laval(_getf(d, "geometry_eps"), X=X, A0=A0)
     elif gkind == "table":

@@ -18,10 +18,19 @@ records and their piece table, the parameters and the geometry bundle of
 its ``StepRecord``, and the envelope bounds each state was projected onto.
 The quantities themselves (R, the area term, node areas) are whole-array
 code in :mod:`nozzleflow._traces`.
+
+``EnergyMonitor`` and ``RecurrenceAuditor`` read the steps :data:`BLOCK`
+at a time: their piece tables back to back, each reader once per block,
+its results split back into steps in order.  The last block is read inside
+the ``on_step`` call of the run's last step, so all monitor work happens
+inside ``scheme.run``; reading ``reports`` or ``audits`` earlier reads the
+steps kept so far first.  The outputs are those of one step at a time, bit
+for bit.
 """
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,6 +38,9 @@ from . import _traces
 from .gas import GasConstants, GasState
 from .nozzle import BoundFunction, NozzleGeometry, get_bundle
 from .scheme import SchemeParameters, StaggeredState, StepRecord
+
+# Steps the monitors read at once (see _BlockReader)
+BLOCK = 2
 
 
 @dataclass
@@ -130,24 +142,43 @@ def envelope_violation(state: StaggeredState):
     return max(0.0, float(viol.max())) if viol.size else 0.0
 
 
-def audit_recurrence(record: StepRecord, state_np1: StaggeredState,
-                     slack_coeff=1.0) -> RecurrenceAudit:
-    """Evaluate both sides of the energy recurrence at every new node (the
-    record's cells, in order), from the row of old nodes the step used:
-    each old node's eta, q and R once, shared by its two new nodes."""
+def _block(steps):
+    """The records of consecutive steps ``(new state, record)`` as one
+    record for the readers of :mod:`nozzleflow._traces`: their piece tables
+    back to back, with the run's parameters and constants."""
+    first = steps[0][1]
+    return SimpleNamespace(
+        pieces=_traces._Pieces.concat([rec.pieces for _, rec in steps]),
+        params=first.params, constants=first.constants)
+
+
+def audit_recurrence(steps, slack_coeff):
+    """The audits of consecutive steps ``(new state, record)``: both sides
+    of the energy recurrence at every new node (each record's cells, in
+    order), from the row of old nodes the step used, each old node's eta,
+    q and R once, shared by its two new nodes.  The area terms of all the
+    steps' cells are integrated in one pass."""
+    block = _block(steps)
+    aq = np.split(_traces.cell_aq_integrals(block),
+                  block.pieces.first_cell[1:])
+    return [_audit(record, new, area, slack_coeff)
+            for (new, record), area in zip(steps, aq)]
+
+
+def _audit(record, state_np1, area, slack_coeff):
+    """One step's :class:`RecurrenceAudit`, given its cells' a q*
+    integrals ``area``."""
     params, c = record.params, record.constants
     dx, dt = params.dx, params.dt
     jc = record.jcells
     rho, m = record.neighbors
     lhs = _traces.energy(state_np1.rho, state_np1.m, c.gamma)
-    eta = _traces.energy(rho, m, c.gamma)
-    q = _traces.energy_flux(rho, m, c.gamma)
     x = (jc[0] - 1 + 2 * np.arange(rho.size)) * dx
-    R = _traces.correction_R(x, rho, m, params, c, record.bundle.tables)
+    eta, q, R = _traces.node_row(x, rho, m, params, c, record.bundle.tables)
     rhs = (0.5 * (eta[:-1] + eta[1:])
            - 0.5 * dt / dx * (q[1:] - q[:-1])
            + (R[1:] - R[:-1]) * dt
-           - _traces.cell_aq_integrals(record) / (2.0 * dx))
+           - area / (2.0 * dx))
     raw = np.maximum(lhs - rhs, 0.0)
     slacked = np.maximum(lhs - rhs - slack_coeff * dx ** 1.5, 0.0)
     return RecurrenceAudit(
@@ -155,13 +186,45 @@ def audit_recurrence(record: StepRecord, state_np1: StaggeredState,
         worst_raw=float(np.max(raw)), worst_slacked=float(np.max(slacked)))
 
 
-class EnergyMonitor:
+class _BlockReader:
+    """An observer that reads a run's steps :data:`BLOCK` at a time.
+
+    ``on_step`` keeps each step; a full block, and the block that the run's
+    last step ends (``record.n + 1 >= record.params.n_steps``, which also
+    reads at once a step that a driver takes past ``T``), is read inside
+    that ``on_step`` call, so all of a run's monitor work stays inside
+    ``scheme.run``.  The results are read after :meth:`_flush`, which
+    reads a partial block first, for a driver that reads them before the
+    run's last step."""
+
+    def __init__(self):
+        self._steps = []
+
+    def on_step(self, prev, new, record):
+        self._steps.append((new, record))
+        if (len(self._steps) == BLOCK
+                or record.n + 1 >= record.params.n_steps):
+            self._flush()
+
+    def _flush(self):
+        if self._steps:
+            steps, self._steps = self._steps, []
+            self._read(steps)
+
+
+class EnergyMonitor(_BlockReader):
     """Observer producing an EnergyReport after every step."""
 
     def __init__(self):
-        self.reports = []
+        super().__init__()
+        self._reports = []
         self._jump_sum = 0.0
         self._j5 = None
+
+    @property
+    def reports(self):
+        self._flush()
+        return self._reports
 
     def on_start(self, state, ctx):
         bundle = get_bundle(ctx["geom"], ctx["bound"])
@@ -170,19 +233,32 @@ class EnergyMonitor:
         e0 = total_energy_nodes(state, areas, ctx["constants"].gamma)
         m0 = total_mass_nodes(state, areas)
         self.energy_bound = e0
-        self.reports.append(EnergyReport(
+        self._reports.append(EnergyReport(
             n=0, t=0.0, total_energy=e0, total_mass=m0, energy_bound=e0,
             slack=0.0, clamp_count=0, vacuum_count=0, max_rh_residual=0.0,
             max_envelope_violation=envelope_violation(state),
             max_pre_violation=0.0, jump_sum=0.0, jump_ceiling=math.inf,
             jump_flag=False))
 
-    def on_step(self, prev, new, record: StepRecord):
+    def _read(self, steps):
+        """The reports of a block of steps: its jump integrals and RH
+        residuals in one pass each, then step by step."""
+        block = _block(steps)
+        jumps = _traces.jump_integral(
+            block, np.concatenate([new.z for new, _ in steps]),
+            np.concatenate([new.w for new, _ in steps]))
+        rh = _traces.max_rh_residual(
+            block.pieces, np.concatenate([rec.fflag for _, rec in steps]),
+            block.params.dt, block.constants)
+        for (new, record), jump, res in zip(steps, jumps.tolist(),
+                                            rh.tolist()):
+            self._report(new, record, jump, res)
+
+    def _report(self, new, record, jump, rh):
         params = record.params
         areas = self._areas(new)
         e = total_energy_nodes(new, areas, record.constants.gamma)
         mass = total_mass_nodes(new, areas)
-        jump = _traces.jump_integral(record, new.z, new.w)
         self._jump_sum += jump
         n = new.n
         if n == 5:
@@ -191,11 +267,11 @@ class EnergyMonitor:
             ceiling = 10.0 * (self._j5 / 5.0) * n
         else:
             ceiling = math.inf
-        self.reports.append(EnergyReport(
+        self._reports.append(EnergyReport(
             n=n, t=n * params.dt, total_energy=e, total_mass=mass,
             energy_bound=self.energy_bound, slack=self.energy_bound - e,
             clamp_count=record.clamp_count, vacuum_count=record.vacuum_count,
-            max_rh_residual=record.max_rh_residual(),
+            max_rh_residual=rh,
             max_envelope_violation=envelope_violation(new),
             max_pre_violation=record.max_pre_violation,
             jump_sum=self._jump_sum, jump_ceiling=ceiling,
@@ -206,15 +282,21 @@ class EnergyMonitor:
         return min(r.slack for r in self.reports)
 
 
-class RecurrenceAuditor:
+class RecurrenceAuditor(_BlockReader):
     """Observer accumulating recurrence audits (never aborts a run)."""
 
     def __init__(self, slack_coeff=1.0):
+        super().__init__()
         self.slack_coeff = slack_coeff
-        self.audits = []
+        self._audits = []
 
-    def on_step(self, prev, new, record):
-        self.audits.append(audit_recurrence(record, new, self.slack_coeff))
+    @property
+    def audits(self):
+        self._flush()
+        return self._audits
+
+    def _read(self, steps):
+        self._audits += audit_recurrence(steps, self.slack_coeff)
 
     @property
     def worst_raw(self):

@@ -551,6 +551,8 @@ def _pack_geo(a_pp, b_pp, B_pp, flats):
     ax, ac = _k.pack_ppoly(*_ppoly_arrays(a_pp))
     bx, bc = _k.pack_ppoly(*_ppoly_arrays(b_pp))
     Bx, Bc = _k.pack_ppoly(*_ppoly_arrays(B_pp))
+    # _kernels.geo_at looks up the piece of b and B once
+    assert bx == Bx, "B must share b's breakpoints"
     return ax, ac, bx, bc, Bx, Bc, flats
 
 

@@ -260,8 +260,9 @@ class CellSolution:
 
     def max_rh_residual(self):
         """Worst half-time RH residual over the solved fronts."""
-        return _traces.max_rh_residual(self._pieces(), self.is_front,
-                                       self.params.dt, self.constants)
+        return float(_traces.max_rh_residual(self._pieces(), self.is_front,
+                                             self.params.dt,
+                                             self.constants)[0])
 
     def average(self) -> GasState:
         """End-of-step cell average (pre-projection), as the step computes
@@ -325,8 +326,9 @@ class StepRecord:
         return out
 
     def max_rh_residual(self):
-        return _traces.max_rh_residual(self.pieces, self.fflag,
-                                       self.params.dt, self.constants)
+        return float(_traces.max_rh_residual(self.pieces, self.fflag,
+                                             self.params.dt,
+                                             self.constants)[0])
 
 
 def _window_bounds(n, W0):

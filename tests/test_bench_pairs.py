@@ -1,8 +1,11 @@
 """``tools/bench_pairs.summarize`` on synthetic runs: wins, ties, the gain
-signed by each metric's better direction, and the bound."""
+signed by each metric's better direction, and the bound; and the parent
+commit a BENCH file names."""
 
 import importlib.util
+import json
 import os
+import subprocess
 
 import pytest
 
@@ -99,3 +102,24 @@ class TestSummarize:
         assert list(out) == ["run_s"]
         assert out["run_s"]["pairs"] == 5
         assert out["run_s"]["parent_median"] == 12.0
+
+
+@pytest.mark.skipif(not os.path.exists(os.path.join(ROOT, ".git")),
+                    reason="needs a git checkout")
+def test_parent_resolved_to_its_commit():
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert bench_pairs.resolve("HEAD") == head
+    assert bench_pairs.resolve(head[:12]) == head
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_pairs.resolve("no-such-revision")
+
+
+def test_file_of_another_parent_refused(tmp_path):
+    path = str(tmp_path / "BENCH_x.json")
+    assert bench_pairs.open_doc(path, "a" * 40) is None
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"parent_commit": "a" * 40, "workloads": {}}, fh)
+    assert bench_pairs.open_doc(path, "a" * 40)["workloads"] == {}
+    with pytest.raises(SystemExit, match="measured parent a+, not b+"):
+        bench_pairs.open_doc(path, "b" * 40)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -104,14 +105,20 @@ class TestParseConfig:
              "'b_function'.*max\\(I\\+, I-\\) is 1e\\+300"),
             ("b_function = const:1e300:-1:1\nm_bound = 1",
              "'b_function'.*max\\(I\\+, I-\\) is 1e\\+300"),
+            # refused before the auto bound samples |a|, with no warning
             ("geometry = bump\ngeometry_eps = 1e300",
-             "'b_function'.*exp overflows"),
+             "'geometry_eps'.*exp overflows"),
+            ("geometry = bump\ngeometry_eps = -1e300",
+             "'geometry_eps'.*exp overflows"),
             # dt = dx / (2 M e^I) rounds to 0
             ("b_function = const:400:-1:1", "'m_bound'.*dt = dx .* is 0\\.0"),
             ("m_bound = 1e308", "'m_bound'.*dt = dx .* is 0\\.0"))])
     def test_bad_value_rejected(self, tmp_path, line, match):
-        with pytest.raises(ConfigError, match=match):
-            parse_config(write_cfg(tmp_path, MINIMAL + line + "\n"))
+        # a refused config prints nothing but its one error line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=match):
+                parse_config(write_cfg(tmp_path, MINIMAL + line + "\n"))
 
     @pytest.mark.parametrize("word, on", [("off", False), ("NO", False),
                                           ("0", False), ("yes", True)])

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 import nozzleflow._kernels as _k
 import nozzleflow._traces as _traces
+from nozzleflow import diagnostics
 from nozzleflow import (EnergyMonitor, GasConstants, GasState,
                         RecurrenceAuditor, advance, correction_R,
                         initialize, mechanical_pair, run, select_M,
@@ -693,3 +694,193 @@ class TestWholeArrayTraces:
         mon.on_step(st, new, rec)
         aud.on_step(st, new, rec)
         assert len(built) == 1
+
+
+@pytest.fixture(scope="module", params=["bump", "laval"])
+def stepped(request):
+    """(new state, record) of each of 7 steps of compactly supported data
+    in a bump (flat runs beyond X) or a Laval nozzle, vacuum outside."""
+    geom = (NozzleGeometry.bump(0.15, X=1.0) if request.param == "bump"
+            else NozzleGeometry.laval(0.15, X=1.0))
+    b = BoundFunction.auto_for(geom, admissibility_constants(C14), dx=0.05)
+    u0 = TableData([-1.3, -1.0, -0.2, 0.2, 1.0, 1.3],
+                   [0, 0.9, 1.1, 1.1, 0.9, 0], [0, 0.1, 0.2, 0.2, 0.0, 0])
+    params = SchemeParameters.create(dx=0.05, M=select_M(u0, b, C14), b=b,
+                                     T=0.0, c=C14)
+    st, mesh = initialize(u0, params, geom, b, C14)
+    out = []
+    for _ in range(7):
+        st, rec = advance(st, params, geom, b, C14, mesh)
+        out.append((st, rec))
+    return out
+
+
+def _bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+class TestBlockReaders:
+    """The step readers on one piece table per step and on the tables of
+    consecutive steps back to back (``_Pieces.concat``), as the monitors
+    read them: the same bytes, step by step."""
+
+    def test_time_offset_per_point(self, stepped):
+        # one call with a time offset per point equals one call per offset
+        for _new, rec in stepped:
+            pcs = rec.pieces
+            dt = rec.params.dt
+            rng = np.random.default_rng(rec.n)
+            taus = [0.0, 0.5 * dt - 0.5 * dt * 0.7745966692414834,
+                    0.5 * dt, dt]
+            xs = [pcs.xc + rng.uniform(-1, 1, pcs.xc.size) * pcs.dx
+                  for _ in taus]
+            want = [_traces.pieces_at(pcs.kinds, pcs.q, x, tau, pcs.tables,
+                                      pcs.theta, pcs.Bd)
+                    for x, tau in zip(xs, taus)]
+            k = len(taus)
+            got = _traces.pieces_at(
+                np.tile(pcs.kinds, k), np.tile(pcs.q, (k, 1)),
+                np.concatenate(xs), np.repeat(taus, pcs.xc.size),
+                pcs.tables, pcs.theta, np.tile(pcs.Bd, k))
+            assert _bits(*got) == _bits(
+                np.concatenate([w[0] for w in want]),
+                np.concatenate([w[1] for w in want]))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_blocks_equal_single_steps(self, stepped, size):
+        dt, c = stepped[0][1].params.dt, C14
+        vacuum = 0
+        for lo in range(0, len(stepped), size):
+            steps = stepped[lo:lo + size]
+            block = diagnostics._block(steps)
+            assert block.pieces.first_cell.size == len(steps)
+            aq = np.split(_traces.cell_aq_integrals(block),
+                          block.pieces.first_cell[1:])
+            jumps = _traces.jump_integral(
+                block, np.concatenate([new.z for new, _ in steps]),
+                np.concatenate([new.w for new, _ in steps]))
+            rh = _traces.max_rh_residual(
+                block.pieces, np.concatenate([r.fflag for _, r in steps]),
+                dt, c)
+            assert len(aq) == jumps.size == rh.size == len(steps)
+            for i, (new, rec) in enumerate(steps):
+                vacuum += np.count_nonzero(new.rho == 0.0)
+                assert _bits(aq[i]) == _bits(_traces.cell_aq_integrals(rec))
+                assert _bits(jumps[i]) == _bits(
+                    _traces.jump_integral(rec, new.z, new.w)[0])
+                assert rh[i] == rec.max_rh_residual()
+                assert np.any(aq[i] != 0.0) and jumps[i] > 0.0 < rh[i]
+        assert vacuum > 0
+
+    def test_concat_joins_without_init(self, stepped, monkeypatch):
+        def refuse(*a):
+            raise AssertionError("__init__ ran")
+
+        monkeypatch.setattr(_traces._Pieces, "__init__", refuse)
+        tables = [rec.pieces for _, rec in stepped[:3]]
+        block = _traces._Pieces.concat(tables)
+        assert _traces._Pieces.concat(tables[:1]) is tables[0]
+        sizes = [t.jcells.size for t in tables]
+        assert block.first_cell.tolist() == [0, sizes[0], sum(sizes[:2])]
+        assert block.first_piece.tolist() == [
+            0, tables[0].cell.size, tables[0].cell.size + tables[1].cell.size]
+        assert np.array_equal(block.cell[block.first_piece],
+                              block.first_cell)
+        assert np.array_equal(block.kinds,
+                              np.concatenate([t.kinds for t in tables]))
+
+    def test_constant_pieces_take_one_energy_flux(self, stepped,
+                                                  monkeypatch):
+        # a constant piece has one q* at all nine space-time nodes
+        sizes = []
+        flux = _traces.energy_flux
+
+        def counted(rho, m, gamma):
+            sizes.append(rho.size)
+            return flux(rho, m, gamma)
+
+        monkeypatch.setattr(_traces, "energy_flux", counted)
+        consts = 0
+        for _new, rec in stepped:
+            pcs, dt = rec.pieces, rec.params.dt
+            kept = ~((pcs.kinds == _k.K_CONST) & (pcs.q[:, 1] == 0.0)
+                     | pcs.straight)
+            const = np.zeros(pcs.kinds.size, dtype=bool)
+            nodes = 0
+            for x in _traces._G3X:
+                a, b = pcs.extent(0.5 * dt + 0.5 * dt * x)
+                live = (b > a) & kept
+                const |= live & (pcs.kinds == _k.K_CONST)
+                nodes += 3 * np.count_nonzero(live & (pcs.kinds
+                                                      != _k.K_CONST))
+            sizes.clear()
+            _traces.cell_aq_integrals(rec)
+            assert sizes == [nodes + np.count_nonzero(const)]
+            consts += np.count_nonzero(const)
+        assert consts > 0
+
+
+class TestBlockMonitors:
+    """The monitors read a run's steps in blocks of diagnostics.BLOCK, the
+    last block inside the run's last on_step call."""
+
+    @staticmethod
+    def _run(steps, monkeypatch=None, block=None):
+        geom, b = nozzle_setup(dx=0.05)
+        u0 = GaussianBumpData(rho_inf=1.0, rho_amp=0.2, v_amp=0.1,
+                              width=0.3)
+        if block is not None:
+            monkeypatch.setattr(diagnostics, "BLOCK", block)
+        return _run_monitored(u0, geom, b, steps, 0.05)
+
+    @pytest.mark.parametrize("steps", [3, 4])
+    def test_nothing_pending_after_run(self, steps):
+        _, mon, aud, params = self._run(steps)
+        assert params.n_steps == steps
+        assert mon._steps == [] and aud._steps == []
+        assert len(mon._reports) == steps + 1
+        assert len(aud._audits) == steps
+
+    @pytest.mark.parametrize("steps", [3, 4])
+    def test_one_piece_table_per_monitored_step(self, monkeypatch, steps):
+        # each step builds one table; the monitors read every step from
+        # it, inside the run, and join blocks without building another
+        built = []
+        init = _traces._Pieces.__init__
+
+        def counted(self, *a):
+            built.append(a)
+            init(self, *a)
+
+        monkeypatch.setattr(_traces._Pieces, "__init__", counted)
+        _, mon, aud, _ = self._run(steps)
+        assert len(built) == steps
+        assert len(mon._reports) == steps + 1 and len(aud._audits) == steps
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_any_block_size_reads_the_same(self, monkeypatch, block):
+        _, mon, aud, _ = self._run(5)
+        _, mon2, aud2, _ = self._run(5, monkeypatch, block)
+        assert mon2.reports == mon.reports
+        for a, a2 in zip(aud.audits, aud2.audits, strict=True):
+            assert _bits(a.lhs, a.rhs) == _bits(a2.lhs, a2.rhs)
+            assert (a.worst_raw, a.worst_slacked) == (a2.worst_raw,
+                                                      a2.worst_slacked)
+
+    def test_results_read_early_are_flushed(self):
+        # a driver reading the results before the last step gets every
+        # step it has stepped
+        geom, b = nozzle_setup(dx=0.05)
+        u0 = GaussianBumpData(rho_inf=1.0, rho_amp=0.2, width=0.3)
+        params = SchemeParameters.create(dx=0.05, M=select_M(u0, b, C14),
+                                         b=b, T=1.0, c=C14)
+        st, mesh = initialize(u0, params, geom, b, C14)
+        mon, aud = EnergyMonitor(), RecurrenceAuditor()
+        mon.on_start(st, {"params": params, "geom": geom, "bound": b,
+                          "constants": C14})
+        for n in range(3):
+            new, rec = advance(st, params, geom, b, C14, mesh)
+            mon.on_step(st, new, rec)
+            aud.on_step(st, new, rec)
+            st = new
+            assert len(mon.reports) == n + 2 and len(aud.audits) == n + 1

@@ -481,6 +481,33 @@ class TestKernelLookup:
             for x in pts.tolist():
                 assert _k.ppoly_eval(pxs, pc, x) == _ppoly_reference(xs, c, x)
 
+    @pytest.mark.parametrize("family", ["bump", "laval", "table"])
+    def test_geo_at_one_lookup_for_b_and_B(self, family):
+        # b and B share their breakpoints, so geo_at finds both pieces with
+        # one lookup: the values of three separate lookups, in both frames,
+        # also where a's domain and b's differ
+        geom = {"bump": NozzleGeometry.bump(0.2, X=1.0),
+                "laval": NozzleGeometry.laval(0.2, X=1.0),
+                "table": NozzleGeometry.from_table(
+                    [-1.5, -0.5, 0.0, 0.7, 1.5],
+                    [1.0, 0.8, 0.7, 0.9, 1.1])}[family]
+        b = BoundFunction.auto_for(geom, admissibility_constants(C14),
+                                   dx=0.02)
+        bundle = nozzle.KernelBundle(geom, b)
+        rng = np.random.default_rng(9)
+        for geo in (bundle.geo, bundle.geo_reflected):
+            assert geo[2] == geo[4]
+            xs = np.array(geo[4] + geo[0])
+            pts = np.concatenate([xs, np.nextafter(xs, -np.inf),
+                                  np.nextafter(xs, np.inf),
+                                  rng.uniform(xs.min() - 1, xs.max() + 1,
+                                              300)])
+            for x in pts.tolist():
+                want = (_k.ppoly_eval(geo[4], geo[5], x),
+                        _k.ppoly_eval(geo[0], geo[1], x),
+                        _k.ppoly_eval(geo[2], geo[3], x))
+                assert _k.geo_at(geo, x) == want
+
 
 class TestOneEnvelope:
     @pytest.mark.parametrize("geom", [NozzleGeometry.bump(0.11),

@@ -14,8 +14,9 @@ each side won (a tie counts for neither), the gain, which is the gap
 between the medians signed to be positive where the change is better,
 whether that gain exceeds the parent's quartile spread, and the metric's
 bound from ``BENCHMARK.json``.  With ``--trace 1`` the runs are traced and
-their per-layer metrics go under ``traced`` instead.  An existing
-``--out`` file keeps its other workloads.
+their per-layer metrics go under ``traced`` instead.  The file names the
+parent by its commit hash; an existing ``--out`` file keeps its other
+workloads, and one that names another parent is refused.
 """
 
 import argparse
@@ -44,6 +45,27 @@ def parse_args(argv):
     ap.add_argument("--out", required=True)
     ap.add_argument("--label", default="")
     return ap.parse_args(argv)
+
+
+def resolve(rev):
+    """The full hash of the commit that the git revision ``rev`` names now,
+    so that a BENCH file names the commit it measured, not ``HEAD``."""
+    return subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
+                          cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def open_doc(path, parent):
+    """The BENCH file at ``path``, or None if there is none; refused if it
+    measured another parent commit than ``parent``."""
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if doc.get("parent_commit") != parent:
+        sys.exit(f"{path} measured parent {doc.get('parent_commit')}, "
+                 f"not {parent}")
+    return doc
 
 
 def unpack_sides(parent, work):
@@ -131,11 +153,10 @@ def main(argv=None):
         bench = json.load(fh)
     bounds = {m["name"]: (m["better"], m["bound"])
               for m in bench["end_to_end"]}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = {"label": args.label, "parent_commit": args.parent,
+    parent = resolve(args.parent)
+    doc = open_doc(args.out, parent)
+    if doc is None:
+        doc = {"label": args.label, "parent_commit": parent,
                "machine": {"cpus": os.cpu_count(),
                            "python": platform.python_version(),
                            "numpy": np.__version__,
@@ -143,7 +164,7 @@ def main(argv=None):
     work = tempfile.mkdtemp(prefix="bench_pairs_")
     runs = []
     try:
-        sides = unpack_sides(args.parent, work)
+        sides = unpack_sides(parent, work)
         for i in range(1, args.pairs + 1):
             seed = args.seed0 + i
             order = ("parent", "change") if i % 2 else ("change", "parent")
@@ -161,7 +182,7 @@ def main(argv=None):
         shutil.rmtree(work, ignore_errors=True)
     harness = (f"python3 perfbench/run.py --workload {args.workload} --seed "
                f"S --seconds {args.seconds:g} --trace {args.trace}, in "
-               f"git archive {args.parent} and in a copy of the change's "
+               f"git archive {parent[:12]} and in a copy of the change's "
                f"src/ and perfbench/; pair i uses seed {args.seed0} + i on "
                f"both sides, the parent first in odd pairs")
     entry = {"harness": harness, "runs": runs}
