@@ -1264,7 +1264,7 @@ def vac_left_side_k(j, rho_l, m_l, par, h, thr, geo, out):
     """Near-vacuum left-side construction (Case-1 sub-dispatch on u_L),
     with h = dx^alpha and thr = dx^beta.
 
-    Returns (lam_edge, rho_star, m_star, subcode, clamped_x4, status).  The
+    Returns (lam_edge, rho_star, m_star, subcode, status).  The
     pieces appended to ``out`` cover the region left of the ray with speed
     ``lam_edge``; for sub-case 1.2(i) it is a single constant piece
     (callers covering the whole cell with the plain Riemann solution drop
@@ -1278,7 +1278,7 @@ def vac_left_side_k(j, rho_l, m_l, par, h, thr, geo, out):
     xc = j * dx
     Lj = -M * math.exp(-geo_B(geo, (j + 1) * dx))
     if rho_l < RHO_FLOOR:
-        return -BIG, 0.0, 0.0, SUB_NONE, 0, OK
+        return -BIG, 0.0, 0.0, SUB_NONE, OK
     v_l = m_l / rho_l
     zl, wl = invariants_k(rho_l, m_l, theta)
     if rho_l > 2.0 * thr:
@@ -1288,23 +1288,22 @@ def vac_left_side_k(j, rho_l, m_l, par, h, thr, geo, out):
             (j - 1) * dx, zl, wl, z1, True, xc, dx, dt, h,
             geo, gamma, theta, out)
         if st != OK:
-            return 0.0, 0.0, 0.0, SUB_11, 0, st
+            return 0.0, 0.0, 0.0, SUB_11, st
         r2, m2 = state_k(z2, w2, theta)
         lam_edge = (z2 + w2) * 0.5 - sound_k(r2, theta)
         z3 = z2
         if z3 < Lj:
             z3 = Lj
         rs, ms = state_k(z3, wl, theta)
-        return lam_edge, rs, ms, SUB_11, 0, OK
+        return lam_edge, rs, ms, SUB_11, OK
     if zl >= Lj:
         out.append(_const(rho_l, m_l))
         lam_edge = v_l - sound_k(rho_l, theta)
-        return lam_edge, rho_l, m_l, SUB_12I, 0, OK
+        return lam_edge, rho_l, m_l, SUB_12I, OK
     # 1.2(ii): decay profile anchored at the cell center down to the floor
     need = math.log(zl / Lj)
     Bc = geo_B(geo, xc)
     Br = geo_B(geo, (j + 1) * dx)
-    clamped = 0
     if Br - Bc >= need:
         lo = xc
         hi = (j + 1) * dx
@@ -1319,14 +1318,13 @@ def vac_left_side_k(j, rho_l, m_l, par, h, thr, geo, out):
         x4 = 0.5 * (lo + hi)
     else:
         x4 = (j + 1) * dx
-        clamped = 1
     fac = math.exp(-(geo_B(geo, x4) - Bc))
     z4 = zl * fac
     w4 = wl * fac
     r4, m4 = state_k(z4, w4, theta)
     lam_edge = (z4 + w4) * 0.5 - sound_k(r4, theta)
     out.append(_profile(xc, zl, wl, -1.0, -1.0, 1.0))
-    return lam_edge, r4, m4, SUB_12II, clamped, OK
+    return lam_edge, r4, m4, SUB_12II, OK
 
 
 def _mirrored(rsol):
@@ -1351,8 +1349,7 @@ def _solution_of(rsol, rho_l, m_l, rho_r, m_r, gamma, theta):
 def _build_vac_case1_k(j, rsol, par, h, thr, geo):
     """Near-vacuum Case 1 (1-rarefaction + 2-shock) of the packed solution
     rsol, which is reused wherever the construction needs the Riemann
-    solution of its own states.  Returns (pieces, subcode, clamped,
-    status)."""
+    solution of its own states.  Returns (pieces, subcode, status)."""
     gamma = par[0]
     theta = par[1]
     dx = par[2]
@@ -1360,19 +1357,19 @@ def _build_vac_case1_k(j, rsol, par, h, thr, geo):
     rho_r = rsol[2]
     m_r = rsol[3]
     cell = []
-    lam_edge, rs, ms, sub, clamped, st = vac_left_side_k(
+    lam_edge, rs, ms, sub, st = vac_left_side_k(
         j, rsol[0], rsol[1], par, h, thr, geo, cell)
     if st != OK:
-        return cell, sub, clamped, st
+        return cell, sub, st
     if sub == SUB_12I or sub == SUB_NONE:
         cell = []
         flatten_riemann_k(rsol, xc, -BIG, BIG, theta, cell)
-        return cell, sub, clamped, OK
+        return cell, sub, OK
     rsol2 = _solution_of(rsol, rs, ms, rho_r, m_r, gamma, theta)
     cell[-1][2] = lam_edge
     cell[-1][3] = 0
     flatten_riemann_k(rsol2, xc, lam_edge, BIG, theta, cell)
-    return cell, sub, clamped, OK
+    return cell, sub, OK
 
 
 def _wave_case(k1, k2):
@@ -1388,7 +1385,7 @@ def build_vac_cell_k(j, rsol, par, h, thr, geo, geor):
     """Construction dispatch for near-vacuum middle states, with h =
     dx^alpha and thr = dx^beta.
 
-    Returns (pieces, case_code, subcode, clamped, status).  Case 2 runs the
+    Returns (pieces, case_code, subcode, status).  Case 2 runs the
     Case-1 machinery in the reflected frame (x -> -x, m -> -m); Case 3
     uses the Case-1 side selection on both sides around a central Riemann
     solution; Case 4 is the plain Riemann solution.
@@ -1402,33 +1399,32 @@ def build_vac_cell_k(j, rsol, par, h, thr, geo, geor):
     rr = rsol[2]
     mr = rsol[3]
     if rl < RHO_FLOOR and rr < RHO_FLOOR:
-        return [_const(0.0, 0.0)], CASE_VAC_ALLVAC, SUB_NONE, 0, OK
+        return [_const(0.0, 0.0)], CASE_VAC_ALLVAC, SUB_NONE, OK
     if _cell_is_inert(j, rsol, dx, geo):
-        return [_const(rl, ml)], CASE_VAC_INERT, SUB_NONE, 0, OK
+        return [_const(rl, ml)], CASE_VAC_INERT, SUB_NONE, OK
     case = _wave_case(int(rsol[6]), int(rsol[7]))
     if case == 1:
-        cell, sub, clamped, st = _build_vac_case1_k(j, rsol, par, h, thr,
-                                                    geo)
-        return cell, CASE_VAC_1, sub, clamped, st
+        cell, sub, st = _build_vac_case1_k(j, rsol, par, h, thr, geo)
+        return cell, CASE_VAC_1, sub, st
     cell = []
     if case == 2:
-        refl, sub, clamped, st = _build_vac_case1_k(
+        refl, sub, st = _build_vac_case1_k(
             -j, _mirrored(rsol), par, h, thr, geor)
         _unreflect_append(refl, cell)
-        return cell, CASE_VAC_2, sub, clamped, st
+        return cell, CASE_VAC_2, sub, st
     if case == 4:
         flatten_riemann_k(rsol, xc, -BIG, BIG, theta, cell)
-        return cell, CASE_VAC_4, SUB_NONE, 0, OK
+        return cell, CASE_VAC_4, SUB_NONE, OK
     # Case 3: two rarefactions (or degenerate waves)
-    lamL, rsl, msl, subL, clampL, st = vac_left_side_k(
+    lamL, rsl, msl, subL, st = vac_left_side_k(
         j, rl, ml, par, h, thr, geo, cell)
     if st != OK:
-        return cell, CASE_VAC_3, subL, clampL, st
+        return cell, CASE_VAC_3, subL, st
     right = []
-    lamRr, rsrr, msrr, subR, clampR, st = vac_left_side_k(
+    lamRr, rsrr, msrr, subR, st = vac_left_side_k(
         -j, rr, -mr, par, h, thr, geor, right)
     if st != OK:
-        return cell, CASE_VAC_3, subR, clampR, st
+        return cell, CASE_VAC_3, subR, st
     lamR = BIG if lamRr == -BIG else -lamRr
     rsolm = _solution_of(rsol, rsl, msl, rsrr, -msrr, gamma, theta)
     if cell:
@@ -1439,9 +1435,7 @@ def build_vac_cell_k(j, rsol, par, h, thr, geo, geor):
         cell[-1][2] = lamR
         cell[-1][3] = 0
         _unreflect_append(right, cell)
-    sub = subL * 10 + subR
-    clamped = clampL + clampR
-    return cell, CASE_VAC_3, sub, clamped, OK
+    return cell, CASE_VAC_3, subL * 10 + subR, OK
 
 
 # ---------------------------------------------------------------------------
@@ -1462,7 +1456,7 @@ def build_step_pass_a(jcells, rho, m, par, rsols):
 
 def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
                       kinds, pars, spds, fflag,
-                      ncount, ccase, csub, cclamp, cerr):
+                      ncount, ccase, csub, cerr):
     """Build every cell record for one step; an away-from-vacuum cell inside
     a flat run of geo is built with the straight view (module docstring).
     h = dx^alpha and thr = dx^beta are taken once, for every construction.
@@ -1470,8 +1464,7 @@ def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
     The cells' pieces go back to back onto the output lists: kinds, pars
     (six floats a piece), spds and fflag (the ray to the piece's right;
     0.0 and 0 on a cell's last piece).  offs gets each cell's first piece
-    and then the total; ncount, ccase, csub, cclamp and cerr one entry per
-    cell.
+    and then the total; ncount, ccase, csub and cerr one entry per cell.
     """
     dx = par[2]
     dt = par[3]
@@ -1491,9 +1484,8 @@ def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
                 cell, st = build_away_cell_k(j, rsol, par, h, geo, geor)
             case = _wave_case(int(rsol[6]), int(rsol[7]))
             sub = SUB_NONE
-            clamped = 0
         else:
-            cell, case, sub, clamped, st = build_vac_cell_k(
+            cell, case, sub, st = build_vac_cell_k(
                 j, rsol, par, h, thr, geo, geor)
         n = len(cell)
         if st == OK:
@@ -1523,6 +1515,5 @@ def build_step_pass_b(jcells, rsols, offs, par, geo, geor,
         ncount.append(n)
         ccase.append(case)
         csub.append(sub)
-        cclamp.append(clamped)
         cerr.append(st)
     offs.append(len(kinds))

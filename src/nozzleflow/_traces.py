@@ -54,8 +54,10 @@ _G5W = np.array([0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
 
 
 def ppoly_values(table, x):
-    """Clamped piecewise-polynomial values at the points x; ``table`` is
-    PPoly data (xs, c) as in ``_kernels.ppoly_eval``."""
+    """Clamped piecewise-polynomial values at the points x, the package's
+    one array evaluator (also ``PiecewisePoly.__call__``); ``table`` is
+    PPoly data (xs, c) as in ``_kernels.ppoly_eval``, whose bits it
+    keeps."""
     xs, c = table
     n = xs.size - 1
     xx = np.clip(x, xs[0], xs[n])

@@ -161,7 +161,10 @@ def parse_config(path, overrides=None) -> RunConfig:
                 f"beyond exp(+-{MAX_EXP_ARG:.6g})")
         geom = NozzleGeometry.bump(eps, X=X, A0=A0)
     elif gkind == "laval":
-        geom = NozzleGeometry.laval(_getf(d, "geometry_eps"), X=X, A0=A0)
+        try:
+            geom = NozzleGeometry.laval(_getf(d, "geometry_eps"), X=X, A0=A0)
+        except ValueError as e:
+            raise ConfigError(f"key 'geometry_eps': {e}")
     elif gkind == "table":
         if not d["geometry_table"]:
             raise ConfigError("geometry = table requires geometry_table")

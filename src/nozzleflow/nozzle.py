@@ -4,22 +4,18 @@ The cross section A(x) enters the equations only through a(x) = -A'(x)/A(x).
 Internally the package keeps a single source of truth: a piecewise
 polynomial IA(x) = integral_0^x a, with a = IA' and A = A(0) exp(-IA).
 The bound function b >= |a|/mu with its cumulative integral B(x) is stored
-the same way.  The scheme's kernels and its diagnostics evaluate these
-piecewise polynomials by Horner's rule (``_kernels.ppoly_eval``,
-``_traces.ppoly_values``) and agree bit for bit.  The Python API
-(``PiecewisePoly.__call__``, hence ``NozzleGeometry.a`` and
-``BoundFunction.b``/``B``) sums the powers in scipy's order, which can
-differ from Horner's rule in the last bits (up to about 1e-12 relative);
-its readers are the baseline scheme's source term, ``select_M``,
-``BoundFunction.auto_for`` (and the I+ and I- of every bound function)
-and ``validate_condition``.
+the same way.  Every geometry is constant beyond its core, so a = 0 exactly
+there.  Every reader evaluates these piecewise polynomials one way, by
+Horner's rule with x clamped to the breakpoints (``_traces.ppoly_values``,
+and ``_kernels.ppoly_eval`` on Python floats, bit for bit the same).
 
 The piecewise polynomials (``PiecewisePoly``), the PCHIP interpolant of a
 geometry table or a sampled bound, and the clamped cubic spline of the
-Laval duct are built here with NumPy alone.  They do the floating-point
-operations of ``scipy.interpolate`` (``PPoly``, ``PchipInterpolator``,
-``CubicSpline``) in scipy's order, so their data and values equal scipy's
-bit for bit; the tests check this against scipy.
+Laval duct are built here with NumPy alone.  Their construction data (the
+interpolants' coefficients, the derivative, and the antiderivative but for
+its constants) do the floating-point operations of ``scipy.interpolate``
+(``PPoly``, ``PchipInterpolator``, ``CubicSpline``) in scipy's order, and
+equal scipy's bit for bit; the tests check this against scipy.
 """
 
 import math
@@ -76,7 +72,8 @@ def _ppoly_arrays(pp):
 class PiecewisePoly:
     """Piecewise polynomial in scipy's ``PPoly`` layout: breakpoints ``x``
     (n+1,), coefficients ``c`` (k+1, n) with the highest power first, piece
-    i in the local coordinate ``v - x[i]``; the end pieces extrapolate."""
+    i in the local coordinate ``v - x[i]``; read with v clamped to
+    [x[0], x[n]], so the end pieces hold their end values beyond."""
 
     def __init__(self, c, x):
         self.c = np.ascontiguousarray(c, dtype=np.float64)
@@ -87,20 +84,10 @@ class PiecewisePoly:
         return cls(np.zeros((1, 1)), [domain[0], domain[1]])
 
     def __call__(self, v):
-        """Values at v, in the shape of v: the power sum c[k] + c[k-1] s +
-        c[k-2] s^2 + ..., added lowest power first (not Horner's rule)."""
+        """Values at v, in the shape of v (``_traces.ppoly_values``)."""
         v = np.asarray(v, dtype=np.float64)
-        flat = v.ravel()
-        i = np.clip(np.searchsorted(self.x, flat, "right") - 1,
-                    0, self.x.size - 2)
-        s = flat - self.x[i]
-        res = np.zeros_like(s)
-        z = np.ones_like(s)
-        for row in self.c[::-1]:
-            res = res + row[i] * z
-            z = z * s
-        res[np.isnan(flat)] = np.nan
-        return res.reshape(v.shape)
+        return _traces.ppoly_values((self.x, self.c),
+                                    v.ravel()).reshape(v.shape)
 
     def derivative(self):
         k = self.c.shape[0]
@@ -110,22 +97,29 @@ class PiecewisePoly:
                              self.x)
 
     def antiderivative(self):
-        """Antiderivative vanishing at x[0].  Piece ip starts at the power
-        sum of piece ip-1 at x[ip] - x[ip-1], one piece after the other:
-        one running sum from 0.0 over the terms, lowest power first and
-        piece by piece (``cumsum`` adds in order, and a sum from +0.0 never
-        turns -0.0, as scipy's does not), read at every k-th term."""
+        """Antiderivative vanishing at x[0].  Piece i starts at the value
+        of piece i-1 at x[i], as Horner's rule reads it: the rise of each
+        piece over its width, summed by one ``cumsum``."""
         k = self.c.shape[0]
         c = np.zeros((k + 1, self.c.shape[1]))
         c[:-1] = self.c / np.arange(k, 0, -1.0)[:, None]
-        s = np.diff(self.x)[:-1]
-        z = np.ones_like(s)
-        terms = np.zeros((s.size, k))
-        for p, row in enumerate(c[-2::-1, :-1]):
-            z = z * s
-            terms[:, p] = row * z
-        c[-1] = np.cumsum(np.concatenate(([0.0], terms.ravel())))[::k]
+        h = np.diff(self.x)[:-1]
+        rise = np.zeros_like(h)
+        for row in c[:-1, :-1]:
+            rise = rise * h + row
+        c[-1] = np.cumsum(np.concatenate(([0.0], rise * h)))
         return PiecewisePoly(c, self.x)
+
+
+def _flat_ends(core, pad):
+    """``core`` extended by a constant piece of width ``pad`` beyond each
+    end, at core's values there."""
+    ends = core(core.x[[0, -1]])
+    c = np.zeros((core.c.shape[0], core.c.shape[1] + 2))
+    c[:, 1:-1] = core.c
+    c[-1, [0, -1]] = ends
+    x = np.concatenate(([core.x[0] - pad], core.x, [core.x[-1] + pad]))
+    return PiecewisePoly(c, x)
 
 
 def reflect_ppoly(pp, sign):
@@ -260,38 +254,30 @@ class NozzleGeometry:
         """A = A0 exp(-eps s(x)), s = (1-(x/X)^2)^3 inside |x| < X (C^2)."""
         X = float(X)
         s = _bump_s_poly(X)
-        s0 = float(s(0.0))
-        pad = max(1.0, 0.5 * X)
-        xs = np.array([-X - pad, -X, X, X + pad])
-        deg = 6
-        c = np.zeros((deg + 1, 3))
-        # middle piece: eps*(s(x) - s(0)) in local coordinates t = x + X
-        mid = float(eps) * (s(np.polynomial.Polynomial([-X, 1.0]))
-                            - np.polynomial.Polynomial([s0]))
-        coef = np.atleast_1d(mid.coef)
-        full = np.zeros(deg + 1)
-        full[:coef.size] = coef
-        c[:, 1] = full[::-1]
-        # outer pieces: constants (s = 0 there, so IA = -eps*s0)
-        c[-1, 0] = -float(eps) * s0
-        c[-1, 2] = -float(eps) * s0
-        IA = PiecewisePoly(c, xs)
+        # eps*(s(x) - s(0)) in the local coordinate t = x + X
+        core = float(eps) * (s(np.polynomial.Polynomial([-X, 1.0]))
+                             - np.polynomial.Polynomial([float(s(0.0))]))
+        c = np.zeros(7)
+        c[:core.coef.size] = core.coef
+        IA = _flat_ends(PiecewisePoly(c[::-1, None], [-X, X]),
+                        max(1.0, 0.5 * X))
         return cls(A0=float(A0), X=X, IA_pp=IA, a_pp=IA.derivative(),
                    label=f"bump(eps={eps})")
 
     @classmethod
     def laval(cls, depth, X=1.0, A0=1.0, n_samples=2001):
-        """Converging-diverging duct A = A0 (1 - depth * s(x)), throat at 0."""
+        """Converging-diverging duct A = A0 (1 - depth * s(x)), throat at 0:
+        log A fitted by a clamped cubic spline on n_samples points of
+        [-X, X], where s' and s'' vanish at both ends."""
         X = float(X)
         depth = float(depth)
         if not 0.0 < depth < 1.0:
-            raise ValueError("depth must lie in (0, 1)")
+            raise ValueError(f"depth must lie in (0, 1), got {depth}")
         s = _bump_s_poly(X)
-        pad = max(1.0, 0.5 * X)
-        xs = np.linspace(-X - pad, X + pad, n_samples)
+        xs = np.linspace(-X, X, n_samples)
         sv = np.where(np.abs(xs) < X, s(xs), 0.0)
         ia = -np.log1p(-depth * sv) + math.log1p(-depth * float(s(0.0)))
-        IA = _clamped_spline(xs, ia)
+        IA = _flat_ends(_clamped_spline(xs, ia), max(1.0, 0.5 * X))
         return cls(A0=float(A0), X=X, IA_pp=IA, a_pp=IA.derivative(),
                    label=f"laval(depth={depth})")
 
@@ -311,23 +297,17 @@ class NozzleGeometry:
         if np.any(As <= 0.0):
             raise ValueError("cross section must be positive")
         la = _pchip(xs, np.log(As))
-        la0 = float(la(0.0)) if xs[0] <= 0.0 <= xs[-1] else float(np.log(As[0]))
-        # IA = la0 - la, extended by constants beyond the table
-        core = PiecewisePoly(-la.c, la.x)
-        pad = max(1.0, 0.1 * (xs[-1] - xs[0]))
-        new_x = np.concatenate([[xs[0] - pad], core.x, [xs[-1] + pad]])
-        k1 = core.c.shape[0]
-        new_c = np.zeros((k1, core.c.shape[1] + 2))
-        new_c[:, 1:-1] = core.c
-        new_c[-1, 0] = float(-la(xs[0]))
-        new_c[-1, -1] = float(-la(xs[-1]))
-        new_c[-1, :] += la0
-        IA = PiecewisePoly(new_c, new_x)
-        A0 = math.exp(la0)
+        # IA = log A(0) - log A, with A(0) read at the nearest end when the
+        # table does not reach x = 0
+        la0 = float(la(0.0))
+        c = -la.c
+        c[-1] += la0
+        IA = _flat_ends(PiecewisePoly(c, la.x),
+                        max(1.0, 0.1 * (xs[-1] - xs[0])))
         if X is None:
             X = float(max(abs(xs[0]), abs(xs[-1])))
-        return cls(A0=A0, X=float(X), IA_pp=IA, a_pp=IA.derivative(),
-                   label="table")
+        return cls(A0=math.exp(la0), X=float(X), IA_pp=IA,
+                   a_pp=IA.derivative(), label="table")
 
 
 def read_table(path, ncols):
@@ -377,11 +357,9 @@ class BoundFunction:
     label: str = "custom"
 
     def b(self, x):
-        x = np.clip(np.asarray(x, dtype=float), self.b_pp.x[0], self.b_pp.x[-1])
         return self.b_pp(x)
 
     def B(self, x):
-        x = np.clip(np.asarray(x, dtype=float), self.B_pp.x[0], self.B_pp.x[-1])
         return self.B_pp(x)
 
     @classmethod
@@ -429,12 +407,14 @@ class BoundFunction:
         span = geom.X
         hf = min(float(dx), span / 100.0) / 4.0
         pad = 4.0 * max(float(dx), 4.0 * hf)
-        count = math.ceil((2.0 * (span + pad) + hf) / hf)
+        # samples at hf k, |k| <= n: mirror images of each other
+        n = math.ceil((span + pad) / hf)
+        count = 2 * n + 1
         if count > AUTO_MAX_SAMPLES:
             raise ValueError(
                 f"the auto bound function needs {count} samples at dx = "
                 f"{dx!r}, more than {AUTO_MAX_SAMPLES}")
-        xs = np.arange(-span - pad, span + pad + hf, hf)
+        xs = hf * np.arange(-n, n + 1)
         raw = np.abs(geom.a(xs)) / mu
         win = max(2, int(round(max(float(dx), 4.0 * hf) / hf)))
         dil = _dilate(raw, win)

@@ -302,10 +302,8 @@ class StepRecord:
     pieces: _traces._Pieces
     ccase: np.ndarray
     csub: np.ndarray
-    cclamp: np.ndarray
     clamp_count: int
     vacuum_count: int
-    inversion_count: int
     max_pre_violation: float
     params: SchemeParameters
     constants: GasConstants
@@ -448,7 +446,7 @@ def _build_cells(jcells, neighbors, n, params: SchemeParameters,
     ``neighbors`` is the row (rho, m) of the cells centred at jcells, one
     entry longer than jcells: cell i lies between entries i and i + 1.
     Returns (offs, kinds, pars, spds, fflag, ncount, ccase,
-    csub, cclamp): the cells' pieces back to back, cell i's from offs[i];
+    csub): the cells' pieces back to back, cell i's from offs[i];
     raises CellBuildError for the first cell that failed.
     """
     par = params.par_array(c)
@@ -460,10 +458,10 @@ def _build_cells(jcells, neighbors, n, params: SchemeParameters,
     _k.build_step_pass_a(jlist, *(a.tolist() for a in neighbors), par,
                          rsols)
     offs, kinds, pars, spds, fflag = [], [], [], [], []
-    ncount, ccase, csub, cclamp, cerr = [], [], [], [], []
+    ncount, ccase, csub, cerr = [], [], [], []
     _k.build_step_pass_b(jlist, rsols, offs, par, bundle.geo,
                          bundle.geo_reflected, kinds, pars, spds, fflag,
-                         ncount, ccase, csub, cclamp, cerr)
+                         ncount, ccase, csub, cerr)
     for ci, code in enumerate(cerr):
         if code != _k.OK:
             msg = _ERR_MSG.get(code, "cell construction failed")
@@ -471,7 +469,7 @@ def _build_cells(jcells, neighbors, n, params: SchemeParameters,
     ints = lambda a: np.array(a, dtype=np.int64)
     pars = np.array(pars, dtype=float).reshape(-1, 6)
     return (ints(offs), ints(kinds), pars, np.array(spds, dtype=float),
-            ints(fflag), ints(ncount), ints(ccase), ints(csub), ints(cclamp))
+            ints(fflag), ints(ncount), ints(ccase), ints(csub))
 
 
 def advance(state: StaggeredState, params: SchemeParameters,
@@ -488,8 +486,8 @@ def advance(state: StaggeredState, params: SchemeParameters,
     j_lo, j_hi = _window_bounds(n + 1, mesh.W0)
     jcells = np.arange(j_lo, j_hi + 1, 2, dtype=np.int64)
     neighbors = gather_neighbors(state, jcells, mesh)
-    (offs, kinds, pars, spds, fflag, ncount, ccase, csub,
-     cclamp) = _build_cells(jcells, neighbors, n, params, bundle, c)
+    (offs, kinds, pars, spds, fflag, ncount, ccase,
+     csub) = _build_cells(jcells, neighbors, n, params, bundle, c)
     pieces = _traces._Pieces(jcells, ncount, kinds, pars, spds, params.dx,
                              bundle.tables, c.theta)
     rho, m, z, w, lo, up, stats = _traces.average_project(jcells, pieces,
@@ -499,9 +497,9 @@ def advance(state: StaggeredState, params: SchemeParameters,
     record = StepRecord(
         n=n, jcells=jcells, neighbors=neighbors, offs=offs, ncount=ncount,
         kinds=kinds, pars=pars, spds=spds, fflag=fflag, pieces=pieces,
-        ccase=ccase, csub=csub, cclamp=cclamp,
+        ccase=ccase, csub=csub,
         clamp_count=int(stats[0]), vacuum_count=int(stats[1]),
-        inversion_count=int(stats[3]), max_pre_violation=float(stats[2]),
+        max_pre_violation=float(stats[2]),
         params=params, constants=c, bundle=bundle)
     return new_state, record
 
@@ -511,9 +509,9 @@ def build_cell(u_left, u_right, j, n, params, geom, b, c) -> CellSolution:
     bundle = get_bundle(geom, b)
     neighbors = (np.array([u_left.rho, u_right.rho]),
                  np.array([u_left.m, u_right.m]))
-    (_offs, kinds, pars, spds, fflag, ncount, ccase, csub,
-     _cclamp) = _build_cells(np.array([j], dtype=np.int64), neighbors, n,
-                             params, bundle, c)
+    (_offs, kinds, pars, spds, fflag, ncount, ccase,
+     csub) = _build_cells(np.array([j], dtype=np.int64), neighbors, n,
+                          params, bundle, c)
     nn = int(ncount[0])
     return CellSolution(j=j, n=n, params=params, constants=c, bundle=bundle,
                         kinds=kinds[:nn], pars=pars[:nn], speeds=spds[:nn - 1],

@@ -110,6 +110,11 @@ class TestParseConfig:
              "'geometry_eps'.*exp overflows"),
             ("geometry = bump\ngeometry_eps = -1e300",
              "'geometry_eps'.*exp overflows"),
+            # a Laval depth outside (0, 1)
+            ("geometry = laval\ngeometry_eps = 0",
+             "'geometry_eps': depth must lie in \\(0, 1\\), got 0"),
+            ("geometry = laval\ngeometry_eps = 1.5",
+             "'geometry_eps': depth must lie in \\(0, 1\\), got 1.5"),
             # dt = dx / (2 M e^I) rounds to 0
             ("b_function = const:400:-1:1", "'m_bound'.*dt = dx .* is 0\\.0"),
             ("m_bound = 1e308", "'m_bound'.*dt = dx .* is 0\\.0"))])
@@ -361,8 +366,6 @@ def steady_bernoulli_table(path):
 # the failing cell (j, n), the error code).  The steady flow at dx 0.02 runs
 # to the end (112 steps).
 GAP_FILL_FAILURES = {
-    "rest-in-bump-dx0.04": (REST_IN_BUMP + "dx = 0.04\n", (27, 0),
-                            _k.ERR_GAP_CONV),
     "rest-in-bump-dx0.03": (REST_IN_BUMP + "dx = 0.03\n", (35, 0),
                             _k.ERR_GAP_CONV),
     "rest-in-bump-dx0.02": (REST_IN_BUMP + "dx = 0.02\n", (51, 0),

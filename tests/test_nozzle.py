@@ -191,6 +191,18 @@ class TestBoundFunction:
                 want[i] = raw[max(0, i - win):min(raw.size, i + win + 1)].max()
             assert nozzle._dilate(raw, win).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("geom", [NozzleGeometry.bump(0.1),
+                                      NozzleGeometry.bump(0.2, X=0.7),
+                                      NozzleGeometry.laval(0.1),
+                                      NozzleGeometry.laval(0.3, X=1.3)],
+                             ids=lambda g: g.label)
+    @pytest.mark.parametrize("dx", [0.05, 0.04, 0.03, 0.025, 0.02, 0.01])
+    def test_auto_bound_of_a_symmetric_duct_is_symmetric(self, geom, dx):
+        # the samples of |a| are mirror images of each other, so both
+        # half-line integrals of b agree to rounding
+        b = BoundFunction.auto_for(geom, admissibility_constants(C14), dx)
+        assert b.I_plus == pytest.approx(b.I_minus, rel=1e-12, abs=0.0)
+
     def test_auto_dominates_a(self):
         geom = NozzleGeometry.bump(0.25, X=1.0)
         ad = admissibility_constants(C14)
@@ -618,12 +630,17 @@ class TestFlatRuns:
         tables = [nozzle._ppoly_arrays(reflect_ppoly(pp, sign))
                   for pp, sign in ((geom.a_pp, -1.0), (b.b_pp, 1.0))]
         assert nozzle.flat_runs(*tables) == mirrored
-        assert get_bundle(NozzleGeometry.laval(0.1, X=1.0), b).geo[6] == \
-            ([], [])
+        # the Laval duct's a is exactly 0 beyond +-X, so with the same b
+        # its flat runs are b's, and by its own a alone they begin at +-X
+        laval = NozzleGeometry.laval(0.1, X=1.0)
+        assert get_bundle(laval, b).geo[6] == (starts, ends)
+        assert nozzle.flat_runs(nozzle._ppoly_arrays(laval.a_pp), ZERO_B) \
+            == ([-math.inf, 1.0], [-1.0, math.inf])
 
 
 # ---------------------------------------------------------------------------
-# the in-house piecewise polynomials against scipy.interpolate, bit for bit
+# the in-house piecewise polynomials against scipy.interpolate: the
+# construction data bit for bit, the values through the one evaluator
 # ---------------------------------------------------------------------------
 
 def _bits_equal(a, b):
@@ -642,30 +659,52 @@ def _probe_points(xs, rng):
                            [xs[0] - 10.0, xs[-1] + 10.0, np.nan]])
 
 
-def _assert_values_match(ours, ref, rng):
-    assert _bits_equal(ours.x, ref.x) and _bits_equal(ours.c, ref.c)
-    pts = _probe_points(np.asarray(ref.x), rng)
-    assert _bits_equal(ours(pts), ref(pts))
-    grid = pts[:200].reshape(40, 5)
-    assert _bits_equal(ours(grid), ref(grid))
-    assert _bits_equal(ours(float(pts[-4])), ref(float(pts[-4])))
+def _assert_values(ours, ref, absolute, rng):
+    """ours reads every probe point as ``_kernels.ppoly_eval`` does, bit for
+    bit, in the shape of the points.  Inside [x[0], x[-1]] it agrees with
+    scipy's ref within the rounding bound of the two sums, (2k + n + 2) eps
+    times the value of ``absolute``, the same sum of the absolute terms
+    (k coefficient rows, n pieces)."""
+    pts = _probe_points(ours.x, rng)
+    vals = ours(pts)
+    bx, bc = _k.pack_ppoly(ours.x, ours.c)
+    assert _bits_equal(vals, [_k.ppoly_eval(bx, bc, p) for p in pts.tolist()])
+    assert _bits_equal(ours(pts[:200].reshape(40, 5)),
+                       vals[:200].reshape(40, 5))
+    assert _bits_equal(ours(float(pts[-4])), vals[-4])
+    inside = (pts >= ours.x[0]) & (pts <= ours.x[-1])
+    k, n = ours.c.shape
+    bound = (2 * k + n + 2) * np.finfo(float).eps * absolute(pts[inside])
+    assert np.all(np.abs(vals[inside] - ref(pts[inside])) <= bound)
 
 
 def _assert_matches_scipy(ours, ref, rng):
-    """ours equals the scipy object ref in data, values, derivative and
-    antiderivative."""
-    _assert_values_match(ours, ref, rng)
-    _assert_values_match(ours.derivative(), ref.derivative(), rng)
-    _assert_values_match(ours.antiderivative(), ref.antiderivative(), rng)
+    """ours equals the scipy PPoly ref in data, in its derivative's data and
+    in its antiderivative's data but for the constants; the values of all
+    three as :func:`_assert_values` states."""
+    assert _bits_equal(ours.x, ref.x) and _bits_equal(ours.c, ref.c)
+    d, dref = ours.derivative(), ref.derivative()
+    assert _bits_equal(d.x, dref.x) and _bits_equal(d.c, dref.c)
+    anti, aref = ours.antiderivative(), ref.antiderivative()
+    assert _bits_equal(anti.x, aref.x)
+    assert _bits_equal(anti.c[:-1], aref.c[:-1])
+    absolute = nozzle.PiecewisePoly(np.abs(ours.c), ours.x)
+    _assert_values(ours, ref, absolute, rng)
+    _assert_values(d, dref, absolute.derivative(), rng)
+    _assert_values(anti, aref, absolute.antiderivative(), rng)
 
 
 def _built_with_scipy(build):
-    """build() run with scipy's classes in place of nozzle's own."""
+    """build() run with the data of scipy's interpolants in place of
+    nozzle's own."""
+    def ours(pp):
+        return nozzle.PiecewisePoly(pp.c, pp.x)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nozzle, "PiecewisePoly", PPoly)
-        mp.setattr(nozzle, "_pchip", PchipInterpolator)
+        mp.setattr(nozzle, "_pchip",
+                   lambda x, y: ours(PchipInterpolator(x, y)))
         mp.setattr(nozzle, "_clamped_spline",
-                   lambda x, y: CubicSpline(x, y, bc_type="clamped"))
+                   lambda x, y: ours(CubicSpline(x, y, bc_type="clamped")))
         return build()
 
 
@@ -703,10 +742,9 @@ class TestSameBitsAsScipy:
         rng = np.random.default_rng(12)
         ours = GEOMETRIES[name]()
         ref = _built_with_scipy(GEOMETRIES[name])
-        assert type(ref.IA_pp) is not nozzle.PiecewisePoly
         for field in ("IA_pp", "a_pp"):
-            _assert_matches_scipy(getattr(ours, field), getattr(ref, field),
-                                  rng)
+            pp, ref_pp = getattr(ours, field), getattr(ref, field)
+            _assert_matches_scipy(pp, PPoly(ref_pp.c, ref_pp.x), rng)
 
     @pytest.mark.parametrize("name", ["bump-0.2", "laval-0.1-2001", "table"])
     @pytest.mark.parametrize("gamma", [1.2, 1.4, 5 / 3])
@@ -718,9 +756,8 @@ class TestSameBitsAsScipy:
         ours = BoundFunction.auto_for(geom, ad, dx)
         ref = _built_with_scipy(lambda: BoundFunction.auto_for(geom, ad, dx))
         assert (ours.I_plus, ours.I_minus) == (ref.I_plus, ref.I_minus)
-        for field in ("b_pp", "B_pp"):
-            _assert_matches_scipy(getattr(ours, field), getattr(ref, field),
-                                  rng)
+        assert _bits_equal(ours.B_pp.c, ref.B_pp.c)
+        _assert_matches_scipy(ours.b_pp, PPoly(ref.b_pp.c, ref.b_pp.x), rng)
 
     def test_pchip(self):
         rng = np.random.default_rng(14)
@@ -745,30 +782,18 @@ class TestSameBitsAsScipy:
                                   CubicSpline(xs, ys, bc_type="clamped"), rng)
 
 
-def _antiderivative_loop(pp):
-    """The per-piece Python loop the cumulative sum replaced: piece ip
-    starts at 0.0 plus the previous start plus its power terms, in order."""
-    k = pp.c.shape[0]
-    c = np.zeros((k + 1, pp.c.shape[1]))
-    c[:-1] = pp.c / np.arange(k, 0, -1.0)[:, None]
-    s = np.diff(pp.x)[:-1]
-    z = np.ones_like(s)
-    terms = []
-    for row in c[-2::-1, :-1]:
-        z = z * s
-        terms.append(row * z)
-    const = [0.0]
-    for piece in np.array(terms).T.tolist():
-        res = 0.0 + const[-1]
-        for term in piece:
-            res = res + term
-        const.append(res)
-    c[-1] = const
-    return c
+def _piece_ends(pp):
+    """The value of each piece but the last at its right breakpoint, read by
+    the package's evaluator from that piece alone."""
+    return np.array([nozzle.PiecewisePoly(pp.c[:, i:i + 1], pp.x[i:i + 2])(
+        pp.x[i + 1]) for i in range(pp.x.size - 2)])
 
 
-class TestAntiderivativeSum:
-    def test_equals_the_piece_loop(self):
+class TestAntiderivativeContinuity:
+    """Each piece of an antiderivative starts exactly where the one before
+    it ends, as the package's one evaluator reads that piece."""
+
+    def test_random_piecewise_polynomials(self):
         rng = np.random.default_rng(13)
         for i in range(200):
             k = int(rng.integers(1, 6))
@@ -779,14 +804,14 @@ class TestAntiderivativeSum:
             c[rng.random(c.shape) < 0.1] = 0.0
             if i % 10 == 0:
                 c[:] = -0.0
-            pp = nozzle.PiecewisePoly(c, xs)
-            assert pp.antiderivative().c.tobytes() == \
-                _antiderivative_loop(pp).tobytes()
+            anti = nozzle.PiecewisePoly(c, xs).antiderivative()
+            assert _bits_equal(anti.c[-1, :1], [0.0])
+            assert _bits_equal(anti.c[-1, 1:], _piece_ends(anti))
 
     def test_bound_function_data(self):
         geom = NozzleGeometry.laval(0.3)
         b = BoundFunction.auto_for(geom, admissibility_constants(C14),
                                    dx=1e-3)
         assert b.b_pp.x.size > 5000
-        assert b.b_pp.antiderivative().c.tobytes() == \
-            _antiderivative_loop(b.b_pp).tobytes()
+        anti = b.b_pp.antiderivative()
+        assert _bits_equal(anti.c[-1, 1:], _piece_ends(anti))

@@ -1,5 +1,5 @@
 """``tools/same_outputs.compare_dirs`` on synthetic output directories:
-identical trees, one changed float, and a missing file."""
+identical trees, changed floats, and a missing file."""
 
 import importlib.util
 import math
@@ -38,9 +38,22 @@ def test_one_changed_float(tmp_path):
     report = same_outputs.compare_dirs(_tree(tmp_path / "a", FILES),
                                        _tree(tmp_path / "b", changed))
     assert list(report["differing"]) == ["energy_modified.csv"]
-    rel = report["differing"]["energy_modified.csv"]
+    col, rel, absolute = report["differing"]["energy_modified.csv"]
+    assert col == "total_energy"
     assert rel == (1.2500000000000002 - 1.25) / 1.2500000000000002
+    assert absolute == 1.2500000000000002 - 1.25
     assert report["missing"] == report["extra"] == []
+
+
+def test_column_of_the_largest_relative_difference(tmp_path):
+    # t moves most in relative terms, total_energy most in absolute terms:
+    # the report names t, with t's own largest absolute difference
+    changed = dict(FILES)
+    changed["energy_modified.csv"] = (
+        "n,t,total_energy\n0,1e-12,1.6\n1,0.01,1.25\n")
+    report = same_outputs.compare_dirs(_tree(tmp_path / "a", FILES),
+                                       _tree(tmp_path / "b", changed))
+    assert report["differing"]["energy_modified.csv"] == ("t", 1.0, 1e-12)
 
 
 def test_missing_file(tmp_path):
@@ -59,4 +72,5 @@ def test_csv_of_another_shape_differs_infinitely(tmp_path):
     longer["energy_modified.csv"] += "2,0.02,1.0\n"
     report = same_outputs.compare_dirs(_tree(tmp_path / "a", FILES),
                                        _tree(tmp_path / "b", longer))
-    assert math.isinf(report["differing"]["energy_modified.csv"])
+    assert report["differing"]["energy_modified.csv"] == (None, math.inf,
+                                                           math.inf)

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 import types
 
 import numpy as np
@@ -611,9 +613,9 @@ class TestPassBCapacity:
             B = b.B((jcells + off) * dx)
             M = max(M, np.max(-z * np.exp(B)), np.max(w * np.exp(-B)))
         params = SchemeParameters.create(dx=dx, M=1.01 * M, b=b, T=0.0, c=c)
-        (offs, _kinds, pars, _spds, _fflag, ncount, ccase, _csub,
-         _cclamp) = _build_cells(jcells, row, 0, params,
-                                 get_bundle(geom, b), c)
+        (offs, _kinds, pars, _spds, _fflag, ncount, ccase,
+         _csub) = _build_cells(jcells, row, 0, params,
+                               get_bundle(geom, b), c)
         assert {1, 2, 3, 4, 11, 21, 31, 41, 50} <= set(ccase.tolist())
         assert np.array_equal(np.diff(offs), ncount)
         assert len(pars) == ncount.sum()
@@ -1285,12 +1287,22 @@ def _sliver_setup(x_lo, x_hi, slope=0.4):
     return geom, b
 
 
+def _same_outputs():
+    """The module tools/same_outputs.py."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "tools", "same_outputs.py")
+    spec = importlib.util.spec_from_file_location("same_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _pass_b_lists(jcells, row, params, c, geo, geor):
     """Everything pass B appends, for the cells centred at jcells."""
     par = params.par_array(c)
     rsols = []
     _k.build_step_pass_a(jcells, *(a.tolist() for a in row), par, rsols)
-    out = [[] for _ in range(10)]
+    out = [[] for _ in range(9)]
     _k.build_step_pass_b(jcells, rsols, out[0], par, geo, geor, *out[1:])
     return out
 
@@ -1318,12 +1330,13 @@ class TestStraightCells:
         assert far.case == (3 if rho == 1.0 else _k.CASE_VAC_INERT)
 
     @pytest.mark.parametrize("gamma", [1.2, 1.4, 5.0 / 3.0])
-    @pytest.mark.parametrize("family", ["bump", "constant"])
+    @pytest.mark.parametrize("family", ["bump", "laval", "constant"])
     def test_straight_view_builds_the_same_bytes(self, family, gamma):
         c = GasConstants.for_gamma(gamma)
         dx = 0.025
-        if family == "bump":
-            geom = NozzleGeometry.bump(0.1, X=1.0)
+        if family != "constant":
+            geom = (NozzleGeometry.bump(0.1, X=1.0) if family == "bump"
+                    else NozzleGeometry.laval(0.1, X=1.0))
             b = BoundFunction.auto_for(geom, admissibility_constants(c),
                                        dx=dx)
         else:
@@ -1333,8 +1346,9 @@ class TestStraightCells:
         lrho, lm, rrho, rm = _neighbor_pairs(rng, 400)
         row = (np.stack([lrho, rrho], axis=1).ravel(),
                np.stack([lm, rm], axis=1).ravel())
-        # 799 cells at 60 positions j = -59 .. 59: in the bump those at
-        # |j| >= 43 lie in its straight stretches, |x| > 1.0225
+        # 799 cells at 60 positions j = -59 .. 59: in the bump and the
+        # Laval duct those at |j| >= 43 lie in their straight stretches,
+        # |x| > 1.0225
         jcells = (2 * (np.arange(799) % 60) - 59).astype(np.int64)
         M = 0.0
         for off, sl in ((-1, slice(None, -1)), (1, slice(1, None))):
@@ -1357,8 +1371,35 @@ class TestStraightCells:
         straight = np.array([_k.in_flat_run(bundle.geo[6], (j - 1) * dx,
                                             (j + 1) * dx) for j in jl])
         assert set(ccase[straight].tolist()) >= {1, 2, 3, 4}
-        if family == "bump":
+        if family != "constant":
             assert set(ccase[~straight].tolist()) >= {1, 2, 3, 4}
+            assert np.array_equal(straight, np.abs(jcells) >= 43)
+
+    def test_gas_in_a_laval_duct_builds_straight_cells(self, tmp_path):
+        # the laval-flow config of tools/same_outputs.py: gas everywhere,
+        # so every cell is built away from vacuum, and those beyond the
+        # duct's ends with the straight view
+        from nozzleflow.cli import parse_config
+        path = tmp_path / "laval-flow.cfg"
+        path.write_text(_same_outputs().LAVAL_FLOW)
+        cfg = parse_config(str(path))
+        counts = types.SimpleNamespace(straight=0, cells=0)
+
+        def on_step(_prev, _new, rec):
+            flats = rec.bundle.geo[6]
+            assert rec.ccase.max() <= 4
+            counts.cells += rec.jcells.size
+            counts.straight += sum(
+                _k.in_flat_run(flats, (j - 1) * cfg.params.dx,
+                               (j + 1) * cfg.params.dx)
+                for j in rec.jcells.tolist())
+
+        run(cfg.initial, cfg.params, cfg.geometry, cfg.bound, cfg.constants,
+            observers=[types.SimpleNamespace(on_step=on_step)],
+            cutoff=cfg.cutoff)
+        assert cfg.bound.label == "auto" and cfg.geometry.label.startswith(
+            "laval")
+        assert (counts.straight, counts.cells) == (4252, 6120)
 
     def test_straight_cells_make_no_lookups(self, monkeypatch):
         calls = [0]

@@ -13,8 +13,9 @@ duct with no vacuum (``cutoff = off``), and the seed-4101 and seed-701
 ``nozzle-cli`` bump and Laval configs that
 ``perfbench/workloads.nozzle_inputs`` writes.  For each config the report
 names the files only the parent wrote (missing), the files only the change
-wrote (extra) and the files whose bytes differ, with the largest relative
-difference of each differing CSV, and the runs whose exit status or
+wrote (extra) and the files whose bytes differ, and for each differing
+CSV the column with the largest relative difference, that difference and
+the column's largest absolute difference; also the runs whose exit status or
 standard output differ (standard error is not compared: a warning names
 its source file, whose path differs between the sides).  The exit status
 is 1 on any difference.
@@ -89,30 +90,37 @@ def csv_rows(path):
         return list(csv.reader(fh))
 
 
-def max_relative_difference(path_a, path_b):
-    """Largest |a - b| / max(|a|, |b|) over the cells of two CSV files of
-    the same shape; inf when the shapes or a non-numeric cell differ."""
+def csv_difference(path_a, path_b):
+    """(column, relative, absolute) for two CSV files of the same shape:
+    the header of the column holding the largest |a - b| / max(|a|, |b|),
+    that relative difference, and the largest |a - b| in that column;
+    (None, inf, inf) when the shapes or a non-numeric cell differ."""
     rows_a, rows_b = csv_rows(path_a), csv_rows(path_b)
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
-        return math.inf
-    worst = 0.0
+        return None, math.inf, math.inf
+    rel, absolute = {}, {}
     for ra, rb in zip(rows_a, rows_b):
-        for sa, sb in zip(ra, rb):
+        for col, (sa, sb) in enumerate(zip(ra, rb)):
             if sa == sb:
                 continue
             try:
                 a, b = float(sa), float(sb)
             except ValueError:
-                return math.inf
+                return None, math.inf, math.inf
             if a != b:
-                worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
-    return worst
+                rel[col] = max(rel.get(col, 0.0),
+                               abs(a - b) / max(abs(a), abs(b)))
+                absolute[col] = max(absolute.get(col, 0.0), abs(a - b))
+    if not rel:
+        return None, 0.0, 0.0
+    col = max(rel, key=rel.get)
+    return rows_a[0][col], rel[col], absolute[col]
 
 
 def compare_dirs(parent_dir, change_dir):
     """{"missing", "extra", "differing", "files"}: the names only in the
     parent's directory, only in the change's, and those whose bytes differ
-    (with their largest relative difference for a CSV, else None)."""
+    (with :func:`csv_difference` for a CSV, else None)."""
     parent, change = set(os.listdir(parent_dir)), set(os.listdir(change_dir))
     differing = {}
     for name in sorted(parent & change):
@@ -120,7 +128,7 @@ def compare_dirs(parent_dir, change_dir):
         with open(pa, "rb") as fa, open(pb, "rb") as fb:
             if fa.read() == fb.read():
                 continue
-        differing[name] = (max_relative_difference(pa, pb)
+        differing[name] = (csv_difference(pa, pb)
                            if name.endswith(".csv") else None)
     return {"missing": sorted(parent - change),
             "extra": sorted(change - parent),
@@ -177,8 +185,12 @@ def main(argv=None):
             for key in ("missing", "extra"):
                 for f in report[key]:
                     print(f"  {key}: {f}")
-            for f, rel in report["differing"].items():
-                tail = "" if rel is None else f", max relative diff {rel:.3g}"
+            for f, diff in report["differing"].items():
+                tail = ""
+                if diff is not None:
+                    col, rel, absolute = diff
+                    tail = (f", column {col}: max relative diff {rel:.3g}, "
+                            f"max absolute diff {absolute:.3g}")
                 print(f"  differing: {f}{tail}")
         print(f"{differences} differences over {files} files in "
               f"{len(configs)} configs, modified and baseline-lf")
