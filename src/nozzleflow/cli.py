@@ -27,6 +27,7 @@ from .nozzle import (BoundFunction, NozzleGeometry, admissibility_constants,
                      envelope, load_geometry_table, validate_condition)
 from .riemann import sample, solve_riemann, wave_breakpoints
 from .scheme import SchemeParameters, run, select_M, window_extent
+from .worker import INLINE, Worker
 
 RH_HARD_THRESHOLD = 1e-9
 # Most steps a run may take.  Nothing else bounds t_final / dt, which grows
@@ -265,10 +266,15 @@ def parse_config(path, overrides=None) -> RunConfig:
 class SnapshotWriter:
     """Per-node CSV snapshots every `stride` steps, in both modes: an
     observer of the modified scheme, whose states keep their envelope
-    bounds, and the baseline's callback, whose states are not projected."""
+    bounds, and the baseline's callback, whose states are not projected.
+    The observer's snapshots are written by its ``worker``
+    (:mod:`nozzleflow.worker`), the baseline's at once."""
+
+    _worker_state = ()
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
+        self.worker = INLINE
 
     def write(self, n, xs, rho, m, z, w, lo, up):
         """One snapshot: a row per node, with the envelope bounds at x."""
@@ -289,8 +295,9 @@ class SnapshotWriter:
             self._emit(new)
 
     def _emit(self, state):
-        self.write(state.n, state.js * self.cfg.params.dx, state.rho,
-                   state.m, state.z, state.w, state.lo, state.up)
+        self.worker.call(self, "write", state.n,
+                         state.js * self.cfg.params.dx, state.rho, state.m,
+                         state.z, state.w, state.lo, state.up)
 
     def __call__(self, n, xs, rho, m):
         """``run_baseline``'s snapshot callback."""
@@ -367,8 +374,14 @@ def cmd_run(cfg: RunConfig):
     else:
         monitor = EnergyMonitor()
         auditor = RecurrenceAuditor(slack_coeff=cfg.audit_slack)
-        run(cfg.initial, cfg.params, cfg.geometry, cfg.bound, cfg.constants,
-            observers=(monitor, auditor, writer), cutoff=cfg.cutoff)
+        # the monitors' reads and the snapshot writes run in a second
+        # process while this one steps; the worker is the last observer,
+        # so it forks after the others' on_start and joins after their
+        # last on_step
+        with Worker((monitor, auditor, writer)) as worker:
+            run(cfg.initial, cfg.params, cfg.geometry, cfg.bound,
+                cfg.constants, observers=(monitor, auditor, writer, worker),
+                cutoff=cfg.cutoff)
         columns = _ENERGY_COLUMNS
         rows = map(attrgetter(*columns), monitor.reports)
         worst_env = max(r.max_envelope_violation for r in monitor.reports)

@@ -26,6 +26,13 @@ the ``on_step`` call of the run's last step, so all monitor work happens
 inside ``scheme.run``; reading ``reports`` or ``audits`` earlier reads the
 steps kept so far first.  The outputs are those of one step at a time, bit
 for bit.
+
+``on_step`` keeps the steps in the caller; each block's read goes to the
+monitor's ``worker`` (:mod:`nozzleflow.worker`).  By default that runs it
+at once.  In ``nozzleflow run`` it runs it in a forked process while the
+run steps, and hands the reports and audits back inside the run's last
+``on_step`` call; until then the caller's ``reports`` hold only the step-0
+report, and its ``audits`` none.
 """
 
 import math
@@ -38,6 +45,7 @@ from . import _traces
 from .gas import GasConstants, GasState
 from .nozzle import BoundFunction, NozzleGeometry, get_bundle
 from .scheme import SchemeParameters, StaggeredState, StepRecord
+from .worker import INLINE
 
 # Steps the monitors read at once (see _BlockReader)
 BLOCK = 2
@@ -195,10 +203,12 @@ class _BlockReader:
     that ``on_step`` call, so all of a run's monitor work stays inside
     ``scheme.run``.  The results are read after :meth:`_flush`, which
     reads a partial block first, for a driver that reads them before the
-    run's last step."""
+    run's last step.  ``worker`` runs each block's ``_read``; a worker
+    process hands back the attributes named in ``_worker_state``."""
 
     def __init__(self):
         self._steps = []
+        self.worker = INLINE
 
     def on_step(self, prev, new, record):
         self._steps.append((new, record))
@@ -209,11 +219,13 @@ class _BlockReader:
     def _flush(self):
         if self._steps:
             steps, self._steps = self._steps, []
-            self._read(steps)
+            self.worker.call(self, "_read", steps)
 
 
 class EnergyMonitor(_BlockReader):
     """Observer producing an EnergyReport after every step."""
+
+    _worker_state = ("_reports", "_jump_sum", "_j5")
 
     def __init__(self):
         super().__init__()
@@ -284,6 +296,8 @@ class EnergyMonitor(_BlockReader):
 
 class RecurrenceAuditor(_BlockReader):
     """Observer accumulating recurrence audits (never aborts a run)."""
+
+    _worker_state = ("_audits",)
 
     def __init__(self, slack_coeff=1.0):
         super().__init__()

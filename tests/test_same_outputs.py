@@ -1,5 +1,6 @@
 """``tools/same_outputs.compare_dirs`` on synthetic output directories:
-identical trees, changed floats, and a missing file."""
+identical trees, changed floats, and a missing file; and
+``run_difference`` on two runs' exit statuses and standard output."""
 
 import importlib.util
 import math
@@ -74,3 +75,20 @@ def test_csv_of_another_shape_differs_infinitely(tmp_path):
                                        _tree(tmp_path / "b", longer))
     assert report["differing"]["energy_modified.csv"] == (None, math.inf,
                                                            math.inf)
+
+
+def test_run_difference_names_statuses_and_first_line():
+    parent = ("modified", 0, "modified run complete: 3 steps\nok\n")
+    assert same_outputs.run_difference(parent, parent) is None
+    assert same_outputs.run_difference(
+        parent, ("modified", 2, "modified run complete: 3 steps\nbad\n")
+    ) == ("modified: exit status 0 (parent), 2 (change); stdout line 2: "
+          "parent 'ok', change 'bad'")
+    # a missing line, and output that differs only in its line ends
+    assert same_outputs.run_difference(
+        parent, ("modified", 0, "modified run complete: 3 steps\n")
+    ).endswith("stdout line 2: parent 'ok', change '(no line)'")
+    assert same_outputs.run_difference(
+        parent, ("modified", 1, parent[2].replace("\n", "\r\n"))
+    ) == ("modified: exit status 0 (parent), 1 (change); stdout differs in "
+          "its line ends")

@@ -16,13 +16,15 @@ names the files only the parent wrote (missing), the files only the change
 wrote (extra) and the files whose bytes differ, and for each differing
 CSV the column with the largest relative difference, that difference and
 the column's largest absolute difference; also the runs whose exit status or
-standard output differ (standard error is not compared: a warning names
+standard output differ, with both exit statuses and the first differing
+line of standard output (standard error is not compared: a warning names
 its source file, whose path differs between the sides).  The exit status
 is 1 on any difference.
 """
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import shutil
@@ -149,6 +151,22 @@ def run_config(src, config, out):
     return results
 
 
+def run_difference(parent, change):
+    """How two runs ``(mode, exit status, standard output)`` differ: the
+    mode, both exit statuses and the first line of standard output that
+    differs, with its number; None when they do not differ."""
+    (mode, code_p, out_p), (_mode, code_c, out_c) = parent, change
+    if (code_p, out_p) == (code_c, out_c):
+        return None
+    text = f"{mode}: exit status {code_p} (parent), {code_c} (change)"
+    lines = itertools.zip_longest(out_p.splitlines(), out_c.splitlines(),
+                                  fillvalue="(no line)")
+    for k, (a, b) in enumerate(lines, 1):
+        if a != b:
+            return text + f"; stdout line {k}: parent {a!r}, change {b!r}"
+    return text + "; stdout differs in its line ends"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision")
@@ -170,8 +188,8 @@ def main(argv=None):
             runs = {side: run_config(srcs[side], config, outs[side])
                     for side in srcs}
             report = compare_dirs(outs["parent"], outs["change"])
-            runs_differ = [p[0] for p, c in zip(runs["parent"],
-                                                runs["change"]) if p != c]
+            runs_differ = [d for d in map(run_difference, runs["parent"],
+                                          runs["change"]) if d]
             files += report["files"]
             n_diff = (len(report["missing"]) + len(report["extra"])
                       + len(report["differing"]) + len(runs_differ))
@@ -180,8 +198,8 @@ def main(argv=None):
                                for mode, code, _out in runs["change"])
             print(f"{name}: {report['files']} files, {n_diff} differences "
                   f"({status})")
-            for mode in runs_differ:
-                print(f"  run differs: {mode} (exit status or output)")
+            for diff in runs_differ:
+                print(f"  run differs: {diff}")
             for key in ("missing", "extra"):
                 for f in report[key]:
                     print(f"  {key}: {f}")
