@@ -15,10 +15,6 @@ state), the projection and the node areas are the package's only
 implementations of those quantities, and scalar callers pass one-element
 arrays.
 
-The monitors read the tables of consecutive steps back to back
-(``_Pieces.concat``, a block of steps; one step is a block of one): the
-a q* integrals, the jump integrals and the RH residuals then cost one pass
-per block, and return per cell or per step what one pass per step would.
 The audit's row of old nodes takes one ``math.log`` per node, shared by
 eta*, q* and the five powers of R (``node_row``).
 
@@ -259,14 +255,9 @@ class _Pieces:
     not depend on x, so the readers evaluate it at one node per piece.  The
     cell [xc - dx, xc + dx] is widened by dx/1e6 on each side for this
     test, so that Gauss nodes and anchors rounded past its ends stay inside
-    the run.
-
-    A table may hold consecutive steps back to back (:meth:`concat`):
-    ``first_cell`` and ``first_piece`` give each step's first cell and
-    first piece, and the readers return one result per step."""
+    the run."""
 
     def __init__(self, jcells, ncount, kinds, q, spds, dx, tables, theta):
-        self.first_cell = self.first_piece = np.zeros(1, dtype=np.int64)
         self.jcells = jcells
         self.cell = np.repeat(np.arange(jcells.size), ncount)
         first_of = np.repeat(np.cumsum(ncount) - ncount, ncount)
@@ -283,30 +274,6 @@ class _Pieces:
         self.straight = in_flat_runs(tables["flats"], xc - dx - pad,
                                      xc + dx + pad)[self.cell]
         self.once = self.straight & (kinds == _k.K_PROFILE)
-
-    @classmethod
-    def concat(cls, tables):
-        """The tables of consecutive steps back to back, as one table of
-        their cells and pieces in order; one table is its own block.  The
-        fields are joined, not rebuilt: ``__init__`` does not run."""
-        if len(tables) == 1:
-            return tables[0]
-        out = cls.__new__(cls)
-        cells = np.cumsum([0] + [t.jcells.size for t in tables[:-1]])
-        pieces = np.cumsum([0] + [t.cell.size for t in tables[:-1]])
-        join = lambda name: np.concatenate([getattr(t, name) for t in tables])
-        out.first_cell = np.concatenate(
-            [t.first_cell + c for t, c in zip(tables, cells)])
-        out.first_piece = np.concatenate(
-            [t.first_piece + p for t, p in zip(tables, pieces)])
-        out.cell = np.concatenate(
-            [t.cell + c for t, c in zip(tables, cells)])
-        for name in ("jcells", "first", "last", "xc", "kinds", "q", "spds",
-                     "Bd", "straight", "once"):
-            setattr(out, name, join(name))
-        out.dx, out.tables, out.theta = (tables[0].dx, tables[0].tables,
-                                         tables[0].theta)
-        return out
 
     def extent(self, t, centre=None):
         """[a, b] of every piece at time offset t, clipped to its cell;
@@ -452,14 +419,13 @@ def sequential_sum(terms):
 
 
 def cell_aq_integrals(record):
-    """Per-cell space-time integral of a(x) q*(u) over the cell and step,
-    for every cell of the record's table: 3-point Gauss in time, piecewise
-    3-point Gauss in space split at the front rays (the A'/A term of the
-    energy recurrence equals minus it).  Pieces at rest and pieces in a
-    flat run (a = 0) add +-0.0 terms to sums that start at +0.0, so they
-    are skipped.  The nine space-time nodes of the other pieces are
-    evaluated in one pass, each at its own time; a constant piece has one
-    q* over all of them, taken once."""
+    """Per-cell space-time integral of a(x) q*(u) over the cell and step:
+    3-point Gauss in time, piecewise 3-point Gauss in space split at the
+    front rays (the A'/A term of the energy recurrence equals minus it).
+    Pieces at rest and pieces in a flat run (a = 0) add +-0.0 terms to
+    sums that start at +0.0, so they are skipped.  The nine space-time
+    nodes of the other pieces are evaluated in one pass, each at its own
+    time; a constant piece has one q* over all of them, taken once."""
     c, dt = record.constants, record.params.dt
     pcs = record.pieces
     skip = (pcs.kinds == _k.K_CONST) & (pcs.q[:, 1] == 0.0) | pcs.straight
@@ -530,10 +496,9 @@ def node_row(x, rho, m, params, c, tables):
 
 
 def jump_integral(record, new_z, new_w):
-    """Integral of |trace(t_k - 0) - trace(t_k + 0)|^2 over the cells of
-    each step of the record's table, one per step; the post-step trace
-    over cell j is the steady profile through the new node (z, w), the
-    vacuum state at vacuum nodes, which is not evaluated."""
+    """Integral of |trace(t_k - 0) - trace(t_k + 0)|^2 over all cells; the
+    post-step trace over cell j is the steady profile through the new node
+    (z, w), the vacuum state at vacuum nodes, which is not evaluated."""
     c, dt = record.constants, record.params.dt
     pcs = record.pieces
     sel, r0, m0, x, half = pcs.gauss(dt, _G3X)
@@ -550,10 +515,8 @@ def jump_integral(record, new_z, new_w):
         kn, qn, anchors(kn, qn, pcs.tables), x[:, live], 0.0, pcs.tables,
         c.theta, pcs.straight[sel[live]])
     d = (r0 - r1) * (r0 - r1) + (m0 - m1) * (m0 - m1)
-    # node rows, summed piece by piece and node by node, step by step
-    terms = (_G3W[:, None] * d * half).T
-    steps = np.split(terms, np.searchsorted(sel, pcs.first_piece[1:]))
-    return np.array([sequential_sum(t) for t in steps])
+    # node rows, summed piece by piece and node by node
+    return sequential_sum((_G3W[:, None] * d * half).T)
 
 
 def energy_trace(record, tau):
@@ -567,8 +530,8 @@ def energy_trace(record, tau):
 
 def max_rh_residual(pcs, fflag, dt, c):
     """Worst Rankine-Hugoniot residual over the solved fronts (pieces
-    flagged in fflag) of the piece table ``pcs`` at the half time, one per
-    step of the table; both sides of every front in one evaluation."""
+    flagged in fflag) of the piece table ``pcs`` at the half time; both
+    sides of every front in one evaluation."""
     inner = np.nonzero(~pcs.last)[0]
     i = inner[fflag[inner] == 1]
     tau = 0.5 * dt
@@ -582,8 +545,5 @@ def max_rh_residual(pcs, fflag, dt, c):
     res = np.abs(np.concatenate([
         f1[k:] - f1[:k] - s * (rho[k:] - rho[:k]),
         f2[k:] - f2[:k] - s * (m[k:] - m[:k])]))
-    step = np.tile(np.searchsorted(pcs.first_piece, i, side="right") - 1, 2)
-    out = np.zeros(pcs.first_piece.size)
-    worse = res > 0.0
-    np.maximum.at(out, step[worse], res[worse])
-    return out
+    res = res[res > 0.0]
+    return float(res.max()) if res.size else 0.0

@@ -208,7 +208,8 @@ def parse_config(path, overrides=None) -> RunConfig:
             b = BoundFunction.auto_for(geom, ad, dx,
                                        margin=_getf(d, "b_margin"))
         except ValueError as e:
-            raise ConfigError(f"key 'dx': {e}")
+            # the sample spacing is min(dx, X/100)/4 over [-X - pad, X + pad]
+            raise ConfigError(f"keys 'dx' and 'geometry_x': {e}")
     elif bkind == "zero":
         b = BoundFunction.zero(domain=(-X - 1.0, X + 1.0))
     elif bkind.startswith("const:"):
@@ -430,35 +431,48 @@ def _parse_state(text):
 
 
 def cmd_riemann(args):
-    """Solve one Riemann problem and print the sampled profile."""
-    if not args.t > 0.0:
-        raise ConfigError(f"--t must be positive, got {args.t}")
+    """Solve one Riemann problem and print the sampled profile; an input
+    it cannot solve or sample prints nothing and raises an error."""
+    if not 0.0 < args.t < math.inf:
+        raise ConfigError(f"--t must be positive and finite, got {args.t}")
+    if args.samples < 0:
+        raise ConfigError(f"--samples must be non-negative, got "
+                          f"{args.samples}")
     c = GasConstants.for_gamma(args.gamma)
     ul = _parse_state(args.left)
     ur = _parse_state(args.right)
-    sol = solve_riemann(ul, ur, c)
-    print(f"region        : {sol.region}")
-    print(f"middle state  : rho={_fmt(sol.middle.rho)} m={_fmt(sol.middle.m)}"
-          f" v={_fmt(sol.middle.v)}")
+    try:
+        lines = _riemann_lines(solve_riemann(ul, ur, c), args.t, args.samples)
+    except OverflowError as e:
+        raise ConfigError(f"--left {args.left} --right {args.right}: the "
+                          f"Riemann solve overflows ({e})")
+    print("\n".join(lines))
+    return 0
+
+
+def _riemann_lines(sol, t, samples):
+    """The printed lines of the solution ``sol``: its waves, then the
+    profile at time t at ``samples`` points."""
+    lines = [f"region        : {sol.region}",
+             f"middle state  : rho={_fmt(sol.middle.rho)} "
+             f"m={_fmt(sol.middle.m)} v={_fmt(sol.middle.v)}"]
     for w, name in ((sol.wave1, "1-wave"), (sol.wave2, "2-wave")):
         if w.kind.kind == "none":
-            print(f"{name}        : none")
+            lines.append(f"{name}        : none")
         else:
-            print(f"{name}        : {w.kind.kind}  speeds "
-                  f"[{_fmt(w.speed_lo)}, {_fmt(w.speed_hi)}]")
+            lines.append(f"{name}        : {w.kind.kind}  speeds "
+                         f"[{_fmt(w.speed_lo)}, {_fmt(w.speed_hi)}]")
     pts = wave_breakpoints(sol)
     if pts:
         lo = min(pts) - 0.2 * (1 + max(pts) - min(pts))
         hi = max(pts) + 0.2 * (1 + max(pts) - min(pts))
     else:
         lo, hi = -1.0, 1.0
-    t = args.t
-    print(f"profile at t = {_fmt(t)}")
-    print("x,rho,m,v")
-    for xi in np.linspace(lo, hi, args.samples):
+    lines += [f"profile at t = {_fmt(t)}", "x,rho,m,v"]
+    for xi in np.linspace(lo, hi, samples):
         u = sample(sol, xi)
-        print(",".join(_fmt(v) for v in (xi * t, u.rho, u.m, u.v)))
-    return 0
+        lines.append(",".join(_fmt(v) for v in (xi * t, u.rho, u.m, u.v)))
+    return lines
 
 
 def cmd_validate(cfg: RunConfig):

@@ -19,25 +19,18 @@ its ``StepRecord``, and the envelope bounds each state was projected onto.
 The quantities themselves (R, the area term, node areas) are whole-array
 code in :mod:`nozzleflow._traces`.
 
-``EnergyMonitor`` and ``RecurrenceAuditor`` read the steps :data:`BLOCK`
-at a time: their piece tables back to back, each reader once per block,
-its results split back into steps in order.  The last block is read inside
-the ``on_step`` call of the run's last step, so all monitor work happens
-inside ``scheme.run``; reading ``reports`` or ``audits`` earlier reads the
-steps kept so far first.  The outputs are those of one step at a time, bit
-for bit.
-
-``on_step`` keeps the steps in the caller; each block's read goes to the
-monitor's ``worker`` (:mod:`nozzleflow.worker`).  By default that runs it
-at once.  In ``nozzleflow run`` it runs it in a forked process while the
-run steps, and hands the reports and audits back inside the run's last
-``on_step`` call; until then the caller's ``reports`` hold only the step-0
-report, and its ``audits`` none.
+``EnergyMonitor`` and ``RecurrenceAuditor`` read each step as it comes:
+``on_step`` hands the step's read (``_read``) to the monitor's ``worker``
+(:mod:`nozzleflow.worker`).  By default that runs it at once, so
+``reports`` and ``audits`` hold the step when ``on_step`` returns.  In
+``nozzleflow run`` it runs in a forked process while the run steps, and
+hands the reports and audits back inside the run's last ``on_step`` call;
+until then the caller's ``reports`` hold only the step-0 report, and its
+``audits`` none.
 """
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,9 +39,6 @@ from .gas import GasConstants, GasState
 from .nozzle import BoundFunction, NozzleGeometry, get_bundle
 from .scheme import SchemeParameters, StaggeredState, StepRecord
 from .worker import INLINE
-
-# Steps the monitors read at once (see _BlockReader)
-BLOCK = 2
 
 
 @dataclass
@@ -150,32 +140,11 @@ def envelope_violation(state: StaggeredState):
     return max(0.0, float(viol.max())) if viol.size else 0.0
 
 
-def _block(steps):
-    """The records of consecutive steps ``(new state, record)`` as one
-    record for the readers of :mod:`nozzleflow._traces`: their piece tables
-    back to back, with the run's parameters and constants."""
-    first = steps[0][1]
-    return SimpleNamespace(
-        pieces=_traces._Pieces.concat([rec.pieces for _, rec in steps]),
-        params=first.params, constants=first.constants)
-
-
-def audit_recurrence(steps, slack_coeff):
-    """The audits of consecutive steps ``(new state, record)``: both sides
-    of the energy recurrence at every new node (each record's cells, in
-    order), from the row of old nodes the step used, each old node's eta,
-    q and R once, shared by its two new nodes.  The area terms of all the
-    steps' cells are integrated in one pass."""
-    block = _block(steps)
-    aq = np.split(_traces.cell_aq_integrals(block),
-                  block.pieces.first_cell[1:])
-    return [_audit(record, new, area, slack_coeff)
-            for (new, record), area in zip(steps, aq)]
-
-
-def _audit(record, state_np1, area, slack_coeff):
-    """One step's :class:`RecurrenceAudit`, given its cells' a q*
-    integrals ``area``."""
+def audit_recurrence(record: StepRecord, state_np1: StaggeredState,
+                     slack_coeff=1.0) -> RecurrenceAudit:
+    """Evaluate both sides of the energy recurrence at every new node (the
+    record's cells, in order), from the row of old nodes the step used:
+    each old node's eta, q and R once, shared by its two new nodes."""
     params, c = record.params, record.constants
     dx, dt = params.dx, params.dt
     jc = record.jcells
@@ -186,7 +155,7 @@ def _audit(record, state_np1, area, slack_coeff):
     rhs = (0.5 * (eta[:-1] + eta[1:])
            - 0.5 * dt / dx * (q[1:] - q[:-1])
            + (R[1:] - R[:-1]) * dt
-           - area / (2.0 * dx))
+           - _traces.cell_aq_integrals(record) / (2.0 * dx))
     raw = np.maximum(lhs - rhs, 0.0)
     slacked = np.maximum(lhs - rhs - slack_coeff * dx ** 1.5, 0.0)
     return RecurrenceAudit(
@@ -194,49 +163,18 @@ def _audit(record, state_np1, area, slack_coeff):
         worst_raw=float(np.max(raw)), worst_slacked=float(np.max(slacked)))
 
 
-class _BlockReader:
-    """An observer that reads a run's steps :data:`BLOCK` at a time.
+class EnergyMonitor:
+    """Observer producing an EnergyReport after every step; ``worker``
+    runs each step's read, and a worker process hands back the attributes
+    named in ``_worker_state``."""
 
-    ``on_step`` keeps each step; a full block, and the block that the run's
-    last step ends (``record.n + 1 >= record.params.n_steps``, which also
-    reads at once a step that a driver takes past ``T``), is read inside
-    that ``on_step`` call, so all of a run's monitor work stays inside
-    ``scheme.run``.  The results are read after :meth:`_flush`, which
-    reads a partial block first, for a driver that reads them before the
-    run's last step.  ``worker`` runs each block's ``_read``; a worker
-    process hands back the attributes named in ``_worker_state``."""
+    _worker_state = ("reports", "_jump_sum", "_j5")
 
     def __init__(self):
-        self._steps = []
-        self.worker = INLINE
-
-    def on_step(self, prev, new, record):
-        self._steps.append((new, record))
-        if (len(self._steps) == BLOCK
-                or record.n + 1 >= record.params.n_steps):
-            self._flush()
-
-    def _flush(self):
-        if self._steps:
-            steps, self._steps = self._steps, []
-            self.worker.call(self, "_read", steps)
-
-
-class EnergyMonitor(_BlockReader):
-    """Observer producing an EnergyReport after every step."""
-
-    _worker_state = ("_reports", "_jump_sum", "_j5")
-
-    def __init__(self):
-        super().__init__()
-        self._reports = []
+        self.reports = []
         self._jump_sum = 0.0
         self._j5 = None
-
-    @property
-    def reports(self):
-        self._flush()
-        return self._reports
+        self.worker = INLINE
 
     def on_start(self, state, ctx):
         bundle = get_bundle(ctx["geom"], ctx["bound"])
@@ -245,33 +183,22 @@ class EnergyMonitor(_BlockReader):
         e0 = total_energy_nodes(state, areas, ctx["constants"].gamma)
         m0 = total_mass_nodes(state, areas)
         self.energy_bound = e0
-        self._reports.append(EnergyReport(
+        self.reports.append(EnergyReport(
             n=0, t=0.0, total_energy=e0, total_mass=m0, energy_bound=e0,
             slack=0.0, clamp_count=0, vacuum_count=0, max_rh_residual=0.0,
             max_envelope_violation=envelope_violation(state),
             max_pre_violation=0.0, jump_sum=0.0, jump_ceiling=math.inf,
             jump_flag=False))
 
-    def _read(self, steps):
-        """The reports of a block of steps: its jump integrals and RH
-        residuals in one pass each, then step by step."""
-        block = _block(steps)
-        jumps = _traces.jump_integral(
-            block, np.concatenate([new.z for new, _ in steps]),
-            np.concatenate([new.w for new, _ in steps]))
-        rh = _traces.max_rh_residual(
-            block.pieces, np.concatenate([rec.fflag for _, rec in steps]),
-            block.params.dt, block.constants)
-        for (new, record), jump, res in zip(steps, jumps.tolist(),
-                                            rh.tolist()):
-            self._report(new, record, jump, res)
+    def on_step(self, prev, new, record):
+        self.worker.call(self, "_read", new, record)
 
-    def _report(self, new, record, jump, rh):
+    def _read(self, new, record):
         params = record.params
         areas = self._areas(new)
         e = total_energy_nodes(new, areas, record.constants.gamma)
         mass = total_mass_nodes(new, areas)
-        self._jump_sum += jump
+        self._jump_sum += _traces.jump_integral(record, new.z, new.w)
         n = new.n
         if n == 5:
             self._j5 = self._jump_sum
@@ -279,11 +206,11 @@ class EnergyMonitor(_BlockReader):
             ceiling = 10.0 * (self._j5 / 5.0) * n
         else:
             ceiling = math.inf
-        self._reports.append(EnergyReport(
+        self.reports.append(EnergyReport(
             n=n, t=n * params.dt, total_energy=e, total_mass=mass,
             energy_bound=self.energy_bound, slack=self.energy_bound - e,
             clamp_count=record.clamp_count, vacuum_count=record.vacuum_count,
-            max_rh_residual=rh,
+            max_rh_residual=record.max_rh_residual(),
             max_envelope_violation=envelope_violation(new),
             max_pre_violation=record.max_pre_violation,
             jump_sum=self._jump_sum, jump_ceiling=ceiling,
@@ -294,23 +221,22 @@ class EnergyMonitor(_BlockReader):
         return min(r.slack for r in self.reports)
 
 
-class RecurrenceAuditor(_BlockReader):
-    """Observer accumulating recurrence audits (never aborts a run)."""
+class RecurrenceAuditor:
+    """Observer accumulating recurrence audits (never aborts a run);
+    ``worker`` as in :class:`EnergyMonitor`."""
 
-    _worker_state = ("_audits",)
+    _worker_state = ("audits",)
 
     def __init__(self, slack_coeff=1.0):
-        super().__init__()
         self.slack_coeff = slack_coeff
-        self._audits = []
+        self.audits = []
+        self.worker = INLINE
 
-    @property
-    def audits(self):
-        self._flush()
-        return self._audits
+    def on_step(self, prev, new, record):
+        self.worker.call(self, "_read", new, record)
 
-    def _read(self, steps):
-        self._audits += audit_recurrence(steps, self.slack_coeff)
+    def _read(self, new, record):
+        self.audits.append(audit_recurrence(record, new, self.slack_coeff))
 
     @property
     def worst_raw(self):

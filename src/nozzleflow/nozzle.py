@@ -413,7 +413,7 @@ class BoundFunction:
         if count > AUTO_MAX_SAMPLES:
             raise ValueError(
                 f"the auto bound function needs {count} samples at dx = "
-                f"{dx!r}, more than {AUTO_MAX_SAMPLES}")
+                f"{dx!r} and X = {span!r}, more than {AUTO_MAX_SAMPLES}")
         xs = hf * np.arange(-n, n + 1)
         raw = np.abs(geom.a(xs)) / mu
         win = max(2, int(round(max(float(dx), 4.0 * hf) / hf)))

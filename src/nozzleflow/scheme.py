@@ -260,9 +260,8 @@ class CellSolution:
 
     def max_rh_residual(self):
         """Worst half-time RH residual over the solved fronts."""
-        return float(_traces.max_rh_residual(self._pieces(), self.is_front,
-                                             self.params.dt,
-                                             self.constants)[0])
+        return _traces.max_rh_residual(self._pieces(), self.is_front,
+                                       self.params.dt, self.constants)
 
     def average(self) -> GasState:
         """End-of-step cell average (pre-projection), as the step computes
@@ -324,9 +323,8 @@ class StepRecord:
         return out
 
     def max_rh_residual(self):
-        return float(_traces.max_rh_residual(self.pieces, self.fflag,
-                                             self.params.dt,
-                                             self.constants)[0])
+        return _traces.max_rh_residual(self.pieces, self.fflag,
+                                       self.params.dt, self.constants)
 
 
 def _window_bounds(n, W0):

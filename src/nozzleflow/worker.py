@@ -1,9 +1,9 @@
 """One forked worker process that runs observers' reads while a run steps.
 
-``nozzleflow run`` hands the monitors' block reads and the snapshot writes
+``nozzleflow run`` hands the monitors' step reads and the snapshot writes
 to a :class:`Worker`.  The observers of :func:`nozzleflow.scheme.run` keep
 their ``on_step`` calls in the parent; each passes the call that only reads
-finished steps (a block's ``_read``, a snapshot's ``write``) to
+the finished step (a monitor's ``_read``, a snapshot's ``write``) to
 :meth:`Worker.call`.  The worker is the run's last observer:
 
 * its ``on_start`` forks, after every other observer's ``on_start``, so the

@@ -79,7 +79,12 @@ class TestParseConfig:
             ("geometry_x = 0", "'geometry_x': must be positive"),
             ("geometry_a0 = 0", "'geometry_a0': must be positive"),
             # refused before the sample grid (8e9 points) is allocated
-            ("dx = 1e-9", "'dx': the auto bound function needs"),
+            ("dx = 1e-9", "'dx' and 'geometry_x': the auto bound function "
+                          "needs"),
+            # at dx = 0.05 too: 160000000801 samples of spacing X/400
+            ("geometry = bump\ngeometry_x = 1e-9",
+             "'dx' and 'geometry_x': the auto bound function needs "
+             "160000000801 samples"),
             # 8,080,000 steps of dt = 1.2e-9
             ("gamma = 1.0000001", "'t_final', 'dx' and 'gamma': the run "
                                   "needs 8080000 steps, more than 1000000"),
@@ -465,6 +470,25 @@ class TestCmdRiemann:
                          "--t", t]) == 1
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and "--t" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--left", "1e308,0", "--right", "1,2"], "overflows"),
+        (["--left", "1,1e308", "--right", "1,2"], "overflows"),
+        # solved, but a sampled state overflows: its rows are not printed
+        (["--left", "1e300,1", "--right", "0,0"], "non-finite state"),
+        (["--left", "1,0", "--right", "1,2", "--samples", "-1"],
+         "--samples"),
+        (["--left", "1,0", "--right", "1,2", "--t", "inf"], "--t"),
+        (["--left", "1,0", "--right", "1,2", "--t", "nan"], "--t")],
+        ids=["huge-density", "huge-velocity", "sample-overflow",
+             "negative-samples", "t-inf", "t-nan"])
+    def test_unsolvable_input_one_error_line(self, capsys, argv, named):
+        # refused before anything is printed, by one line
+        assert main(["riemann", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and named in err
 
 
 class TestCmdValidate:

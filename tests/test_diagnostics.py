@@ -719,10 +719,9 @@ def _bits(*arrays):
     return [np.asarray(a, dtype=float).tobytes() for a in arrays]
 
 
-class TestBlockReaders:
-    """The step readers on one piece table per step and on the tables of
-    consecutive steps back to back (``_Pieces.concat``), as the monitors
-    read them: the same bytes, step by step."""
+class TestStepReaders:
+    """The step readers take one time offset per point, and a constant
+    piece's q* once."""
 
     def test_time_offset_per_point(self, stepped):
         # one call with a time offset per point equals one call per offset
@@ -745,49 +744,6 @@ class TestBlockReaders:
             assert _bits(*got) == _bits(
                 np.concatenate([w[0] for w in want]),
                 np.concatenate([w[1] for w in want]))
-
-    @pytest.mark.parametrize("size", [1, 2, 3, 4])
-    def test_blocks_equal_single_steps(self, stepped, size):
-        dt, c = stepped[0][1].params.dt, C14
-        vacuum = 0
-        for lo in range(0, len(stepped), size):
-            steps = stepped[lo:lo + size]
-            block = diagnostics._block(steps)
-            assert block.pieces.first_cell.size == len(steps)
-            aq = np.split(_traces.cell_aq_integrals(block),
-                          block.pieces.first_cell[1:])
-            jumps = _traces.jump_integral(
-                block, np.concatenate([new.z for new, _ in steps]),
-                np.concatenate([new.w for new, _ in steps]))
-            rh = _traces.max_rh_residual(
-                block.pieces, np.concatenate([r.fflag for _, r in steps]),
-                dt, c)
-            assert len(aq) == jumps.size == rh.size == len(steps)
-            for i, (new, rec) in enumerate(steps):
-                vacuum += np.count_nonzero(new.rho == 0.0)
-                assert _bits(aq[i]) == _bits(_traces.cell_aq_integrals(rec))
-                assert _bits(jumps[i]) == _bits(
-                    _traces.jump_integral(rec, new.z, new.w)[0])
-                assert rh[i] == rec.max_rh_residual()
-                assert np.any(aq[i] != 0.0) and jumps[i] > 0.0 < rh[i]
-        assert vacuum > 0
-
-    def test_concat_joins_without_init(self, stepped, monkeypatch):
-        def refuse(*a):
-            raise AssertionError("__init__ ran")
-
-        monkeypatch.setattr(_traces._Pieces, "__init__", refuse)
-        tables = [rec.pieces for _, rec in stepped[:3]]
-        block = _traces._Pieces.concat(tables)
-        assert _traces._Pieces.concat(tables[:1]) is tables[0]
-        sizes = [t.jcells.size for t in tables]
-        assert block.first_cell.tolist() == [0, sizes[0], sum(sizes[:2])]
-        assert block.first_piece.tolist() == [
-            0, tables[0].cell.size, tables[0].cell.size + tables[1].cell.size]
-        assert np.array_equal(block.cell[block.first_piece],
-                              block.first_cell)
-        assert np.array_equal(block.kinds,
-                              np.concatenate([t.kinds for t in tables]))
 
     def test_constant_pieces_take_one_energy_flux(self, stepped,
                                                   monkeypatch):
@@ -820,56 +776,18 @@ class TestBlockReaders:
         assert consts > 0
 
 
-class TestBlockMonitors:
-    """The monitors read a run's steps in blocks of diagnostics.BLOCK, the
-    last block inside the run's last on_step call."""
+class TestStepMonitors:
+    """Each monitor reads a step inside its on_step call: one float per
+    step from the jump integral and the RH residual, one audit per step."""
 
     @staticmethod
-    def _run(steps, monkeypatch=None, block=None):
+    def _run(steps):
         geom, b = nozzle_setup(dx=0.05)
         u0 = GaussianBumpData(rho_inf=1.0, rho_amp=0.2, v_amp=0.1,
                               width=0.3)
-        if block is not None:
-            monkeypatch.setattr(diagnostics, "BLOCK", block)
         return _run_monitored(u0, geom, b, steps, 0.05)
 
-    @pytest.mark.parametrize("steps", [3, 4])
-    def test_nothing_pending_after_run(self, steps):
-        _, mon, aud, params = self._run(steps)
-        assert params.n_steps == steps
-        assert mon._steps == [] and aud._steps == []
-        assert len(mon._reports) == steps + 1
-        assert len(aud._audits) == steps
-
-    @pytest.mark.parametrize("steps", [3, 4])
-    def test_one_piece_table_per_monitored_step(self, monkeypatch, steps):
-        # each step builds one table; the monitors read every step from
-        # it, inside the run, and join blocks without building another
-        built = []
-        init = _traces._Pieces.__init__
-
-        def counted(self, *a):
-            built.append(a)
-            init(self, *a)
-
-        monkeypatch.setattr(_traces._Pieces, "__init__", counted)
-        _, mon, aud, _ = self._run(steps)
-        assert len(built) == steps
-        assert len(mon._reports) == steps + 1 and len(aud._audits) == steps
-
-    @pytest.mark.parametrize("block", [1, 3])
-    def test_any_block_size_reads_the_same(self, monkeypatch, block):
-        _, mon, aud, _ = self._run(5)
-        _, mon2, aud2, _ = self._run(5, monkeypatch, block)
-        assert mon2.reports == mon.reports
-        for a, a2 in zip(aud.audits, aud2.audits, strict=True):
-            assert _bits(a.lhs, a.rhs) == _bits(a2.lhs, a2.rhs)
-            assert (a.worst_raw, a.worst_slacked) == (a2.worst_raw,
-                                                      a2.worst_slacked)
-
-    def test_results_read_early_are_flushed(self):
-        # a driver reading the results before the last step gets every
-        # step it has stepped
+    def test_each_step_read_in_its_on_step(self):
         geom, b = nozzle_setup(dx=0.05)
         u0 = GaussianBumpData(rho_inf=1.0, rho_amp=0.2, width=0.3)
         params = SchemeParameters.create(dx=0.05, M=select_M(u0, b, C14),
@@ -878,9 +796,44 @@ class TestBlockMonitors:
         mon, aud = EnergyMonitor(), RecurrenceAuditor()
         mon.on_start(st, {"params": params, "geom": geom, "bound": b,
                           "constants": C14})
-        for n in range(3):
+        jump_sum = 0.0
+        for n in range(1, 4):
             new, rec = advance(st, params, geom, b, C14, mesh)
             mon.on_step(st, new, rec)
+            assert [r.n for r in mon.reports] == list(range(n + 1))
             aud.on_step(st, new, rec)
+            assert [a.n for a in aud.audits] == list(range(n))
+            report, audit = mon.reports[-1], aud.audits[-1]
+            assert report.max_rh_residual == rec.max_rh_residual()
+            jump_sum += _traces.jump_integral(rec, new.z, new.w)
+            assert report.jump_sum == jump_sum
+            want = diagnostics.audit_recurrence(rec, new)
+            assert _bits(audit.lhs, audit.rhs) == _bits(want.lhs, want.rhs)
             st = new
-            assert len(mon.reports) == n + 2 and len(aud.audits) == n + 1
+
+    def test_readers_return_one_value_per_step(self, stepped):
+        for new, rec in stepped:
+            jump = _traces.jump_integral(rec, new.z, new.w)
+            rh = _traces.max_rh_residual(rec.pieces, rec.fflag,
+                                         rec.params.dt, C14)
+            assert type(jump) is float and type(rh) is float
+            assert jump > 0.0 < rh == rec.max_rh_residual()
+            audit = diagnostics.audit_recurrence(rec, new)
+            assert audit.n == rec.n and audit.lhs.size == rec.jcells.size
+
+    @pytest.mark.parametrize("steps", [3, 4])
+    def test_one_piece_table_per_monitored_step(self, monkeypatch, steps):
+        # each step builds one table; the monitors read every step from
+        # it, inside the run
+        built = []
+        init = _traces._Pieces.__init__
+
+        def counted(self, *a):
+            built.append(a)
+            init(self, *a)
+
+        monkeypatch.setattr(_traces._Pieces, "__init__", counted)
+        _, mon, aud, params = self._run(steps)
+        assert params.n_steps == steps
+        assert len(built) == steps
+        assert len(mon.reports) == steps + 1 and len(aud.audits) == steps

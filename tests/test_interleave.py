@@ -59,9 +59,11 @@ def test_alternating_cli_rounds(packages, tmp_path):
         (1, "parent"), (1, "change"), (2, "change"), (2, "parent")]
     for r in rounds:
         assert 0.0 < r["stepping"] < r["seconds"]
+        # the run's worker process, reaped inside the round
+        assert 0.0 < r["children_cpu"] < 60.0
     assert os.listdir(tmp_path) == ["run.cfg"]   # outputs removed
     summary = interleave.summarize(rounds)
-    for key in ("stepping", "seconds"):
+    for key in ("stepping", "seconds", "children_cpu"):
         s = summary[key]
         lo, mid, hi = s["ratio_quartiles"]
         assert s["ratio_min"] <= lo <= mid <= hi <= s["ratio_max"]
@@ -75,14 +77,24 @@ def test_duct_rounds(packages):
         dx=0.1, steps=2)
     stepping, seconds = one_round(1)
     assert stepping == seconds > 0.0
+    # no child process: no children_cpu ratio in the summary
+    rounds = interleave.alternate({"parent": one_round,
+                                   "change": one_round}, 1)
+    assert [r["children_cpu"] for r in rounds] == [0.0, 0.0]
+    assert sorted(interleave.summarize(rounds)) == ["seconds", "stepping"]
 
 
 def test_summary_ratios():
-    rounds = [{"pair": 1, "side": "parent", "stepping": 2.0, "seconds": 4.0},
-              {"pair": 1, "side": "change", "stepping": 1.0, "seconds": 4.0},
-              {"pair": 2, "side": "change", "stepping": 3.0, "seconds": 2.0},
-              {"pair": 2, "side": "parent", "stepping": 2.0, "seconds": 4.0}]
+    rounds = [{"pair": 1, "side": "parent", "stepping": 2.0, "seconds": 4.0,
+               "children_cpu": 1.0},
+              {"pair": 1, "side": "change", "stepping": 1.0, "seconds": 4.0,
+               "children_cpu": 1.5},
+              {"pair": 2, "side": "change", "stepping": 3.0, "seconds": 2.0,
+               "children_cpu": 0.5},
+              {"pair": 2, "side": "parent", "stepping": 2.0, "seconds": 4.0,
+               "children_cpu": 1.0}]
     s = interleave.summarize(rounds)
+    assert s["children_cpu"]["ratio_quartiles"] == [0.75, 1.0, 1.25]
     assert (s["stepping"]["ratio_min"], s["stepping"]["ratio_max"]) == (
         0.5, 1.5)
     assert s["stepping"]["ratio_quartiles"][1] == 1.0

@@ -80,6 +80,22 @@ def test_same_bytes_forked_and_inline(tmp_path, monkeypatch, capsys, text):
     assert len(printed) == 2 and printed[0] == printed[1]
 
 
+@pytest.mark.parametrize("t_final, parity", [("0.1", 0), ("0.05", 1)],
+                         ids=["even", "odd"])
+def test_same_bytes_odd_and_even_step_counts(tmp_path, monkeypatch, capsys,
+                                             t_final, parity):
+    # each step is read as it comes: the last step's read is no special
+    # case, whichever the parity of the run's step count
+    cfg = write_cfg(tmp_path, BUMP)
+    argv = ["run", "--config", cfg, "--t-final", t_final]
+    assert parse_config(cfg, {"t_final": float(t_final)}).params.n_steps \
+        % 2 == parity
+    codes, forked, inline = run_both_ways(monkeypatch, argv, tmp_path)
+    assert codes == [0, 0]
+    assert len(forked) > 5 and forked == inline
+    capsys.readouterr()
+
+
 def test_cell_build_error_same_snapshots(tmp_path, monkeypatch, capsys):
     # the run stops at step 11; the worker first writes every snapshot it
     # was sent, so both paths leave the same files and one error line
@@ -132,7 +148,7 @@ def test_error_in_the_parent_lets_the_worker_finish(tmp_path):
     assert (tmp_path / "log").read_text().split() == list("01234")
 
 
-def _failing_read(self, steps):
+def _failing_read(self, new, record):
     raise ZeroDivisionError(f"read in process {os.getpid()}")
 
 
@@ -188,11 +204,11 @@ def test_step_crosses_without_its_bundle(tmp_path):
            "constants": cfg.constants}
     refs = worker.references(ctx)
     buf = io.BytesIO()
-    worker._Pickler(buf, refs).dump((0, "_read", [(new, record)]))
+    worker._Pickler(buf, refs).dump((0, "_read", (new, record)))
     bundle = get_bundle(cfg.geometry, cfg.bound)
     assert buf.tell() < len(pickle.dumps(bundle.tables))
     buf.seek(0)
-    _i, _name, ((new2, record2),) = worker._Unpickler(buf, refs).load()
+    _i, _name, (new2, record2) = worker._Unpickler(buf, refs).load()
     assert record2.bundle is bundle and record2.pieces.tables is bundle.tables
     assert record2.params is cfg.params
     assert record2.constants is cfg.constants

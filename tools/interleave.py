@@ -22,9 +22,12 @@ same spells of machine speed.
 
 Every round's stepping and wall time go to ``--out`` under ``interleaved``
 and the workload, with the quartiles of the change-over-parent ratio of each
-pair and the pairs each side won.  The file names the parent by its commit
-hash; an existing ``--out`` file keeps its other entries, and one that
-names another parent is refused.
+pair and the pairs each side won.  So do the CPU seconds of the child
+processes that ended in the round (``RUSAGE_CHILDREN``): the forked worker
+of ``nozzleflow run``, whose time the stepping does not include.  A
+workload that forks nothing (``duct-stepping``) has no ratio of them.  The
+file names the parent by its commit hash; an existing ``--out`` file keeps
+its other entries, and one that names another parent is refused.
 """
 
 import argparse
@@ -34,6 +37,7 @@ import importlib.util
 import io
 import json
 import os
+import resource
 import shutil
 import sys
 import tempfile
@@ -130,32 +134,44 @@ def duct_rounds(pkg, inputs, dx, steps):
     return one_round
 
 
+def children_cpu():
+    """User and system CPU seconds of this process's ended and reaped
+    children."""
+    ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return ru.ru_utime + ru.ru_stime
+
+
 def alternate(sides, pairs):
     """One untimed round per side, then ``pairs`` pairs of rounds, the
     parent first in odd pairs: a list of {pair, side, first, stepping,
-    seconds}."""
+    seconds, children_cpu}."""
     for one_round in sides.values():
         one_round(0)
     rounds = []
     for i in range(1, pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for side in order:
+            cpu = children_cpu()
             stepping, seconds = sides[side](i)
             rounds.append({"pair": i, "side": side, "first": order[0],
-                           "stepping": stepping, "seconds": seconds})
+                           "stepping": stepping, "seconds": seconds,
+                           "children_cpu": children_cpu() - cpu})
     return rounds
 
 
 def summarize(rounds):
     """Per timed quantity: the quartiles (25, 50, 75%), min and max of the
-    change-over-parent ratio of each pair, and the pairs each side won."""
+    change-over-parent ratio of each pair, and the pairs each side won.
+    ``children_cpu`` is left out when a parent round ran no child."""
     by_pair = {}
     for r in rounds:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r
     out = {}
-    for key in ("stepping", "seconds"):
-        ratios = [p["change"][key] / p["parent"][key]
-                  for _, p in sorted(by_pair.items())]
+    for key in ("stepping", "seconds", "children_cpu"):
+        pairs = [p for _, p in sorted(by_pair.items())]
+        if not all(p["parent"][key] for p in pairs):
+            continue
+        ratios = [p["change"][key] / p["parent"][key] for p in pairs]
         out[key] = {
             "ratio_quartiles": [float(q) for q in
                                 np.percentile(ratios, [25, 50, 75])],
