@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -775,6 +777,18 @@ class TestStepReaders:
             consts += np.count_nonzero(const)
         assert consts > 0
 
+    def test_every_step_reads_flux_and_vacuum(self, stepped):
+        # each step's readers see a q* flux, a jump and an RH residual, and
+        # the steps reach vacuum: no reader is checked on an idle step
+        vacuum = 0
+        for new, rec in stepped:
+            vacuum += np.count_nonzero(new.rho == 0.0)
+            aq = _traces.cell_aq_integrals(rec)
+            assert aq.shape == (rec.jcells.size,) and np.any(aq != 0.0)
+            assert _traces.jump_integral(rec, new.z, new.w) > 0.0
+            assert rec.max_rh_residual() > 0.0
+        assert vacuum > 0
+
 
 class TestStepMonitors:
     """Each monitor reads a step inside its on_step call: one float per
@@ -837,3 +851,57 @@ class TestStepMonitors:
         assert params.n_steps == steps
         assert len(built) == steps
         assert len(mon.reports) == steps + 1 and len(aud.audits) == steps
+
+    @pytest.mark.parametrize("steps", [3, 4])
+    def test_nothing_pending_after_run(self, steps):
+        # the monitors read each step and keep no record or state of it
+        records = []
+
+        class Keep:
+            def on_start(self, state, ctx):
+                pass
+
+            def on_step(self, prev, new, record):
+                records.append((weakref.ref(new), weakref.ref(record)))
+
+        geom, b = nozzle_setup(dx=0.05)
+        u0 = GaussianBumpData(rho_inf=1.0, rho_amp=0.2, v_amp=0.1,
+                              width=0.3)
+        params = SchemeParameters.create(dx=0.05, M=select_M(u0, b, C14),
+                                         b=b, T=0.0, c=C14)
+        params = SchemeParameters.create(dx=0.05, M=params.M, b=b,
+                                         T=steps * params.dt, c=C14)
+        mon, aud = EnergyMonitor(), RecurrenceAuditor()
+        state, _mesh = run(u0, params, geom, b, C14,
+                           observers=(mon, aud, Keep()))
+        assert params.n_steps == len(records) == steps
+        assert len(mon.reports) == steps + 1 and len(aud.audits) == steps
+        gc.collect()
+        alive = [(new(), rec()) for new, rec in records]
+        # only the run's returned state outlives it
+        assert alive[:-1] == [(None, None)] * (steps - 1)
+        assert alive[-1][0] is state and alive[-1][1] is None
+
+    @pytest.mark.parametrize("steps", [1, 7])
+    def test_by_hand_reads_as_a_run(self, steps):
+        # a driver calling on_step itself gets the run's reports and
+        # audits; one step is the first and the last, seven pass the
+        # jump ceiling's fifth step
+        _, mon, aud, params = self._run(steps)
+        geom, b = nozzle_setup(dx=0.05)
+        u0 = GaussianBumpData(rho_inf=1.0, rho_amp=0.2, v_amp=0.1,
+                              width=0.3)
+        st, mesh = initialize(u0, params, geom, b, C14)
+        mon2, aud2 = EnergyMonitor(), RecurrenceAuditor()
+        mon2.on_start(st, {"params": params, "geom": geom, "bound": b,
+                           "constants": C14})
+        for _ in range(steps):
+            new, rec = advance(st, params, geom, b, C14, mesh)
+            mon2.on_step(st, new, rec)
+            aud2.on_step(st, new, rec)
+            st = new
+        assert mon2.reports == mon.reports
+        for a, a2 in zip(aud.audits, aud2.audits, strict=True):
+            assert _bits(a.lhs, a.rhs) == _bits(a2.lhs, a2.rhs)
+            assert (a.worst_raw, a.worst_slacked) == (a2.worst_raw,
+                                                      a2.worst_slacked)
