@@ -243,11 +243,12 @@ def in_flat_runs(flats, x0, x1):
 
 
 class _Pieces:
-    """Every piece of the cells ``jcells`` (their pieces back to back) with
-    its cell: cell index, centre, whether it is the first or last piece of
-    its cell, its kind, parameters ``q`` and ray speed ``spds`` (0.0 on a
-    cell's last piece), and the profile anchors ``Bd``.  A step builds one
-    table, which every reader of the step takes.
+    """Every piece of the cells ``jcells`` (their pieces back to back,
+    ``ncount`` to a cell) with its cell: cell index, centre, whether it is
+    the first or last piece of its cell, its kind, parameters ``q`` and ray
+    speed ``spds`` (0.0 on a cell's last piece), and the profile anchors
+    ``Bd``.  A step builds one table, which every reader of the step takes;
+    :meth:`cell_slices` is the one decoding of the back-to-back layout.
 
     ``straight`` flags the pieces of cells inside a flat run of the duct
     (``tables["flats"]``), where a = b = 0 and B is one constant, and
@@ -258,7 +259,7 @@ class _Pieces:
     the run."""
 
     def __init__(self, jcells, ncount, kinds, q, spds, dx, tables, theta):
-        self.jcells = jcells
+        self.jcells, self.ncount = jcells, ncount
         self.cell = np.repeat(np.arange(jcells.size), ncount)
         first_of = np.repeat(np.cumsum(ncount) - ncount, ncount)
         p = np.arange(self.cell.size) - first_of
@@ -274,6 +275,11 @@ class _Pieces:
         self.straight = in_flat_runs(tables["flats"], xc - dx - pad,
                                      xc + dx + pad)[self.cell]
         self.once = self.straight & (kinds == _k.K_PROFILE)
+
+    def cell_slices(self):
+        """Each cell's pieces, in order: a slice of the table's arrays."""
+        ends = np.cumsum(self.ncount).tolist()
+        return [slice(e - n, e) for e, n in zip(ends, self.ncount.tolist())]
 
     def extent(self, t, centre=None):
         """[a, b] of every piece at time offset t, clipped to its cell;

@@ -76,8 +76,6 @@ _DEFAULTS = {
     "stride": "10",
     "cutoff": "on",
     "b_function": "auto",
-    "b_margin": "0.01",
-    "audit_slack": "1.0",
 }
 
 
@@ -98,7 +96,6 @@ class RunConfig:
     out_dir: str
     stride: int
     cutoff: bool
-    audit_slack: float
 
 
 def _parse_kv(path):
@@ -139,6 +136,8 @@ def parse_config(path, overrides=None) -> RunConfig:
     gamma = _getf(d, "gamma")
     try:
         c = GasConstants.for_gamma(gamma)
+        # within an ulp or so of 1, sigma rounds to 1
+        ad = admissibility_constants(c)
     except ValueError as e:
         raise ConfigError(f"key 'gamma': {e}")
 
@@ -198,15 +197,13 @@ def parse_config(path, overrides=None) -> RunConfig:
     else:
         raise ConfigError(f"key 'initial': unknown profile {ikind!r}")
 
-    ad = admissibility_constants(c)
     bkind = d["b_function"].lower()
     dx = _getf(d, "dx")
     if dx <= 0:
         raise ConfigError("key 'dx': must be positive")
     if bkind == "auto":
         try:
-            b = BoundFunction.auto_for(geom, ad, dx,
-                                       margin=_getf(d, "b_margin"))
+            b = BoundFunction.auto_for(geom, ad, dx)
         except ValueError as e:
             # the sample spacing is min(dx, X/100)/4 over [-X - pad, X + pad]
             raise ConfigError(f"keys 'dx' and 'geometry_x': {e}")
@@ -253,6 +250,10 @@ def parse_config(path, overrides=None) -> RunConfig:
     mode = d["mode"].lower()
     if mode not in ("modified", "baseline-lf"):
         raise ConfigError(f"key 'mode': must be modified|baseline-lf")
+    stride = _getf(d, "stride")
+    if not (stride >= 1 and stride == math.floor(stride)):
+        raise ConfigError(
+            f"key 'stride': expected a positive integer, got {d['stride']!r}")
     cutoff = _SWITCH.get(d["cutoff"].lower())
     if cutoff is None:
         raise ConfigError(
@@ -260,8 +261,7 @@ def parse_config(path, overrides=None) -> RunConfig:
             f"got {d['cutoff']!r}")
     return RunConfig(constants=c, geometry=geom, bound=b, initial=u0,
                      params=params, mode=mode, out_dir=d["out_dir"],
-                     stride=max(1, int(_getf(d, "stride"))),
-                     cutoff=cutoff, audit_slack=_getf(d, "audit_slack"))
+                     stride=int(stride), cutoff=cutoff)
 
 
 class SnapshotWriter:
@@ -342,15 +342,15 @@ def _maybe_write_comparison(out_dir):
 
 
 def cmd_run(cfg: RunConfig):
-    """Run the configured scheme; emit snapshots, energy series, audit."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    ad = admissibility_constants(cfg.constants)
-    rep = validate_condition(cfg.geometry, cfg.bound, ad)
+    """Run the configured scheme; emit snapshots, energy series, audit.  An
+    inadmissible config is refused before the output directory is made."""
+    rep = validate_condition(cfg.geometry, cfg.bound,
+                             admissibility_constants(cfg.constants))
     if not rep.passed:
-        print("\n".join(rep.lines()), file=sys.stderr)
-        print("admissibility condition failed; aborting", file=sys.stderr)
-        return 1
-
+        raise ConfigError(
+            f"the admissibility condition fails: {'; '.join(rep.failures())}"
+            f" (`nozzleflow validate` prints the full report)")
+    os.makedirs(cfg.out_dir, exist_ok=True)
     writer = SnapshotWriter(cfg)
     if cfg.mode == "baseline-lf":
         series = run_baseline(
@@ -374,7 +374,7 @@ def cmd_run(cfg: RunConfig):
                    f"{series.energy[-1]:.6g}")
     else:
         monitor = EnergyMonitor()
-        auditor = RecurrenceAuditor(slack_coeff=cfg.audit_slack)
+        auditor = RecurrenceAuditor()
         # the monitors' reads and the snapshot writes run in a second
         # process while this one steps; the worker is the last observer,
         # so it forks after the others' on_start and joins after their
@@ -487,8 +487,16 @@ def cmd_validate(cfg: RunConfig):
     return 0 if rep.passed else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A malformed command line ends as a config error does, with status 1:
+    status 2 is an audit hard failure."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None):
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="nozzleflow",
         description="Modified staggered Lax-Friedrichs solver for 1D "
                     "isentropic nozzle flow")
@@ -514,8 +522,8 @@ def main(argv=None):
                                             "condition for a config")
     p_val.add_argument("--config", required=True)
 
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         if args.command == "riemann":
             return cmd_riemann(args)
         overrides = {}

@@ -40,6 +40,8 @@ from .nozzle import BoundFunction, NozzleGeometry, get_bundle
 from .scheme import SchemeParameters, StaggeredState, StepRecord
 from .worker import INLINE
 
+RECURRENCE_SLACK = 1.0      # c of RecurrenceAudit.worst_slacked
+
 
 @dataclass
 class EnergyReport:
@@ -140,8 +142,8 @@ def envelope_violation(state: StaggeredState):
     return max(0.0, float(viol.max())) if viol.size else 0.0
 
 
-def audit_recurrence(record: StepRecord, state_np1: StaggeredState,
-                     slack_coeff=1.0) -> RecurrenceAudit:
+def audit_recurrence(record: StepRecord,
+                     state_np1: StaggeredState) -> RecurrenceAudit:
     """Evaluate both sides of the energy recurrence at every new node (the
     record's cells, in order), from the row of old nodes the step used:
     each old node's eta, q and R once, shared by its two new nodes."""
@@ -157,7 +159,7 @@ def audit_recurrence(record: StepRecord, state_np1: StaggeredState,
            + (R[1:] - R[:-1]) * dt
            - _traces.cell_aq_integrals(record) / (2.0 * dx))
     raw = np.maximum(lhs - rhs, 0.0)
-    slacked = np.maximum(lhs - rhs - slack_coeff * dx ** 1.5, 0.0)
+    slacked = np.maximum(lhs - rhs - RECURRENCE_SLACK * dx ** 1.5, 0.0)
     return RecurrenceAudit(
         n=record.n, js=jc.copy(), lhs=lhs, rhs=rhs,
         worst_raw=float(np.max(raw)), worst_slacked=float(np.max(slacked)))
@@ -227,8 +229,7 @@ class RecurrenceAuditor:
 
     _worker_state = ("audits",)
 
-    def __init__(self, slack_coeff=1.0):
-        self.slack_coeff = slack_coeff
+    def __init__(self):
         self.audits = []
         self.worker = INLINE
 
@@ -236,7 +237,7 @@ class RecurrenceAuditor:
         self.worker.call(self, "_read", new, record)
 
     def _read(self, new, record):
-        self.audits.append(audit_recurrence(record, new, self.slack_coeff))
+        self.audits.append(audit_recurrence(record, new))
 
     @property
     def worst_raw(self):

@@ -174,7 +174,9 @@ def _pchip(x, y):
     flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a subnormal secant slope (a Laval depth of 5e-324) overflows w / m:
+    # its harmonic mean, 1 / inf, is then 0, as scipy's is
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:])
                                            / (w1 + w2)))
     d = np.concatenate([[_pchip_end_slope(h[0], h[1], m[0], m[1])], inner,
@@ -344,6 +346,7 @@ def load_geometry_table(path):
 # ---------------------------------------------------------------------------
 
 AUTO_MAX_SAMPLES = 10 ** 6      # sample grid of BoundFunction.auto_for
+AUTO_MARGIN = 0.01              # the margin of BoundFunction.auto_for
 
 
 @dataclass(frozen=True)
@@ -399,10 +402,11 @@ class BoundFunction:
 
     @classmethod
     def auto_for(cls, geom: NozzleGeometry, consts: AdmissibilityConstants,
-                 dx, margin=0.01):
-        """Tightest admissible bound: b ~ (1+margin) |a|/mu, dilated over a
-        window of width max(dx, support/100) and mollified to C^1.  Raises
-        ValueError when that takes more than AUTO_MAX_SAMPLES samples."""
+                 dx):
+        """Tightest admissible bound: b ~ (1 + AUTO_MARGIN) |a|/mu, dilated
+        over a window of width max(dx, support/100) and mollified to C^1.
+        Raises ValueError when that takes more than AUTO_MAX_SAMPLES
+        samples."""
         mu = consts.mu
         span = geom.X
         hf = min(float(dx), span / 100.0) / 4.0
@@ -423,8 +427,8 @@ class BoundFunction:
         t = np.linspace(-1.0, 1.0, 2 * kw + 1)
         ker = (1.0 - t ** 2) ** 3
         ker /= ker.sum()
-        smooth = np.convolve(dil, ker, mode="same")
-        bvals = (1.0 + margin) * np.where(dil > 0.0, np.maximum(smooth, raw), 0.0)
+        smooth = np.maximum(np.convolve(dil, ker, mode="same"), raw)
+        bvals = (1.0 + AUTO_MARGIN) * np.where(dil > 0.0, smooth, 0.0)
         return cls.from_samples(xs, bvals, label="auto")
 
 
@@ -461,6 +465,15 @@ class ValidationReport:
     @property
     def passed(self):
         return self.pointwise_ok and self.integral_ok
+
+    def failures(self):
+        """Each failed check with its numbers, one string a check."""
+        out = [] if self.pointwise_ok else [
+            f"max(|a| - mu b) = {self.max_pointwise_excess:.6g} above 0"]
+        return out + [f"{name} = {v:.12g} above the budget {self.budget:.12g}"
+                      for name, v in (("int_0^inf b", self.I_plus),
+                                      ("int_-inf^0 b", self.I_minus))
+                      if v > self.budget + 1e-12]
 
     def lines(self):
         return [

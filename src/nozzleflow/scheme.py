@@ -287,18 +287,15 @@ class StepRecord:
     ``neighbors`` is the row (rho, m) of step n's nodes with the frozen
     ambient states at both ends, as ``gather_neighbors`` returned it; the
     cells are the nodes of step n+1, in order, and cell i lies between
-    row entries i and i + 1.  ``pieces`` is the step's piece table."""
+    row entries i and i + 1.  ``pieces`` is the step's piece table, the one
+    owner of the cells and their pieces; ``fflag`` flags each piece's ray
+    to its right that is a solved front, and ``ccase``, ``csub`` give each
+    cell's case and sub-case."""
 
     n: int
-    jcells: np.ndarray
     neighbors: tuple
-    offs: np.ndarray
-    ncount: np.ndarray
-    kinds: np.ndarray
-    pars: np.ndarray
-    spds: np.ndarray
-    fflag: np.ndarray
     pieces: _traces._Pieces
+    fflag: np.ndarray
     ccase: np.ndarray
     csub: np.ndarray
     clamp_count: int
@@ -308,19 +305,15 @@ class StepRecord:
     constants: GasConstants
     bundle: KernelBundle
 
+    @property
+    def jcells(self):
+        """The cells' centres j, the nodes of step n+1."""
+        return self.pieces.jcells
+
     def cell_solutions(self):
-        out = []
-        for ci in range(self.jcells.size):
-            o, nn = self.offs[ci], self.ncount[ci]
-            out.append(CellSolution(
-                j=int(self.jcells[ci]), n=self.n, params=self.params,
-                constants=self.constants, bundle=self.bundle,
-                kinds=self.kinds[o:o + nn].copy(),
-                pars=self.pars[o:o + nn].copy(),
-                speeds=self.spds[o:o + nn - 1].copy(),
-                is_front=self.fflag[o:o + nn - 1].copy(),
-                case=int(self.ccase[ci]), subcase=int(self.csub[ci])))
-        return out
+        return _cell_solutions(self.pieces, self.fflag, self.ccase,
+                               self.csub, self.n, self.params, self.constants,
+                               self.bundle)
 
     def max_rh_residual(self):
         return _traces.max_rh_residual(self.pieces, self.fflag,
@@ -439,12 +432,12 @@ def gather_neighbors(state: StaggeredState, jcells, mesh: Mesh):
 def _build_cells(jcells, neighbors, n, params: SchemeParameters,
                  bundle: KernelBundle, c: GasConstants):
     """Pass A (the cell Riemann solves), then pass B (the cell
-    constructions), into one packed record.
+    constructions), into the step's piece table.
 
     ``neighbors`` is the row (rho, m) of the cells centred at jcells, one
     entry longer than jcells: cell i lies between entries i and i + 1.
-    Returns (offs, kinds, pars, spds, fflag, ncount, ccase,
-    csub): the cells' pieces back to back, cell i's from offs[i];
+    Returns (pieces, fflag, ccase, csub): the ``_traces._Pieces`` of the
+    cells, each piece's front flag, and each cell's case and sub-case;
     raises CellBuildError for the first cell that failed.
     """
     par = params.par_array(c)
@@ -455,6 +448,7 @@ def _build_cells(jcells, neighbors, n, params: SchemeParameters,
     rsols = []
     _k.build_step_pass_a(jlist, *(a.tolist() for a in neighbors), par,
                          rsols)
+    # pass B's offs (each cell's first piece) is dropped: ncount has it
     offs, kinds, pars, spds, fflag = [], [], [], [], []
     ncount, ccase, csub, cerr = [], [], [], []
     _k.build_step_pass_b(jlist, rsols, offs, par, bundle.geo,
@@ -465,9 +459,23 @@ def _build_cells(jcells, neighbors, n, params: SchemeParameters,
             msg = _ERR_MSG.get(code, "cell construction failed")
             raise CellBuildError(jlist[ci], n, code, msg)
     ints = lambda a: np.array(a, dtype=np.int64)
-    pars = np.array(pars, dtype=float).reshape(-1, 6)
-    return (ints(offs), ints(kinds), pars, np.array(spds, dtype=float),
-            ints(fflag), ints(ncount), ints(ccase), ints(csub))
+    pieces = _traces._Pieces(
+        jcells, ints(ncount), ints(kinds),
+        np.array(pars, dtype=float).reshape(-1, 6),
+        np.array(spds, dtype=float), params.dx, bundle.tables, c.theta)
+    return pieces, ints(fflag), ints(ccase), ints(csub)
+
+
+def _cell_solutions(pcs, fflag, ccase, csub, n, params, c, bundle):
+    """The cells of the piece table ``pcs`` as CellSolutions, each with
+    copies of its pieces' arrays."""
+    return [CellSolution(
+                j=int(pcs.jcells[ci]), n=n, params=params, constants=c,
+                bundle=bundle, kinds=pcs.kinds[sl].copy(),
+                pars=pcs.q[sl].copy(), speeds=pcs.spds[sl][:-1].copy(),
+                is_front=fflag[sl][:-1].copy(), case=int(ccase[ci]),
+                subcase=int(csub[ci]))
+            for ci, sl in enumerate(pcs.cell_slices())]
 
 
 def advance(state: StaggeredState, params: SchemeParameters,
@@ -484,19 +492,15 @@ def advance(state: StaggeredState, params: SchemeParameters,
     j_lo, j_hi = _window_bounds(n + 1, mesh.W0)
     jcells = np.arange(j_lo, j_hi + 1, 2, dtype=np.int64)
     neighbors = gather_neighbors(state, jcells, mesh)
-    (offs, kinds, pars, spds, fflag, ncount, ccase,
-     csub) = _build_cells(jcells, neighbors, n, params, bundle, c)
-    pieces = _traces._Pieces(jcells, ncount, kinds, pars, spds, params.dx,
-                             bundle.tables, c.theta)
+    pieces, fflag, ccase, csub = _build_cells(jcells, neighbors, n, params,
+                                              bundle, c)
     rho, m, z, w, lo, up, stats = _traces.average_project(jcells, pieces,
                                                           params, c)
     new_state = StaggeredState(n=n + 1, j0=int(jcells[0]), rho=rho, m=m,
                                z=z, w=w, lo=lo, up=up)
     record = StepRecord(
-        n=n, jcells=jcells, neighbors=neighbors, offs=offs, ncount=ncount,
-        kinds=kinds, pars=pars, spds=spds, fflag=fflag, pieces=pieces,
-        ccase=ccase, csub=csub,
-        clamp_count=int(stats[0]), vacuum_count=int(stats[1]),
+        n=n, neighbors=neighbors, pieces=pieces, fflag=fflag, ccase=ccase,
+        csub=csub, clamp_count=int(stats[0]), vacuum_count=int(stats[1]),
         max_pre_violation=float(stats[2]),
         params=params, constants=c, bundle=bundle)
     return new_state, record
@@ -507,14 +511,9 @@ def build_cell(u_left, u_right, j, n, params, geom, b, c) -> CellSolution:
     bundle = get_bundle(geom, b)
     neighbors = (np.array([u_left.rho, u_right.rho]),
                  np.array([u_left.m, u_right.m]))
-    (_offs, kinds, pars, spds, fflag, ncount, ccase,
-     csub) = _build_cells(np.array([j], dtype=np.int64), neighbors, n,
-                          params, bundle, c)
-    nn = int(ncount[0])
-    return CellSolution(j=j, n=n, params=params, constants=c, bundle=bundle,
-                        kinds=kinds[:nn], pars=pars[:nn], speeds=spds[:nn - 1],
-                        is_front=fflag[:nn - 1], case=int(ccase[0]),
-                        subcase=int(csub[0]))
+    cells = _build_cells(np.array([j], dtype=np.int64), neighbors, n, params,
+                         bundle, c)
+    return _cell_solutions(*cells, n, params, c, bundle)[0]
 
 
 def build_cell_vacuum(u_left, u_right, j, n, params, geom, b, c) -> CellSolution:

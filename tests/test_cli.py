@@ -70,9 +70,17 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("line, match", [
         pytest.param(line, match, id=line) for line, match in (
+            ("gamma = 1.0000000000000002", "'gamma': sigma must lie in"),
             ("t_final = inf", "'t_final': expected a finite number"),
             ("t_final = nan", "'t_final': expected a finite number"),
-            ("audit_slack = nan", "'audit_slack': expected a finite number"),
+            # the auto bound's margin and the audit's slack are constants
+            ("b_margin = 0.02", "unknown key 'b_margin'"),
+            ("audit_slack = nan", "unknown key 'audit_slack'"),
+            ("stride = 2.7", "'stride': expected a positive integer"),
+            ("stride = 0.5", "'stride': expected a positive integer"),
+            ("stride = -3", "'stride': expected a positive integer"),
+            ("stride = 0", "'stride': expected a positive integer"),
+            ("stride = nan", "'stride': expected a finite number"),
             ("m_bound = -1", "M must be positive"),
             ("m_bound = 0", "M must be positive"),
             ("cutoff = banana", "'cutoff': expected on"),
@@ -479,9 +487,18 @@ class TestCmdRiemann:
         (["--left", "1,0", "--right", "1,2", "--samples", "-1"],
          "--samples"),
         (["--left", "1,0", "--right", "1,2", "--t", "inf"], "--t"),
-        (["--left", "1,0", "--right", "1,2", "--t", "nan"], "--t")],
+        (["--left", "1,0", "--right", "1,2", "--t", "nan"], "--t"),
+        # malformed flags: exit status 1, not argparse's 2
+        (["--left", "1,0", "--right", "1,2", "--samples", "x"],
+         "argument --samples: invalid int value: 'x'"),
+        (["--left", "1,0", "--right", "1,2", "--gamma", "abc"],
+         "argument --gamma"),
+        (["--left", "1,0"], "required: --right"),
+        (["--left", "1,0", "--right", "1,2", "--bogus"],
+         "unrecognized arguments: --bogus")],
         ids=["huge-density", "huge-velocity", "sample-overflow",
-             "negative-samples", "t-inf", "t-nan"])
+             "negative-samples", "t-inf", "t-nan", "malformed-samples",
+             "malformed-gamma", "missing-right", "unknown-flag"])
     def test_unsolvable_input_one_error_line(self, capsys, argv, named):
         # refused before anything is printed, by one line
         assert main(["riemann", *argv]) == 1
@@ -489,6 +506,50 @@ class TestCmdRiemann:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and named in err
+
+
+class TestRefusedRun:
+    """A run refused for its config or its command line prints one
+    ``error:`` line and nothing on stdout, exits 1 and makes no output
+    directory."""
+
+    @pytest.mark.parametrize("extra, argv, named", [
+        # fails the integral budget: validate prints the full report
+        ("geometry = bump\ndx = 5\n", [],
+         "int_0^inf b = 0.0913124801094 above the budget 0.0619496597817"),
+        ("geometry = bump\nb_function = zero\n", [],
+         "max(|a| - mu b) = "),
+        ("stride = 2.7\n", [], "key 'stride': expected a positive integer"),
+        ("", ["--stride", "0"], "key 'stride': expected a positive integer"),
+        ("", ["--stride", "abc"], "argument --stride: invalid int value"),
+        ("", ["--dx", "x"], "argument --dx: invalid float value"),
+        ("", ["--mode", "fast"], "argument --mode: invalid choice")],
+        ids=["over-budget", "pointwise", "stride-fraction", "stride-zero",
+             "stride-malformed", "dx-malformed", "mode-unknown"])
+    def test_one_error_line(self, tmp_path, capsys, extra, argv, named):
+        out_dir = tmp_path / "out"
+        path = write_cfg(tmp_path, MINIMAL + extra + f"out_dir = {out_dir}\n")
+        assert main(["run", "--config", path, *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and named in err
+        assert not out_dir.exists()
+
+    def test_inadmissible_points_to_validate(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, MINIMAL + "geometry = bump\ndx = 5\n")
+        assert main(["run", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "int_-inf^0 b" in err and "`nozzleflow validate`" in err
+        assert main(["validate", "--config", path]) == 1
+        assert "admissibility      : FAIL" in capsys.readouterr().out
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: nozzleflow run") and err == ""
 
 
 class TestCmdValidate:

@@ -356,8 +356,8 @@ class TestRunNodeAreas:
         assert calls[0] == 2
 
 
-def _run_monitored(u0, geom, b, steps, dx, M=None, slack_coeff=1.0,
-                   cutoff=True, gamma=1.4):
+def _run_monitored(u0, geom, b, steps, dx, M=None, cutoff=True,
+                   gamma=1.4):
     c = GasConstants.for_gamma(gamma)
     if M is None:
         M = select_M(u0, b, c)
@@ -365,7 +365,7 @@ def _run_monitored(u0, geom, b, steps, dx, M=None, slack_coeff=1.0,
     params = SchemeParameters.create(dx=dx, M=M, b=b, T=steps * params.dt,
                                      c=c)
     mon = EnergyMonitor()
-    aud = RecurrenceAuditor(slack_coeff=slack_coeff)
+    aud = RecurrenceAuditor()
     state, mesh = run(u0, params, geom, b, c, observers=(mon, aud),
                       cutoff=cutoff)
     return state, mon, aud, params
@@ -505,17 +505,24 @@ class TestRecurrenceAudit:
         assert a.worst_raw >= 0.0
 
 
+def _first_pieces(pcs):
+    """Each cell's first piece in the back-to-back arrays of the piece
+    table ``pcs``."""
+    return np.cumsum(pcs.ncount) - pcs.ncount
+
+
 def _piece_spans(rec, t):
     """(cell, packed index, a, b) of every piece of a step at offset t:
     the loop the scalar quadrature kernels ran."""
-    dx = rec.params.dx
+    dx, pcs = rec.params.dx, rec.pieces
+    first = _first_pieces(pcs)
     for ci, j in enumerate(rec.jcells.tolist()):
         xc = j * dx
-        o, n = int(rec.offs[ci]), int(rec.ncount[ci])
+        o, n = int(first[ci]), int(pcs.ncount[ci])
         for p in range(n):
-            a = xc - dx if p == 0 else min(max(xc + rec.spds[o + p - 1] * t,
+            a = xc - dx if p == 0 else min(max(xc + pcs.spds[o + p - 1] * t,
                                                xc - dx), xc + dx)
-            b = xc + dx if p == n - 1 else min(max(xc + rec.spds[o + p] * t,
+            b = xc + dx if p == n - 1 else min(max(xc + pcs.spds[o + p] * t,
                                                    xc - dx), xc + dx)
             if b > a:
                 yield ci, o + p, a, b
@@ -539,26 +546,27 @@ class TestWholeArrayTraces:
 
     def test_pieces_match_scalar_eval(self, step):
         rec, _st = step
+        pcs = rec.pieces
         idx = np.concatenate([np.arange(o, o + n) for o, n in
-                              zip(rec.offs[:-1], rec.ncount)])
-        kinds = rec.kinds[idx]
+                              zip(_first_pieces(pcs), pcs.ncount)])
+        kinds = pcs.kinds[idx]
         assert set(kinds.tolist()) == {_k.K_CONST, _k.K_PROFILE,
                                        _k.K_RAREF1, _k.K_RAREF2}
         rng = np.random.default_rng(8)
-        jc = np.repeat(rec.jcells, rec.ncount)
+        jc = np.repeat(rec.jcells, pcs.ncount)
         x = (jc + rng.uniform(-1, 1, idx.size)) * rec.params.dx
         for tau in (0.0, 0.5 * rec.params.dt, rec.params.dt):
-            rho, m = _traces.pieces_at(kinds, rec.pars[idx], x, tau,
+            rho, m = _traces.pieces_at(kinds, pcs.q[idx], x, tau,
                                        rec.bundle.tables, C14.theta)
             for i in range(idx.size):
-                r0, m0 = _k.eval_piece(int(kinds[i]), rec.pars[idx[i]],
+                r0, m0 = _k.eval_piece(int(kinds[i]), pcs.q[idx[i]],
                                        float(x[i]), tau, rec.bundle.geo,
                                        C14.theta)
                 assert (rho[i], m[i]) == (r0, m0)
 
     def test_area_term_matches_loop(self, step):
         rec, _st = step
-        dt, geo = rec.params.dt, rec.bundle.geo
+        dt, geo, pcs = rec.params.dt, rec.bundle.geo, rec.pieces
         want = np.zeros(rec.jcells.size)
         for gt in range(3):
             tau = 0.5 * dt + 0.5 * dt * _traces._G3X[gt]
@@ -568,7 +576,7 @@ class TestWholeArrayTraces:
                 acc = 0.0
                 for g in range(3):
                     x = xm + half * _traces._G3X[g]
-                    r, m = _k.eval_piece(int(rec.kinds[i]), rec.pars[i],
+                    r, m = _k.eval_piece(int(pcs.kinds[i]), pcs.q[i],
                                          x, tau, geo, C14.theta)
                     acc += (_traces._G3W[g] * _k.geo_a(geo, x)
                             * _k.eta_q_k(r, m, C14.gamma)[1])
@@ -579,7 +587,7 @@ class TestWholeArrayTraces:
 
     def test_jump_integral_matches_loop(self, step):
         rec, st = step
-        dt, geo = rec.params.dt, rec.bundle.geo
+        dt, geo, pcs = rec.params.dt, rec.bundle.geo, rec.pieces
         want = 0.0
         for ci, i, a, b in _piece_spans(rec, dt):
             xm, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -588,7 +596,7 @@ class TestWholeArrayTraces:
                              -1.0, 1.0, 0.0])
             for g in range(3):
                 x = xm + half * _traces._G3X[g]
-                r0, m0 = _k.eval_piece(int(rec.kinds[i]), rec.pars[i], x,
+                r0, m0 = _k.eval_piece(int(pcs.kinds[i]), pcs.q[i], x,
                                        dt, geo, C14.theta)
                 r1 = m1 = 0.0
                 if z != 0.0 or w != 0.0:
@@ -626,23 +634,25 @@ class TestWholeArrayTraces:
         rec, st = step
         assert rec.clamp_count == 0 and np.count_nonzero(st.rho) > 10
         dx, dt, geo = rec.params.dx, rec.params.dt, rec.bundle.geo
+        pcs = rec.pieces
+        first = _first_pieces(pcs)
         for ci, j in enumerate(rec.jcells.tolist()):
-            o, n = int(rec.offs[ci]), int(rec.ncount[ci])
+            o, n = int(first[ci]), int(pcs.ncount[ci])
             acc_r = acc_m = 0.0
             for p in range(n):
                 # extents relative to the centre, as the scheme integrates
-                a = -dx if p == 0 else min(max(rec.spds[o + p - 1] * dt, -dx),
+                a = -dx if p == 0 else min(max(pcs.spds[o + p - 1] * dt, -dx),
                                            dx)
-                b = dx if p == n - 1 else min(max(rec.spds[o + p] * dt, -dx),
+                b = dx if p == n - 1 else min(max(pcs.spds[o + p] * dt, -dx),
                                               dx)
                 if b <= a:
                     continue
-                if rec.kinds[o + p] == _k.K_CONST:
-                    ir = rec.pars[o + p, 0] * (b - a)
-                    im = rec.pars[o + p, 1] * (b - a)
+                if pcs.kinds[o + p] == _k.K_CONST:
+                    ir = pcs.q[o + p, 0] * (b - a)
+                    im = pcs.q[o + p, 1] * (b - a)
                 else:
-                    ir, im = _gauss5_piece(int(rec.kinds[o + p]),
-                                           rec.pars[o + p], j * dx + a,
+                    ir, im = _gauss5_piece(int(pcs.kinds[o + p]),
+                                           pcs.q[o + p], j * dx + a,
                                            j * dx + b, dt, geo, C14.theta)
                 acc_r += ir
                 acc_m += im
@@ -657,6 +667,7 @@ class TestWholeArrayTraces:
 
     def test_energy_trace_matches_loop(self, step):
         rec, _st = step
+        pcs = rec.pieces
         geo, A0 = rec.bundle.geo, rec.bundle.geom.A0
         xs, c = _k.pack_ppoly(*rec.bundle.tables["IA"])
         for tau in (0.5 * rec.params.dt, rec.params.dt):
@@ -665,7 +676,7 @@ class TestWholeArrayTraces:
                 xm, half = 0.5 * (a + b), 0.5 * (b - a)
                 for g in range(5):
                     x = xm + half * _traces._G5X[g]
-                    r, m = _k.eval_piece(int(rec.kinds[i]), rec.pars[i],
+                    r, m = _k.eval_piece(int(pcs.kinds[i]), pcs.q[i],
                                          x, tau, geo, C14.theta)
                     area = A0 * math.exp(-_k.ppoly_eval(xs, c, x))
                     eta = _k.eta_q_k(r, m, C14.gamma)[0]

@@ -1,16 +1,24 @@
-"""Every function of the package reads each of its parameters.
+"""Every function of the package reads each of its parameters, and every
+array of a step has one owner.
 
 A parameter that nothing reads is a contract that nothing checks: callers
 compute and pass a value the function ignores.  The one exception is the
 observer protocol of ``scheme.run``: it calls ``on_start(state, ctx)`` and
 ``on_step(prev, new, record)`` on every observer, each of which reads only
-the arguments it needs.
+the arguments it needs.  Likewise a second name for an array of the step's
+piece table is a second place to keep in step with it.
 """
 
 import ast
+import dataclasses
 import pathlib
 
+import numpy as np
+
 import nozzleflow
+from nozzleflow import (BoundFunction, GasConstants, NozzleGeometry,
+                        SchemeParameters, advance, initialize)
+from nozzleflow.initialdata import GaussianBumpData
 
 PACKAGE = pathlib.Path(nozzleflow.__file__).parent
 
@@ -62,3 +70,23 @@ def test_unread_parameter_found(tmp_path):
     assert _unread_parameters(src) == [("f", 1, "b"),
                                        ("on_step", 3, "extra"),
                                        ("<lambda>", 5, "x")]
+
+
+def test_step_record_names_no_piece_array():
+    # the piece table owns its cells' arrays; the record holds the table
+    # and its own arrays (front flags, cases), none of the table's
+    c = GasConstants.for_gamma(1.4)
+    geom = NozzleGeometry.constant(X=1.0)
+    b = BoundFunction.zero(domain=(-2.0, 2.0))
+    params = SchemeParameters.create(dx=0.1, M=6.0, b=b, T=0.0, c=c)
+    u0 = GaussianBumpData(rho_inf=1.0, rho_amp=0.3, width=0.3)
+    state, mesh = initialize(u0, params, geom, b, c)
+    _new, rec = advance(state, params, geom, b, c, mesh)
+    owned = [v for v in vars(rec.pieces).values()
+             if isinstance(v, np.ndarray)]
+    assert any(a is rec.pieces.jcells for a in owned)
+    shared = [f.name for f in dataclasses.fields(rec)
+              if isinstance(getattr(rec, f.name), np.ndarray)
+              and any(np.shares_memory(getattr(rec, f.name), a)
+                      for a in owned)]
+    assert shared == []

@@ -613,12 +613,13 @@ class TestPassBCapacity:
             B = b.B((jcells + off) * dx)
             M = max(M, np.max(-z * np.exp(B)), np.max(w * np.exp(-B)))
         params = SchemeParameters.create(dx=dx, M=1.01 * M, b=b, T=0.0, c=c)
-        (offs, _kinds, pars, _spds, _fflag, ncount, ccase,
-         _csub) = _build_cells(jcells, row, 0, params,
-                               get_bundle(geom, b), c)
+        pieces, _fflag, ccase, _csub = _build_cells(jcells, row, 0, params,
+                                                    get_bundle(geom, b), c)
         assert {1, 2, 3, 4, 11, 21, 31, 41, 50} <= set(ccase.tolist())
-        assert np.array_equal(np.diff(offs), ncount)
-        assert len(pars) == ncount.sum()
+        total = pieces.ncount.sum()
+        assert len(pieces.kinds) == len(pieces.q) == len(pieces.spds) == total
+        assert [sl.stop - sl.start for sl in pieces.cell_slices()] == \
+            pieces.ncount.tolist()
 
 
 class TestPassBPowers:
@@ -643,7 +644,7 @@ class TestPassBPowers:
 
         monkeypatch.setattr(_k, "pow_g", counted)
         ccase = _build_cells(jcells, row, 0, params, get_bundle(geom, b),
-                             C14)[6]
+                             C14)[2]
         assert {11, 21, 31} <= set(ccase.tolist())
         assert calls == [params.beta, params.alpha]
 
@@ -798,7 +799,7 @@ class TestAdvance:
         a2, r2 = advance(st, params, geom, b, c, mesh)
         assert np.array_equal(a1.rho, a2.rho)
         assert np.array_equal(a1.m, a2.m)
-        assert np.array_equal(r1.spds[:r1.offs[-1]], r2.spds[:r2.offs[-1]])
+        assert np.array_equal(r1.pieces.spds, r2.pieces.spds)
 
     def test_mass_conserved_homogeneous(self):
         geom, b, params = straight_setup(dx=0.02, M=7.0)
@@ -1417,14 +1418,14 @@ class TestStraightCells:
         state, mesh = initialize(u0, params, geom, b, C14, cutoff=False)
         calls[0] = 0
         _new, rec = advance(state, params, geom, b, C14, mesh)
-        assert rec.ccase.max() <= 4 and rec.ncount.max() > 1
+        assert rec.ccase.max() <= 4 and rec.pieces.ncount.max() > 1
         assert calls[0] == 0
         # a cell in the curved middle of a bump still reads the tables
         c, geom, b, u0, params = nozzle_setup()
         row = (np.array([1.0, 0.8]), np.array([0.9, -0.6]))
         got = _build_cells(np.array([1], dtype=np.int64), row, 0, params,
                            get_bundle(geom, b), c)
-        assert got[6][0] <= 4
+        assert got[2][0] <= 4
         assert calls[0] > 0
 
     def test_flat_run_holds_open_intervals(self):
@@ -1556,8 +1557,9 @@ class TestStraightPieces:
             got = _step_readers(rec, rec, new, _traces.cell_aq_integrals)
             tables = dict(rec.bundle.tables,
                           flats=(np.array([]), np.array([])))
-            pieces = _traces._Pieces(rec.jcells, rec.ncount, rec.kinds,
-                                     rec.pars, rec.spds, rec.params.dx,
+            pcs = rec.pieces
+            pieces = _traces._Pieces(pcs.jcells, pcs.ncount, pcs.kinds,
+                                     pcs.q, pcs.spds, rec.params.dx,
                                      tables, rec.constants.theta)
             assert not pieces.straight.any()
             parent = types.SimpleNamespace(
@@ -1588,3 +1590,41 @@ class TestStraightPieces:
             touching += np.count_nonzero(ends & np.isin(j, [1, 7]))
             assert 0 < np.count_nonzero(pcs.straight) < pcs.cell.size
         assert touching >= 2
+
+
+class TestPieceTableOwnsTheCells:
+    """A step record's cells are read from its piece table: each entry of
+    ``cell_solutions()`` is the cell that ``build_cell`` makes from the
+    same two neighbour states, bit for bit, so each cell's pieces start
+    where ``pieces.ncount`` puts them."""
+
+    @pytest.mark.parametrize("family", ["bump", "laval"])
+    def test_cell_solutions_are_build_cell(self, family):
+        c, geom, b, u0, params = nozzle_setup(dx=0.05)
+        if family == "laval":
+            geom = NozzleGeometry.laval(0.1, X=1.0)
+            b = BoundFunction.auto_for(geom, admissibility_constants(c),
+                                       dx=0.05)
+            params = SchemeParameters.create(dx=0.05, M=select_M(u0, b, c),
+                                             b=b, T=0.0, c=c)
+        state, mesh = initialize(u0, params, geom, b, c)
+        for _ in range(3):
+            state, rec = advance(state, params, geom, b, c, mesh)
+        rho, m = rec.neighbors
+        cells = rec.cell_solutions()
+        assert len(cells) == rec.jcells.size
+        assert len({cs.kinds.size for cs in cells}) > 1
+        assert any(cs.fronts for cs in cells)
+        for i, cs in enumerate(cells):
+            # the row's own floats: a GasState normalizes near-vacuum states
+            want = build_cell(types.SimpleNamespace(rho=rho[i], m=m[i]),
+                              types.SimpleNamespace(rho=rho[i + 1],
+                                                    m=m[i + 1]),
+                              int(rec.jcells[i]), rec.n, params, geom, b, c)
+            assert (cs.j, cs.case, cs.subcase) == (want.j, want.case,
+                                                   want.subcase)
+            for name in ("kinds", "pars", "speeds", "is_front"):
+                got, exp = getattr(cs, name), getattr(want, name)
+                assert got.dtype == exp.dtype and got.shape == exp.shape
+                assert got.tobytes() == exp.tobytes(), (i, name)
+            assert cs.fronts == want.fronts
