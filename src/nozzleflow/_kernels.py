@@ -1274,7 +1274,7 @@ def vac_left_side_k(j, rho_l, m_l, par, h, thr, geo, out):
     theta = par[1]
     dx = par[2]
     dt = par[3]
-    M = par[7]
+    M = par[6]
     xc = j * dx
     Lj = -M * math.exp(-geo_B(geo, (j + 1) * dx))
     if rho_l < RHO_FLOOR:

@@ -68,9 +68,6 @@ _DEFAULTS = {
     "m_bound": "auto",
     "dx": "0.02",
     "t_final": "0.05",
-    "alpha": "0.8",
-    "beta": "0.05",
-    "delta": "auto",
     "mode": "modified",
     "out_dir": "out",
     "stride": "10",
@@ -237,10 +234,7 @@ def parse_config(path, overrides=None) -> RunConfig:
         M = select_M(u0, b, c)
     else:
         M = _getf(d, "m_bound")
-    delta = None if d["delta"].lower() == "auto" else _getf(d, "delta")
-    params = SchemeParameters.create(
-        dx=dx, M=M, b=b, T=_getf(d, "t_final"), c=c,
-        alpha=_getf(d, "alpha"), beta=_getf(d, "beta"), delta=delta)
+    params = SchemeParameters.create(dx, M, b, _getf(d, "t_final"), c)
     steps = params.T / params.dt - 1e-12    # a float: inf for a huge T
     if steps > MAX_STEPS:
         raise ConfigError(

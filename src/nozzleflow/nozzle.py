@@ -508,7 +508,7 @@ def validate_condition(geom: NozzleGeometry, b: BoundFunction,
 
 
 # ---------------------------------------------------------------------------
-# kernel bundle: geometry + bound packed for the jitted kernels
+# kernel bundle: geometry + bound packed for the kernels
 # ---------------------------------------------------------------------------
 
 def flat_runs(a_table, b_table):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ from scipy.optimize import brentq
 import nozzleflow
 import nozzleflow._kernels as _k
 import nozzleflow._traces as _traces
-from nozzleflow.cli import main, parse_config
+from nozzleflow.cli import _DEFAULTS, main, parse_config
 from nozzleflow.errors import CellBuildError, ConfigError
 from nozzleflow.nozzle import NozzleGeometry
 from nozzleflow.scheme import run
@@ -61,8 +62,17 @@ class TestParseConfig:
                 "gamma = 1.4", "gamma = 2.0")))
 
     def test_alpha_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="alpha"):
+        with pytest.raises(ConfigError, match="unknown key 'alpha'"):
             parse_config(write_cfg(tmp_path, MINIMAL + "alpha = 0.4\n"))
+
+    def test_readme_names_every_key(self):
+        # a key that README's CLI section does not name is an undocumented
+        # setting
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+            section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ")[0]
+        assert [k for k in _DEFAULTS
+                if not re.search(rf"\b{k}\b", section)] == []
 
     def test_unknown_key_named(self, tmp_path):
         with pytest.raises(ConfigError, match="not_a_key"):
@@ -76,6 +86,9 @@ class TestParseConfig:
             # the auto bound's margin and the audit's slack are constants
             ("b_margin = 0.02", "unknown key 'b_margin'"),
             ("audit_slack = nan", "unknown key 'audit_slack'"),
+            # so are the scheme's exponents
+            ("beta = 0.05", "unknown key 'beta'"),
+            ("delta = auto", "unknown key 'delta'"),
             ("stride = 2.7", "'stride': expected a positive integer"),
             ("stride = 0.5", "'stride': expected a positive integer"),
             ("stride = -3", "'stride': expected a positive integer"),
@@ -523,12 +536,35 @@ class TestRefusedRun:
         ("", ["--stride", "0"], "key 'stride': expected a positive integer"),
         ("", ["--stride", "abc"], "argument --stride: invalid int value"),
         ("", ["--dx", "x"], "argument --dx: invalid float value"),
-        ("", ["--mode", "fast"], "argument --mode: invalid choice")],
+        ("", ["--mode", "fast"], "argument --mode: invalid choice"),
+        ("dx 0.05\n", [], "expected 'key = value'"),
+        ("dx = abc\n", [], "key 'dx': expected a finite number, got 'abc'"),
+        ("dx = 0\n", [], "key 'dx': must be positive"),
+        ("geometry = cone\n", [], "key 'geometry': unknown family 'cone'"),
+        ("geometry = table\n", [],
+         "geometry = table requires geometry_table"),
+        ("initial = shock\n", [], "key 'initial': unknown profile 'shock'"),
+        ("initial = table\n", [], "initial = table requires initial_table"),
+        ("b_function = linear\n", [],
+         "key 'b_function': unknown spec 'linear'"),
+        ("mode = fast\n", [], "key 'mode': must be modified|baseline-lf"),
+        ("initial = table\ninitial_table = {tmp}/unordered.txt\n", [],
+         "x samples must be strictly increasing"),
+        ("initial = table\ninitial_table = {tmp}/negative.txt\n", [],
+         "negative density in table")],
         ids=["over-budget", "pointwise", "stride-fraction", "stride-zero",
-             "stride-malformed", "dx-malformed", "mode-unknown"])
+             "stride-malformed", "dx-malformed", "mode-unknown",
+             "line-without-equals", "dx-not-a-number", "dx-zero",
+             "geometry-unknown", "geometry-table-missing", "initial-unknown",
+             "initial-table-missing", "b-function-unknown",
+             "mode-unknown-in-file", "table-x-not-increasing",
+             "table-negative-density"])
     def test_one_error_line(self, tmp_path, capsys, extra, argv, named):
+        (tmp_path / "unordered.txt").write_text("0 1 0\n1 1 0\n0.5 1 0\n")
+        (tmp_path / "negative.txt").write_text("0 1 0\n1 -0.1 0\n")
         out_dir = tmp_path / "out"
-        path = write_cfg(tmp_path, MINIMAL + extra + f"out_dir = {out_dir}\n")
+        path = write_cfg(tmp_path, MINIMAL + extra.format(tmp=tmp_path)
+                         + f"out_dir = {out_dir}\n")
         assert main(["run", "--config", path, *argv]) == 1
         out, err = capsys.readouterr()
         assert out == ""

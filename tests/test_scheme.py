@@ -21,7 +21,7 @@ from nozzleflow.initialdata import (GaussianBumpData, RiemannStepData,
 from nozzleflow.nozzle import (BoundFunction, NozzleGeometry, PiecewisePoly,
                                admissibility_constants, envelope,
                                get_bundle, steady_profile)
-from nozzleflow.scheme import (SchemeParameters, _build_cells,
+from nozzleflow.scheme import (ALPHA, BETA, SchemeParameters, _build_cells,
                                gather_neighbors)
 
 C14 = GasConstants.for_gamma(1.4)
@@ -51,30 +51,20 @@ class TestSchemeParameters:
         p = SchemeParameters.create(dx=0.02, M=3.0, b=b, T=1.0, c=C14)
         assert p.dx / p.dt == pytest.approx(2 * 3.0 * math.exp(0.1), rel=1e-14)
 
-    def test_alpha_range(self):
+    def test_exponents_meet_the_papers_conditions(self):
+        # the paper's conditions on (alpha, beta, delta), at every gamma in
+        # (1, 5/3], both ends included
+        a, be = ALPHA, BETA
+        assert 0.5 < a < 1.0 and 0.0 < be < a
+        assert 0.5 + be / 2.0 < a < 1.0 - 2.0 * be
         b = BoundFunction.zero()
-        with pytest.raises(ConfigError):
-            SchemeParameters.create(dx=0.02, M=3.0, b=b, T=1.0, c=C14,
-                                    alpha=0.4)
-        with pytest.raises(ConfigError):
-            SchemeParameters.create(dx=0.02, M=3.0, b=b, T=1.0, c=C14,
-                                    alpha=1.0)
-
-    def test_beta_constraints(self):
-        b = BoundFunction.zero()
-        with pytest.raises(ConfigError):
-            SchemeParameters.create(dx=0.02, M=3.0, b=b, T=1.0, c=C14,
-                                    beta=0.2)   # alpha < 1 - 2 beta fails
-
-    def test_delta_range(self):
-        b = BoundFunction.zero()
-        with pytest.raises(ConfigError):
-            SchemeParameters.create(dx=0.02, M=3.0, b=b, T=1.0, c=C14,
-                                    delta=0.9)
-        c53 = GasConstants.for_gamma(5 / 3)
-        with pytest.raises(ConfigError):
-            SchemeParameters.create(dx=0.02, M=3.0, b=b, T=1.0, c=c53,
-                                    delta=1.6)  # 1/(2 theta) = 1.5
+        for g in (1.0 + 1e-15, *np.linspace(1.0, 5.0 / 3.0, 101)[1:]):
+            c = GasConstants.for_gamma(g)
+            p = SchemeParameters.create(dx=0.02, M=3.0, b=b, T=1.0, c=c)
+            assert (p.alpha, p.beta) == (a, be)
+            assert be < 2.0 / (g + 5.0)
+            assert (9.0 - 3.0 * g) * be / 2.0 < a
+            assert 1.0 < p.delta < 1.0 / (2.0 * c.theta)
 
     def test_default_delta_valid_across_gamma(self):
         b = BoundFunction.zero()
@@ -304,6 +294,24 @@ class TestSolveFront:
         res = max(abs(f1r - f1l - sigma * (u.rho - rl)),
                   abs(f2r - f2l - sigma * (u.m - ml)))
         assert res < 1e-10
+
+
+class TestHugoniotDensity:
+    @pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0])
+    def test_recovers_density_on_both_sides(self, gamma):
+        # z_t >= z_l puts the root at or below rho_l, z_t < z_l above it
+        theta = (gamma - 1.0) / 2.0
+        rho_l, v_l = 0.7, 0.3
+        for rho_t in (1e-3, 0.2, 0.69, 0.71, 1.5, 40.0):
+            z_t = (v_l - _k.hjump_k(rho_t, rho_l, gamma)
+                   - _k.kfun(rho_t, theta))
+            rho, st = _k.hugoniot_z_k(rho_l, v_l, z_t, gamma, theta, -1.0)
+            assert st == _k.OK
+            assert rho == pytest.approx(rho_t, rel=1e-12, abs=0.0)
+
+    def test_vacuum_left_state_refused(self):
+        assert (_k.hugoniot_z_k(0.0, 0.0, -1.0, 1.4, 0.2, -1.0)
+                == (0.0, _k.ERR_HUGONIOT))
 
 
 class TestBuildCell:
